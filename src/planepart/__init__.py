@@ -16,10 +16,10 @@ from .dedekind import (CoeffSeries, DedekindSummary, b1k_estimate, b_coeffs,
                        reciprocity_residual, v1_hk, vp_hk, vp_hk_cot)
 from .almkvist import (AlmkvistEval, SaddleData, almkvist_saddle,
                        almkvist_series, g_radical, saddle_data, wright_leading)
-from .circle import (EstimateReport, MinorArcBound, PhiBreakdown, TermRecord,
-                     c_of_lambda, cutoff_probe, d_of_lambda, lambda_c,
-                     lambda_param, minor_arc_bound, mstar_numeric,
-                     mstar_theory, n_cutoff_numeric, n_cutoff_theory,
-                     p2_estimate, phi0_bound, phi_m, psi_m, sa_error_bound)
+from .circle import (Arc, EstimateReport, MinorArcBound, PhiBreakdown,
+                     TermRecord, c_of_lambda, cutoff_probe, d_of_lambda,
+                     lambda_c, lambda_param, minor_arc_bound, mstar_numeric,
+                     mstar_theory, n_cutoff_theory, p2_estimate, phi0_bound,
+                     psi_m, sa_error_bound)
 
 __version__ = "0.1.0"

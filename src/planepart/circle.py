@@ -7,8 +7,9 @@ k, and aggregates everything into an EstimateReport with an error ledger.
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import mpmath
@@ -106,19 +107,24 @@ class EstimateReport:
     actual_error: mpmath.mpf | None = None
 
 
-class _PhiSeries:
-    """Sequential phi^(m)_k(n) terms for one k, in increasing m."""
+class Arc:
+    """The k-th Farey arc of the estimate for p2(n): its terms phi^(m)_k(n).
+
+    Holds the arc prefactor, the C_{h,k} phases and one CoeffGenerator per h,
+    and remembers every term it has computed, so probing the arc and then
+    truncating it evaluates each term once.
+    """
 
     def __init__(self, n: int, k: int, ctx: PrecisionContext):
         self.n, self.k, self.ctx = n, k, ctx
         self.real = k <= 2
+        self._terms: dict[int, mpmath.mpf] = {}
         cst = constants(ctx)
         with ctx.workdps():
             a = cst.a
             kf = mpmath.mpf(k)
             self.x = mp.sqrt(a / kf**3) * n
             self.sqrt_ak3 = mp.sqrt(a / kf**3)
-            self.pow_m = mpmath.mpf(1)
             base = mp.exp(k * cst.zeta_prime_m1) * (a / kf) ** (
                 mpmath.mpf(1) / 2 + kf / 24) / kf
             if k == 1:
@@ -142,6 +148,8 @@ class _PhiSeries:
     def term(self, m: int):
         """phi^(m)_k(n) as a real mpf; terms may be requested in any order but
         increasing m reuses all coefficient work."""
+        if m in self._terms:
+            return self._terms[m]
         with self.ctx.workdps():
             for gen in self.gens:
                 gen.extend_to(m)
@@ -160,6 +168,7 @@ class _PhiSeries:
                         f"phi_{self.k}^({m})({self.n}) has a non-negligible "
                         f"imaginary part; increase precision")
                 val = val.real
+            self._terms[m] = val
             return val
 
 
@@ -176,12 +185,12 @@ def mstar_theory(n: int, k: int, ctx: PrecisionContext):
         return (c / k) * n13 - (c * c / (4 * der.c2 * k)) * sd.f1pp
 
 
-def mstar_numeric(n: int, k: int, ctx: PrecisionContext,
-                  floor=DEFAULT_M_FLOOR) -> PhiBreakdown:
-    """Sum phi^(m)_k in increasing m, truncating at the superasymptotic
-    minimum term (declared after two consecutive increases of |phi^(m)| on the
-    structurally-nonzero subsequence) or earlier when |phi^(m)| < floor."""
-    series = _PhiSeries(n, k, ctx)
+def mstar_numeric(arc: Arc, floor=DEFAULT_M_FLOOR) -> PhiBreakdown:
+    """Sum the arc's phi^(m)_k in increasing m, truncating at the
+    superasymptotic minimum term (declared after two consecutive increases of
+    |phi^(m)| on the structurally-nonzero subsequence) or earlier when
+    |phi^(m)| < floor."""
+    n, k, ctx = arc.n, arc.k, arc.ctx
     step = 2 if k <= 2 else 1
     with ctx.workdps():
         floor_v = mpmath.mpf(floor)
@@ -201,7 +210,7 @@ def mstar_numeric(n: int, k: int, ctx: PrecisionContext,
         min_entry = None  # (m, ab, record index) of the running minimum
         m = 0
         while m <= cap:
-            val = series.term(m)
+            val = arc.term(m)
             ab = abs(val)
             records.append(TermRecord(k=k, m=m, value=val, abs_value=ab))
             # Structural zeros (exact h-sum cancellation) carry no size
@@ -267,18 +276,6 @@ def psi_m(n: int, h: int, k: int, m: int, ctx: PrecisionContext):
         return phase * pref * bm * mp.sqrt(a / kf**3) ** m * A
 
 
-def phi_m(n: int, k: int, m: int, ctx: PrecisionContext):
-    """phi^(m)_k(n), the h-sum of psi^(m)_{h,k}, as a real value."""
-    if k <= 2 and m % 2 == 1:
-        return mpmath.mpf(0)
-    series = _PhiSeries(n, k, ctx)
-    step = 2 if k <= 2 else 1
-    val = None
-    for mm in range(0, m + 1, step):
-        val = series.term(mm)
-    return val
-
-
 def n_cutoff_theory(n: int, kappa2=0, kappa3="0.06", ctx: PrecisionContext | None = None):
     """Major-arc cutoff N(n) = 2.948 n^(1/3) + (2.936 k2 - 1.468) log n + beta3."""
     if n < 1:
@@ -292,9 +289,9 @@ def n_cutoff_theory(n: int, kappa2=0, kappa3="0.06", ctx: PrecisionContext | Non
                 * mp.log(n) + beta3)
 
 
-def cutoff_probe(n: int, k: int, ctx: PrecisionContext):
-    """Size probe for the k-th arc: |phi^(0)_k(n)|, the magnitude of its
-    leading (m = 0) term.
+def cutoff_probe(arc: Arc):
+    """Size probe for the arc: |phi^(0)_k(n)|, the magnitude of its leading
+    (m = 0) term.
 
     This is what the closed-form proxy
     k^(k/12) e^(k zeta'(-1)) (a/k)^(1/2 + k/24) A(sqrt(a/k^3) n | -k/12)
@@ -302,24 +299,8 @@ def cutoff_probe(n: int, k: int, ctx: PrecisionContext):
     proxy overstates by several orders of magnitude at cutoff scale.  The
     probe can be exactly zero when the h-sum cancels structurally.
     """
-    with ctx.workdps():
-        return abs(_PhiSeries(n, k, ctx).term(0))
-
-
-def n_cutoff_numeric(n: int, ctx: PrecisionContext,
-                     threshold=DEFAULT_K_THRESHOLD) -> int:
-    """Smallest k whose (nonzero) probe drops below threshold.
-
-    Structural zeros of the m = 0 term are skipped: they say nothing about
-    the arc's size (its higher-m terms do not cancel).
-    """
-    with ctx.workdps():
-        thr = mpmath.mpf(threshold)
-        for k in range(1, 500):
-            probe = cutoff_probe(n, k, ctx)
-            if probe != 0 and probe < thr:
-                return k
-    raise PrecisionError("cutoff probe never dropped below threshold")
+    with arc.ctx.workdps():
+        return abs(arc.term(0))
 
 
 def sa_error_bound(n: int, k: int, ctx: PrecisionContext):
@@ -401,27 +382,37 @@ def p2_estimate(n: int, kappa2=None, k_threshold=DEFAULT_K_THRESHOLD,
                 with_exact: bool = False) -> EstimateReport:
     """Full superasymptotic estimate of p2(n) with an error ledger.
 
-    Arcs k are included up to the numeric cutoff (last k whose probe is still
-    >= k_threshold) by default, or up to [N(n)] when kappa2 is given; each arc
-    is truncated in m per mstar_numeric.  estimated_error aggregates the per-k
-    truncation estimates plus the probe at the first neglected k.
+    Each arc k = 1, 2, ... is built once and probed (cutoff_probe).  Arcs are
+    included up to the numeric cutoff (the k before the first arc whose
+    nonzero probe drops below k_threshold) by default, or up to [N(n)] when
+    kappa2 is given; each included arc is truncated in m per mstar_numeric.
+    estimated_error aggregates the per-k truncation estimates plus the probe
+    of the first excluded arc whose probe is nonzero, searched over at most
+    seven arcs.
     """
     if n < 1:
         raise ValueError("p2_estimate requires n >= 1")
     ctx = PrecisionContext(decimal_digits=digits) if digits else precision_for(n)
-    if kappa2 is not None:
-        with ctx.workdps():
-            n_incl = max(1, int(mp.floor(n_cutoff_theory(n, kappa2, ctx=ctx))))
-    else:
-        n_incl = max(1, n_cutoff_numeric(n, ctx, k_threshold) - 1)
-    per_k = [mstar_numeric(n, k, ctx, m_floor) for k in range(1, n_incl + 1)]
+    per_k: list[PhiBreakdown] = []
     with ctx.workdps():
-        estimate = mp.fsum(b.phi_value for b in per_k)
-        probe_next = mpmath.mpf(0)
-        for k_next in range(n_incl + 1, n_incl + 8):
-            probe_next = abs(cutoff_probe(n, k_next, ctx))
-            if probe_next != 0:
+        thr = mpmath.mpf(k_threshold)
+        n_incl = (max(1, int(mp.floor(n_cutoff_theory(n, kappa2, ctx=ctx))))
+                  if kappa2 is not None else None)
+        for k in itertools.count(1):
+            if n_incl is None and k == 500:
+                raise PrecisionError("cutoff probe never dropped below threshold")
+            arc = Arc(n, k, ctx)
+            probe = cutoff_probe(arc)
+            # Structural zeros of the m = 0 term are skipped: they say nothing
+            # about the arc's size (its higher-m terms do not cancel).
+            if n_incl is None and probe != 0 and probe < thr:
+                n_incl = max(1, k - 1)
+            if n_incl is None or k <= n_incl:
+                per_k.append(mstar_numeric(arc, m_floor))
+            elif probe != 0 or k == n_incl + 7:
+                probe_next = probe
                 break
+        estimate = mp.fsum(b.phi_value for b in per_k)
         est_err = mp.fsum(b.trunc_error_est for b in per_k) + probe_next
         rounded = int(mp.nint(estimate))
     report = EstimateReport(n=n, N_used=n_incl, per_k=per_k, estimate=estimate,

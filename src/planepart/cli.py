@@ -104,7 +104,8 @@ def cmd_phi(args) -> tuple[dict, list | None]:
         raise ValueError("n and k must be >= 1")
     ctx = (arith.PrecisionContext(decimal_digits=args.digits)
            if args.digits else arith.precision_for(args.n))
-    breakdown = circle.mstar_numeric(args.n, args.k, ctx, floor=args.m_floor)
+    breakdown = circle.mstar_numeric(circle.Arc(args.n, args.k, ctx),
+                                     floor=args.m_floor)
     out = _breakdown_dict(breakdown, ctx.decimal_digits)
     out["n"] = args.n
     rows = None

@@ -19,7 +19,7 @@ from functools import lru_cache
 import mpmath
 from mpmath import mp
 
-from .arith import BERNOULLI, PrecisionContext, constants, mod_inverse
+from .arith import BERNOULLI, PrecisionContext, constants
 
 # published correction constant in the b_{1,k} estimate
 B1K_GAMMA = "0.024529"
@@ -366,7 +366,3 @@ def b_min(k: int, ctx: PrecisionContext) -> tuple[int, object]:
         raise AssertionError("no coprime h found")
     return best_h, best
 
-
-def mod_inverse_pair(h: int, k: int) -> int:
-    """Convenience re-export used by the relation C_{h',k} = (k/12)log k - (k/2) b_{h,k}."""
-    return mod_inverse(h, k)

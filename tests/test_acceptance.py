@@ -139,7 +139,7 @@ def test_criterion_06_truncation_calibration():
     with ctx.workdps():
         theory = circle.mstar_theory(7000, 1, ctx)
         cutoff = circle.n_cutoff_theory(7000, 0, ctx=ctx)
-    numeric = circle.mstar_numeric(7000, 1, ctx).m_star_used
+    numeric = circle.mstar_numeric(circle.Arc(7000, 1, ctx)).m_star_used
     checks = [
         ("mstar_theory(7000,1) in [770, 790]", 770 < theory < 790),
         ("mstar_numeric(7000,1) in [870, 890]", 870 <= numeric <= 890),

@@ -1,3 +1,4 @@
+import collections
 import math
 
 import mpmath
@@ -76,17 +77,18 @@ class TestPsiPhi:
         ctx = pp.precision_for(60)
         with ctx.workdps():
             for k in (3, 5):
+                arc = circle.Arc(60, k, ctx)
                 for m in range(3):
                     direct = sum(circle.psi_m(60, h, k, m, ctx)
                                  for h in range(1, k) if math.gcd(h, k) == 1)
-                    got = circle.phi_m(60, k, m, ctx)
+                    got = arc.term(m)
                     assert abs(direct.imag) < mpmath.mpf(10) ** -25
                     assert abs(got - direct.real) < mpmath.mpf(10) ** -25
 
     def test_phi_odd_m_zero_small_k(self, ctx50):
         ctx = pp.precision_for(50)
-        assert circle.phi_m(50, 1, 3, ctx) == 0
-        assert circle.phi_m(50, 2, 5, ctx) == 0
+        assert circle.Arc(50, 1, ctx).term(3) == 0
+        assert circle.Arc(50, 2, ctx).term(5) == 0
 
 
 class TestMstar:
@@ -129,7 +131,7 @@ class TestMstar:
         for n, ctx, floor in ((3000, pp.PrecisionContext(decimal_digits=500), 0),
                               (5000, pp.PrecisionContext(decimal_digits=500), 0),
                               (7000, pp.precision_for(7000), circle.DEFAULT_M_FLOOR)):
-            breakdown = circle.mstar_numeric(n, 1, ctx, floor=floor)
+            breakdown = circle.mstar_numeric(circle.Arc(n, 1, ctx), floor=floor)
             assert breakdown.stop_reason == "minimum-found"
             with ctx.workdps():
                 ratio = breakdown.m_star_used / circle.mstar_theory(n, 1, ctx)
@@ -143,14 +145,13 @@ class TestCutoff:
             val = circle.n_cutoff_theory(7000, 0, ctx=ctx)
             assert int(mp.floor(val)) == 45
 
-    def test_numeric_750_in_window(self):
-        ctx = pp.precision_for(750)
-        assert 15 <= circle.n_cutoff_numeric(750, ctx) <= 19
+    def test_numeric_750_in_window(self, report_750):
+        assert 15 <= report_750.N_used + 1 <= 19
 
     def test_probe_envelope_decays_at_750(self):
         ctx = pp.precision_for(750)
         with ctx.workdps():
-            probes = [circle.cutoff_probe(750, k, ctx) for k in range(2, 20)]
+            probes = [circle.cutoff_probe(circle.Arc(750, k, ctx)) for k in range(2, 20)]
             win = [max(probes[i:i + 3]) for i in range(0, len(probes) - 2, 3)]
             assert all(a > b for a, b in zip(win, win[1:]))
             assert probes[-1] < mpmath.mpf("0.01")
@@ -185,7 +186,7 @@ class TestBounds:
         ctx = pp.precision_for(750)
         with ctx.workdps():
             for k in range(1, 18):
-                probe = circle.cutoff_probe(750, k, ctx)
+                probe = circle.cutoff_probe(circle.Arc(750, k, ctx))
                 assert probe <= circle.phi0_bound(750, k, ctx), k
 
 
@@ -229,3 +230,25 @@ class TestEstimate:
     def test_domain(self):
         with pytest.raises(ValueError):
             pp.p2_estimate(0)
+
+    @pytest.mark.parametrize("n, kappa2", [(100, None), (300, 0)])
+    def test_leading_almkvist_once_per_arc(self, monkeypatch, n, kappa2):
+        # A(x | -k/12) is arc k's m = 0 term, which both the cutoff probe and
+        # the truncation need; each arc evaluates it once.
+        calls = []
+        series = circle.almkvist_series
+
+        def counted(x, gamma, ctx):
+            calls.append((x, gamma))
+            return series(x, gamma, ctx)
+
+        monkeypatch.setattr(circle, "almkvist_series", counted)
+        report = pp.p2_estimate(n, kappa2=kappa2)
+        a = float(pp.constants(pp.precision_for(n)).a)
+        leading = collections.Counter()
+        for x, gamma in calls:
+            k = round((a * n * n / float(x) ** 2) ** (1 / 3))  # x = sqrt(a/k^3) n
+            if round(-float(gamma) - k / 12) == 0:
+                leading[k] += 1
+        ks = range(1, report.N_used + 2)
+        assert [leading[k] for k in ks] == [1] * len(ks)
