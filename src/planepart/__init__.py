@@ -6,16 +6,16 @@ the Almkvist special function, truncated superasymptotically with a full
 error ledger.
 """
 
-from .arith import (BernoulliCache, Constants, DerivedConstants, FareyFraction,
+from .arith import (BernoulliCache, Constants, DerivedConstants,
                     PrecisionContext, PrecisionError, bernoulli_number,
-                    bernoulli_poly, constants, derived_constants, farey,
-                    lngamma, mod_inverse, precision_for, sigma2, sigma2_table)
-from .exact import PlanePartitionTable, p2_enumerate, p2_exact_table
-from .dedekind import (CoeffSeries, DedekindSummary, b1k_estimate, b_coeffs,
-                       b_hk, b_min, bound_suite, c_hk, dedekind_summary,
-                       reciprocity_residual, v1_hk, vp_hk, vp_hk_cot)
+                    bernoulli_poly, constants, derived_constants,
+                    precision_for, sigma2_table)
+from .exact import PlanePartitionTable, p2_exact_table
+from .dedekind import (DedekindSummary, b1k_estimate, b_hk, b_min, bound_suite,
+                       c_hk, dedekind_summary, reciprocity_residual, v1_hk,
+                       vp_hk)
 from .almkvist import (AlmkvistEval, SaddleData, almkvist_saddle,
-                       almkvist_series, g_radical, saddle_data, wright_leading)
+                       almkvist_series, saddle_data, wright_leading)
 from .circle import (Arc, EstimateReport, MinorArcBound, PhiBreakdown,
                      TermRecord, c_of_lambda, cutoff_probe, d_of_lambda,
                      lambda_c, lambda_param, minor_arc_bound, mstar_numeric,

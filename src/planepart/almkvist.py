@@ -111,20 +111,6 @@ def saddle_data(lam, ctx: PrecisionContext) -> SaddleData:
         return SaddleData(lam=lv, g=g, f1=f1, f1p=f1p, f1pp=f1pp, f2=f2)
 
 
-def g_radical(lam, ctx: PrecisionContext):
-    """Closed radical form of g(lam), valid while 1 - 4 lam^3 >= 0 (cross-check)."""
-    with ctx.workdps():
-        lv = mpmath.mpf(lam)
-        disc = 1 - 4 * lv**3
-        if disc < 0:
-            raise ValueError("radical form leaves the real branch past lam^3 = 1/4")
-        root = mp.sqrt(disc)
-        third = mpmath.mpf(1) / 3
-        t1 = (1 - 2 * lv**3 + root) / 2
-        t2 = (1 - 2 * lv**3 - root) / 2
-        return -lv + mp.sign(t1) * abs(t1) ** third + mp.sign(t2) * abs(t2) ** third
-
-
 def lambda_of(x, gamma, ctx: PrecisionContext):
     """lam = -gamma / (3 * 2^(1/3) * x^(2/3))."""
     with ctx.workdps():

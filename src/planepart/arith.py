@@ -1,5 +1,5 @@
 """Precision contexts, fundamental constants, exact Bernoulli machinery, and
-elementary number-theory helpers shared by every other module.
+the divisor-sum sieve shared by every other module.
 
 All floating-point work runs through mpmath; a PrecisionContext fixes the
 decimal working precision and every operation evaluates inside that context.
@@ -10,7 +10,7 @@ so the series coefficients downstream have no float error source.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -173,33 +173,8 @@ def bernoulli_poly(p: int, x) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# Gamma, divisor sums, Farey fractions, modular inverse
+# Divisor sums and the working precision
 # ---------------------------------------------------------------------------
-
-def lngamma(x, ctx: PrecisionContext):
-    """log Gamma(x) for x > 0 at context precision."""
-    with ctx.workdps():
-        xv = mpmath.mpf(x)
-        if xv <= 0:
-            raise ValueError("lngamma requires x > 0")
-        return mp.loggamma(xv)
-
-
-def sigma2(n: int) -> int:
-    """Sum of squares of divisors of n."""
-    if n < 1:
-        raise ValueError("sigma2 requires n >= 1")
-    total = 0
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            total += d * d
-            q = n // d
-            if q != d:
-                total += q * q
-        d += 1
-    return total
-
 
 def sigma2_table(N: int) -> list[int]:
     """sigma2(n) for n = 0..N by a divisor sieve (entry 0 unused, set to 0)."""
@@ -209,44 +184,6 @@ def sigma2_table(N: int) -> list[int]:
         for m in range(d, N + 1, d):
             tab[m] += dd
     return tab
-
-
-@dataclass(frozen=True, order=True)
-class FareyFraction:
-    sort_index: Fraction = field(init=False, repr=False, compare=True)
-    h: int
-    k: int
-
-    def __post_init__(self) -> None:
-        if self.k < 1 or self.h < 0 or math.gcd(self.h, self.k) != 1:
-            raise ValueError("FareyFraction requires k >= 1, h >= 0, gcd(h,k) = 1")
-        if not 0 <= Fraction(self.h, self.k) < 1:
-            raise ValueError("FareyFraction requires 0 <= h/k < 1")
-        object.__setattr__(self, "sort_index", Fraction(self.h, self.k))
-
-
-def farey(N: int) -> list[FareyFraction]:
-    """Ascending reduced fractions h/k with 0 <= h/k < 1 and k <= N."""
-    if N < 1:
-        raise ValueError("farey requires N >= 1")
-    out = [FareyFraction(h=0, k=1)]
-    a, b, c, d = 0, 1, 1, N
-    while c < d:  # stop before reaching 1/1
-        out.append(FareyFraction(h=c, k=d))
-        step = (N + b) // d
-        a, b, c, d = c, d, step * c - a, step * d - b
-    return out
-
-
-def mod_inverse(h: int, k: int) -> int:
-    """h' in [1, k) with h*h' = 1 mod k; returns 0 for k = 1."""
-    if k < 1:
-        raise ValueError("mod_inverse requires k >= 1")
-    if k == 1:
-        return 0
-    if math.gcd(h, k) != 1:
-        raise ValueError("mod_inverse requires gcd(h, k) = 1")
-    return pow(h % k, -1, k)
 
 
 def precision_for(n: int) -> PrecisionContext:

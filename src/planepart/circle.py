@@ -18,7 +18,7 @@ from mpmath import mp
 from .arith import (PrecisionContext, PrecisionError, constants,
                     derived_constants, precision_for)
 from .almkvist import almkvist_series, saddle_data
-from .dedekind import CoeffGenerator, _roots_row, b_coeffs, c_hk
+from .dedekind import CoeffGenerator, _roots_row, c_hk
 from .exact import p2_exact_table
 
 DEFAULT_K_THRESHOLD = "0.01"
@@ -139,7 +139,7 @@ class Arc:
                 coefs = [base * (-1) ** (n * h) * mp.exp(c_hk(h, k, ctx))
                          for h in hs]
             else:
-                roots = _roots_row(k)
+                roots = _roots_row(k, mp.prec)
                 coefs = [base * roots[(-n * h) % k] * mp.exp(c_hk(h, k, ctx))
                          for h in hs]
             self.coefs = coefs
@@ -268,22 +268,25 @@ def psi_m(n: int, h: int, k: int, m: int, ctx: PrecisionContext):
     with ctx.workdps():
         a = cst.a
         kf = mpmath.mpf(k)
-        bm = b_coeffs(h, k, m, ctx).b[m]
+        gen = CoeffGenerator(h, k, ctx)
+        gen.extend_to(m)
+        bm = gen.b[m]
         A = almkvist_series(mp.sqrt(a / kf**3) * n, -kf / 12 - m, ctx).value
-        phase = mpmath.mpc(1) if k == 1 else _roots_row(k)[(-n * h) % k]
+        phase = mpmath.mpc(1) if k == 1 else _roots_row(k, mp.prec)[(-n * h) % k]
         pref = mp.exp(k * cst.zeta_prime_m1 + c_hk(h, k, ctx)) \
             * (a / kf) ** (mpmath.mpf(1) / 2 + kf / 24) / kf
         return phase * pref * bm * mp.sqrt(a / kf**3) ** m * A
 
 
-def n_cutoff_theory(n: int, kappa2=0, kappa3="0.06", ctx: PrecisionContext | None = None):
-    """Major-arc cutoff N(n) = 2.948 n^(1/3) + (2.936 k2 - 1.468) log n + beta3."""
+def n_cutoff_theory(n: int, kappa2=0, ctx: PrecisionContext | None = None):
+    """Major-arc cutoff N(n) = 2.948 n^(1/3) + (2.936 k2 - 1.468) log n + beta3,
+    with beta3 = 1.587 + 2.936 k3 and k3 = 0.06."""
     if n < 1:
         raise ValueError("n_cutoff_theory requires n >= 1")
     dps = ctx.decimal_digits if ctx else 30
     with mp.workdps(dps):
         n13 = mpmath.mpf(n) ** (mpmath.mpf(1) / 3)
-        beta3 = mpmath.mpf("1.587") + mpmath.mpf("2.936") * mpmath.mpf(kappa3)
+        beta3 = mpmath.mpf("1.587") + mpmath.mpf("2.936") * mpmath.mpf("0.06")
         return (mpmath.mpf("2.948") * n13
                 + (mpmath.mpf("2.936") * mpmath.mpf(kappa2) - mpmath.mpf("1.468"))
                 * mp.log(n) + beta3)
@@ -388,7 +391,8 @@ def p2_estimate(n: int, kappa2=None, k_threshold=DEFAULT_K_THRESHOLD,
     kappa2 is given; each included arc is truncated in m per mstar_numeric.
     estimated_error aggregates the per-k truncation estimates plus the probe
     of the first excluded arc whose probe is nonzero, searched over at most
-    seven arcs.
+    seven arcs.  k_threshold must be positive: no probe falls below a
+    threshold <= 0.
     """
     if n < 1:
         raise ValueError("p2_estimate requires n >= 1")
@@ -396,6 +400,8 @@ def p2_estimate(n: int, kappa2=None, k_threshold=DEFAULT_K_THRESHOLD,
     per_k: list[PhiBreakdown] = []
     with ctx.workdps():
         thr = mpmath.mpf(k_threshold)
+        if not thr > 0:  # also rejects nan
+            raise ValueError("p2_estimate requires k_threshold > 0")
         n_incl = (max(1, int(mp.floor(n_cutoff_theory(n, kappa2, ctx=ctx))))
                   if kappa2 is not None else None)
         for k in itertools.count(1):

@@ -5,8 +5,7 @@ coefficients b^(m)_hk, published bound checks, and the reciprocity residual.
 
 The primary v^(p) path is the O(k^2) double Bernoulli sum with exact rational
 values bucketed by d*d' mod k and one complex dot product against a precomputed
-table of k-th roots of unity; the cot-derivative closed form is kept as a
-small-p cross-check.
+table of k-th roots of unity.
 """
 
 from __future__ import annotations
@@ -29,29 +28,25 @@ def _mpf_frac(q: Fraction):
     return mpmath.mpf(q.numerator) / q.denominator
 
 
-_logsin_cache: dict[tuple[int, int], tuple] = {}
-_roots_cache: dict[tuple[int, int], tuple] = {}
+# One estimate uses about N(n) + 7 rows, all at its own precision, so a
+# bounded cache keeps every row it needs while a long-lived process that
+# runs many estimates does not grow without limit.
+ROW_CACHE_SIZE = 256
 
 
-def _logsin_row(k: int) -> tuple:
-    """log|2 sin(pi j / k)| for j = 1..k-1 at the current working precision."""
-    key = (k, mp.prec)
-    row = _logsin_cache.get(key)
-    if row is None:
+@lru_cache(maxsize=ROW_CACHE_SIZE)
+def _logsin_row(k: int, prec: int) -> tuple:
+    """log|2 sin(pi j / k)| for j = 1..k-1 at binary precision prec."""
+    with mp.workprec(prec):
         pi_over_k = mp.pi / k
-        row = tuple(mp.log(2 * mp.sin(pi_over_k * j)) for j in range(1, k))
-        _logsin_cache[key] = row
-    return row
+        return tuple(mp.log(2 * mp.sin(pi_over_k * j)) for j in range(1, k))
 
 
-def _roots_row(k: int) -> tuple:
-    """e^{2 pi i j / k} for j = 0..k-1 at the current working precision."""
-    key = (k, mp.prec)
-    row = _roots_cache.get(key)
-    if row is None:
-        row = tuple(mp.expjpi(mpmath.mpf(2 * j) / k) for j in range(k))
-        _roots_cache[key] = row
-    return row
+@lru_cache(maxsize=ROW_CACHE_SIZE)
+def _roots_row(k: int, prec: int) -> tuple:
+    """e^{2 pi i j / k} for j = 0..k-1 at binary precision prec."""
+    with mp.workprec(prec):
+        return tuple(mp.expjpi(mpmath.mpf(2 * j) / k) for j in range(k))
 
 
 def _check_coprime(h: int, k: int) -> None:
@@ -65,7 +60,7 @@ def c_hk(h: int, k: int, ctx: PrecisionContext):
     if k == 1:
         return mpmath.mpf(0)
     with ctx.workdps():
-        logsin = _logsin_row(k)
+        logsin = _logsin_row(k, mp.prec)
         acc = mpmath.mpf(0)
         for j in range(1, k):
             num = 6 * j * j - 6 * j * k + k * k  # 6k^2 * B_2(j/k)
@@ -79,7 +74,7 @@ def b_hk(h: int, k: int, ctx: PrecisionContext):
     if k == 1:
         return mpmath.mpf(0)
     with ctx.workdps():
-        logsin = _logsin_row(k)
+        logsin = _logsin_row(k, mp.prec)
         acc = mpmath.mpf(0)
         for j in range(1, k):
             r = (h * j) % k
@@ -146,61 +141,13 @@ def vp_hk(p: int, h: int, k: int, ctx: PrecisionContext):
         if k <= 2:
             return mpmath.mpc(_mpf_frac(vp_rational(p, h, k)))
         buckets = _vp_buckets(p, k)
-        roots = _roots_row(k)
+        roots = _roots_row(k, mp.prec)
         acc = mpmath.mpc(0)
         for j in range(k):
             u = buckets[j]
             if u != 0:
                 acc += _mpf_frac(u) * roots[(j * h) % k]
         return _mpf_frac(_vp_prefactor(p, k)) * acc
-
-
-def _cot_derivative_polys(order: int) -> list[list[int]]:
-    """P_1..P_order with P_1(c) = c and P_{j+1} = -(1 + c^2) P_j'(c)."""
-    polys = [[0, 1]]
-    while len(polys) < order:
-        cur = polys[-1]
-        deriv = [i * cur[i] for i in range(1, len(cur))]
-        nxt = [0] * (len(deriv) + 2)
-        for i, coef in enumerate(deriv):
-            nxt[i] -= coef
-            nxt[i + 2] -= coef
-        polys.append(nxt)
-    return polys
-
-
-def vp_hk_cot(p: int, h: int, k: int, ctx: PrecisionContext):
-    """Cross-check closed form of v^(p)_{h,k} via derivatives of cot."""
-    if p < 2:
-        raise ValueError("vp_hk_cot requires p >= 2")
-    _check_coprime(h, k)
-    with ctx.workdps():
-        poly = _cot_derivative_polys(p)[p - 1]  # (p-1)-th derivative of cot
-        row = BERNOULLI.poly_row(p + 2, k) if k > 1 else ()
-        acc = mpmath.mpc(0)
-        pi_over_k = mp.pi / k
-        for d in range(1, k):
-            b2 = row[d - 1]
-            if b2 == 0:
-                continue
-            c = mp.cot(pi_over_k * ((d * h) % k))
-            val = mpmath.mpf(0)
-            for coef in reversed(poly):
-                val = val * c + coef
-            acc += _mpf_frac(b2) * val
-        bp = BERNOULLI.number(p + 2) * BERNOULLI.number(p)
-        two_i_p = mpmath.mpf(2) ** p * mpmath.mpc(0, 1) ** p
-        total = _mpf_frac(bp) + acc * p / two_i_p
-        pref = Fraction((-1) ** p * k ** (1 + p), math.factorial(p) * p * (p + 2))
-        return _mpf_frac(pref) * total
-
-
-@dataclass
-class CoeffSeries:
-    h: int
-    k: int
-    v: list  # v[0] unused placeholder, v[1..M]
-    b: list  # b[0..M]
 
 
 class CoeffGenerator:
@@ -242,17 +189,6 @@ class CoeffGenerator:
                     acc += j * self.v[j] * self.b[m - j]
                 self.b.append(acc / m)
 
-    def series(self, M: int) -> CoeffSeries:
-        self.extend_to(M)
-        return CoeffSeries(h=self.h, k=self.k, v=self.v[: M + 1], b=self.b[: M + 1])
-
-
-def b_coeffs(h: int, k: int, M: int, ctx: PrecisionContext) -> CoeffSeries:
-    """b^(0..M)_{h,k} by the exponential-series recurrence m b^(m) = sum j v^(j) b^(m-j)."""
-    if M < 0:
-        raise ValueError("b_coeffs requires M >= 0")
-    return CoeffGenerator(h, k, ctx).series(M)
-
 
 def b1k_estimate(k: int, ctx: PrecisionContext):
     """zeta(3) k / (2 pi^2) + log(k)/(6k) + gamma/k with the published gamma."""
@@ -291,8 +227,8 @@ def reciprocity_residual(h: int, k: int, ctx: PrecisionContext):
         return main - rec - ell1 - ell2
 
 
-def bound_suite(h: int, k: int, ctx: PrecisionContext, ps=(2, 3)) -> list[tuple[str, object]]:
-    """Named verdicts for the published C_{h,k} and v^(p) bounds.
+def bound_suite(h: int, k: int, ctx: PrecisionContext) -> list[tuple[str, object]]:
+    """Named verdicts for the published C_{h,k} and v^(p) bounds (p = 2, 3).
 
     Verdicts are True/False; None marks a bound skipped outside its validity
     range (the C sandwich needs k > 34, the two-sided bound needs k >= 2).
@@ -314,7 +250,7 @@ def bound_suite(h: int, k: int, ctx: PrecisionContext, ps=(2, 3)) -> list[tuple[
         v1 = v1_hk(h, k, ctx)
         bound1 = 2 * mpmath.mpf(k) ** 3 * cst.a / (2 * cst.pi) ** 3
         verdicts.append(("v1_bound", bool(abs(v1) <= bound1 + tol)))
-        for p in ps:
+        for p in (2, 3):
             vp = vp_hk(p, h, k, ctx)
             boundp = (4 * mpmath.mpf(k) ** (2 * p + 1) * mp.factorial(p + 1)
                       * mp.zeta(p) * mp.zeta(p + 2) / (p * (2 * cst.pi) ** (2 * p + 2)))
@@ -362,7 +298,5 @@ def b_min(k: int, ctx: PrecisionContext) -> tuple[int, object]:
         val = b_hk(h, k, ctx)
         if best is None or val < best:
             best_h, best = h, val
-    if best is None:  # k = 2 has only h = 1 which is > k//2? no: 1 <= 1
-        raise AssertionError("no coprime h found")
     return best_h, best
 

@@ -1,8 +1,7 @@
 """Exact big-integer values of p2(n).
 
-The main route is the sigma2 recurrence n*p2(n) = sum_{j<=n} sigma2(j)*p2(n-j)
-(logarithmic derivative of the MacMahon product); p2_enumerate is a brute-force
-enumeration used as an independent oracle for small n.
+Values come from the sigma2 recurrence n*p2(n) = sum_{j<=n} sigma2(j)*p2(n-j)
+(logarithmic derivative of the MacMahon product).
 """
 
 from __future__ import annotations
@@ -42,41 +41,3 @@ def p2_exact_table(N: int) -> PlanePartitionTable:
         values.append(q)
     return PlanePartitionTable(values=tuple(values))
 
-
-def _count_fillings(bound: tuple[int, ...], remaining: int) -> int:
-    """Rows below a row `bound`, each weakly decreasing and pointwise <= bound."""
-    if remaining == 0:
-        return 1
-    total = 0
-    for row in _rows_under(bound, remaining):
-        total += _count_fillings(row, remaining - sum(row))
-    return total
-
-
-def _rows_under(bound: tuple[int, ...], limit: int):
-    """Non-empty weakly decreasing rows pointwise <= bound with sum <= limit."""
-    def extend(prefix: list[int], pos: int, left: int):
-        if prefix:
-            yield tuple(prefix)
-        if pos >= len(bound):
-            return
-        cap = min(bound[pos], left, prefix[-1] if prefix else left)
-        for part in range(cap, 0, -1):
-            prefix.append(part)
-            yield from extend(prefix, pos + 1, left - part)
-            prefix.pop()
-
-    yield from extend([], 0, limit)
-
-
-def p2_enumerate(n: int) -> int:
-    """Count plane partitions of n by exhaustive enumeration (n <= 8)."""
-    if not 0 <= n <= 8:
-        raise ValueError("p2_enumerate supports 0 <= n <= 8 only")
-    if n == 0:
-        return 1
-    top = tuple([n] * n)  # first row unconstrained up to total n
-    total = 0
-    for first in _rows_under(top, n):
-        total += _count_fillings(first, n - sum(first))
-    return total

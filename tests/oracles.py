@@ -11,7 +11,11 @@ uses, so agreement is evidence rather than tautology:
   sigma2 recurrence);
 - b^(m) coefficients via the exponential partition-sum formula (the package
   uses the m*b^(m) convolution recurrence);
-- Farey counts via Euler's totient.
+- v^(p)_{h,k} via derivatives of cot (the package uses the double Bernoulli
+  sum over roots of unity);
+- the saddle root g(lam) via its closed radical form (the package uses
+  Newton's method);
+- sigma2(n) by enumerating divisors (the package uses a divisor sieve).
 """
 
 from __future__ import annotations
@@ -131,12 +135,61 @@ def b_coeff_partition_sum(h: int, k: int, m: int, ctx):
         return total
 
 
-def totient(n: int) -> int:
-    count = 0
-    for j in range(1, n + 1):
-        if math.gcd(j, n) == 1:
-            count += 1
-    return count
+def _cot_derivative_polys(order: int) -> list[list[int]]:
+    """P_1..P_order with P_1(c) = c and P_{j+1} = -(1 + c^2) P_j'(c)."""
+    polys = [[0, 1]]
+    while len(polys) < order:
+        cur = polys[-1]
+        deriv = [i * cur[i] for i in range(1, len(cur))]
+        nxt = [0] * (len(deriv) + 2)
+        for i, coef in enumerate(deriv):
+            nxt[i] -= coef
+            nxt[i + 2] -= coef
+        polys.append(nxt)
+    return polys
+
+
+def vp_hk_cot(p: int, h: int, k: int, ctx):
+    """Cross-check closed form of v^(p)_{h,k} via derivatives of cot."""
+    from planepart.arith import BERNOULLI  # exact rationals only
+    from planepart.dedekind import _check_coprime, _mpf_frac
+
+    if p < 2:
+        raise ValueError("vp_hk_cot requires p >= 2")
+    _check_coprime(h, k)
+    with ctx.workdps():
+        poly = _cot_derivative_polys(p)[p - 1]  # (p-1)-th derivative of cot
+        row = BERNOULLI.poly_row(p + 2, k) if k > 1 else ()
+        acc = mpmath.mpc(0)
+        pi_over_k = mp.pi / k
+        for d in range(1, k):
+            b2 = row[d - 1]
+            if b2 == 0:
+                continue
+            c = mp.cot(pi_over_k * ((d * h) % k))
+            val = mpmath.mpf(0)
+            for coef in reversed(poly):
+                val = val * c + coef
+            acc += _mpf_frac(b2) * val
+        bp = BERNOULLI.number(p + 2) * BERNOULLI.number(p)
+        two_i_p = mpmath.mpf(2) ** p * mpmath.mpc(0, 1) ** p
+        total = _mpf_frac(bp) + acc * p / two_i_p
+        pref = Fraction((-1) ** p * k ** (1 + p), math.factorial(p) * p * (p + 2))
+        return _mpf_frac(pref) * total
+
+
+def g_radical(lam, ctx):
+    """Closed radical form of g(lam), valid while 1 - 4 lam^3 >= 0 (cross-check)."""
+    with ctx.workdps():
+        lv = mpmath.mpf(lam)
+        disc = 1 - 4 * lv**3
+        if disc < 0:
+            raise ValueError("radical form leaves the real branch past lam^3 = 1/4")
+        root = mp.sqrt(disc)
+        third = mpmath.mpf(1) / 3
+        t1 = (1 - 2 * lv**3 + root) / 2
+        t2 = (1 - 2 * lv**3 - root) / 2
+        return -lv + mp.sign(t1) * abs(t1) ** third + mp.sign(t2) * abs(t2) ** third
 
 
 def sigma2_by_enumeration(n: int) -> int:

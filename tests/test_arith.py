@@ -97,78 +97,22 @@ class TestBernoulli:
             pp.bernoulli_poly(2, Fraction(3, 2))
 
 
-class TestLnGamma:
-    def test_trivial_points(self, ctx50):
-        with ctx50.workdps():
-            assert pp.lngamma(1, ctx50) == 0
-            assert abs(pp.lngamma(0.5, ctx50) - mp.log(mp.sqrt(mp.pi))) < ctx50.eps
-
-    def test_recurrence_chain(self, ctx50):
-        # Gamma(10.25) = 9.25 * 8.25 * ... * 1.25 * Gamma(1.25)
-        with ctx50.workdps():
-            acc = pp.lngamma(mpmath.mpf("1.25"), ctx50)
-            x = mpmath.mpf("1.25")
-            while x < 10:
-                acc += mp.log(x)
-                x += 1
-            assert abs(pp.lngamma(mpmath.mpf("10.25"), ctx50) - acc) < mpmath.mpf(10) ** -40
-
-    def test_domain(self, ctx50):
-        with pytest.raises(ValueError):
-            pp.lngamma(-1, ctx50)
-
-
 class TestSigma2:
     def test_values(self):
-        assert pp.sigma2(1) == 1
-        assert pp.sigma2(6) == 50
-        assert pp.sigma2(12) == 210
+        tab = pp.sigma2_table(12)
+        assert tab[1] == 1
+        assert tab[6] == 50
+        assert tab[12] == 210
 
     def test_against_enumeration(self):
+        tab = pp.sigma2_table(199)
         for n in range(1, 200):
-            assert pp.sigma2(n) == oracles.sigma2_by_enumeration(n)
+            assert tab[n] == oracles.sigma2_by_enumeration(n)
 
     def test_table_matches_pointwise(self):
         tab = pp.sigma2_table(300)
         for n in range(1, 301):
-            assert tab[n] == pp.sigma2(n)
-
-
-class TestFarey:
-    def test_small(self):
-        f1 = pp.farey(1)
-        assert [(f.h, f.k) for f in f1] == [(0, 1)]
-
-    def test_counts_by_totient(self):
-        for N in (2, 3, 5, 8, 20):
-            expected = 1 + sum(oracles.totient(k) - (1 if k == 1 else 0)
-                               for k in range(2, N + 1))
-            assert len(pp.farey(N)) == expected
-
-    def test_sorted_reduced_in_range(self):
-        fs = pp.farey(9)
-        assert fs == sorted(fs)
-        for f in fs:
-            assert math.gcd(f.h, f.k) == 1
-            assert 0 <= f.h < f.k <= 9
-
-
-class TestModInverse:
-    def test_values(self):
-        assert pp.mod_inverse(3, 7) == 5
-        assert pp.mod_inverse(5, 12) == 5
-        assert pp.mod_inverse(1, 19) == 1
-        assert pp.mod_inverse(0, 1) == 0
-
-    def test_property(self):
-        for k in range(2, 40):
-            for h in range(1, k):
-                if math.gcd(h, k) == 1:
-                    assert (h * pp.mod_inverse(h, k)) % k == 1
-
-    def test_non_coprime_rejected(self):
-        with pytest.raises(ValueError):
-            pp.mod_inverse(4, 6)
+            assert tab[n] == oracles.sigma2_by_enumeration(n)
 
 
 class TestPrecisionFor:

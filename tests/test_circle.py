@@ -230,6 +230,10 @@ class TestEstimate:
     def test_domain(self):
         with pytest.raises(ValueError):
             pp.p2_estimate(0)
+        # no probe falls below a threshold <= 0 (or nan)
+        for thr in ("0", "-1", "nan"):
+            with pytest.raises(ValueError):
+                pp.p2_estimate(1, k_threshold=thr)
 
     @pytest.mark.parametrize("n, kappa2", [(100, None), (300, 0)])
     def test_leading_almkvist_once_per_arc(self, monkeypatch, n, kappa2):

@@ -83,6 +83,12 @@ class TestEstimate:
         assert code == 3
         assert "numerical failure" in err
 
+    def test_nonpositive_threshold_exits_2(self, capsys):
+        for n, thr in (("1", "0"), ("50", "-1")):
+            code, _, err = run(capsys, "estimate", n, "--k-threshold", thr)
+            assert code == 2
+            assert "k_threshold" in err
+
 
 class TestPhi:
     def test_table1_k5_row(self, capsys):

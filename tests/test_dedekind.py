@@ -87,10 +87,20 @@ class TestChkBhkRelation:
                 pairs.add((h, k))
         with ctx50.workdps():
             for h, k in sorted(pairs):
-                hp = pp.mod_inverse(h, k)
+                hp = pow(h, -1, k)
                 lhs = pp.c_hk(hp, k, ctx50)
                 rhs = k * mp.log(k) / 12 - k * pp.b_hk(h, k, ctx50) / 2
                 assert abs(lhs - rhs) < mpmath.mpf(10) ** -30, (h, k)
+
+
+class TestRowCaches:
+    def test_bounded_across_precisions(self):
+        # a long-lived process may run estimates at many precisions
+        for prec in range(100, 400):
+            dedekind._logsin_row(3, prec)
+            dedekind._roots_row(3, prec)
+        for row in (dedekind._logsin_row, dedekind._roots_row):
+            assert row.cache_info().currsize <= 256
 
 
 class TestV1:
@@ -129,7 +139,7 @@ class TestVp:
                         continue
                     for p in range(2, 9):
                         a = pp.vp_hk(p, h, k, ctx50)
-                        b = pp.vp_hk_cot(p, h, k, ctx50)
+                        b = oracles.vp_hk_cot(p, h, k, ctx50)
                         scale = max(abs(a), abs(b), mpmath.mpf(10) ** -25)
                         assert abs(a - b) / scale < mpmath.mpf(10) ** -25, (p, h, k)
 
@@ -144,22 +154,25 @@ class TestVp:
 class TestBCoeffs:
     def test_b0_is_one(self, ctx50):
         for h, k in [(0, 1), (1, 2), (2, 5)]:
-            series = pp.b_coeffs(h, k, 0, ctx50)
-            assert series.b == [1]
+            gen = dedekind.CoeffGenerator(h, k, ctx50)
+            gen.extend_to(0)
+            assert gen.b == [1]
 
     def test_recurrence_vs_partition_sum_oracle(self, ctx50):
         with ctx50.workdps():
             for h, k in [(1, 3), (1, 2), (2, 5)]:
-                series = pp.b_coeffs(h, k, 6, ctx50)
+                gen = dedekind.CoeffGenerator(h, k, ctx50)
+                gen.extend_to(6)
                 for m in range(7):
                     oracle = oracles.b_coeff_partition_sum(h, k, m, ctx50)
-                    assert abs(mpmath.mpc(series.b[m]) - oracle) < mpmath.mpf(10) ** -35, (h, k, m)
+                    assert abs(mpmath.mpc(gen.b[m]) - oracle) < mpmath.mpf(10) ** -35, (h, k, m)
 
     def test_odd_orders_vanish_for_k_le_2(self, ctx50):
         for h, k in [(0, 1), (1, 2)]:
-            series = pp.b_coeffs(h, k, 9, ctx50)
+            gen = dedekind.CoeffGenerator(h, k, ctx50)
+            gen.extend_to(9)
             for m in range(1, 10, 2):
-                assert series.b[m] == 0
+                assert gen.b[m] == 0
 
 
 class TestB1kEstimate:

@@ -33,22 +33,3 @@ class TestExactTable:
         for n in range(2, 101):
             assert table[n] > table[n - 1]
 
-
-class TestEnumerate:
-    def test_matches_brute_force_oracle(self):
-        for n in range(9):
-            assert pp.p2_enumerate(n) == oracles.plane_partitions_brute(n)
-
-    def test_values(self):
-        assert pp.p2_enumerate(0) == 1
-        assert pp.p2_enumerate(2) == 3
-        assert pp.p2_enumerate(3) == 6
-
-    def test_agrees_with_table(self):
-        table = pp.p2_exact_table(8)
-        for n in range(9):
-            assert pp.p2_enumerate(n) == table[n]
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            pp.p2_enumerate(9)
