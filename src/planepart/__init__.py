@@ -6,10 +6,10 @@ the Almkvist special function, truncated superasymptotically with a full
 error ledger.
 """
 
-from .arith import (BernoulliCache, Constants, DerivedConstants,
-                    PrecisionContext, PrecisionError, bernoulli_number,
-                    bernoulli_poly, constants, derived_constants,
-                    precision_for, sigma2_table)
+from .arith import (Constants, DerivedConstants, PrecisionContext,
+                    PrecisionError, bernoulli_number, bernoulli_poly,
+                    constants, derived_constants, precision_for,
+                    sigma2_table)
 from .exact import PlanePartitionTable, p2_exact_table
 from .dedekind import (DedekindSummary, b1k_estimate, b_hk, b_min, bound_suite,
                        c_hk, dedekind_summary, reciprocity_residual, v1_hk,

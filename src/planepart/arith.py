@@ -1,10 +1,11 @@
-"""Precision contexts, fundamental constants, exact Bernoulli machinery, and
-the divisor-sum sieve shared by every other module.
+"""Precision contexts, fundamental constants, exact Bernoulli numbers and
+polynomials, and the divisor-sum sieve shared by every other module.
 
 All floating-point work runs through mpmath; a PrecisionContext fixes the
 decimal working precision and every operation evaluates inside that context.
-Bernoulli numbers and polynomial rows are exact rationals (fractions.Fraction)
-so the series coefficients downstream have no float error source.
+Bernoulli numbers are mpmath.bernfrac's exact rationals, and the polynomial
+rows B_p(d/k) are evaluated from them exactly (fractions.Fraction), so the
+series coefficients downstream have no float error source.
 """
 
 from __future__ import annotations
@@ -22,18 +23,20 @@ class PrecisionError(ArithmeticError):
     """Raised when a result cannot be certified at the requested precision."""
 
 
+# digits of the working precision given up to roundoff: eps is certified at
+# decimal_digits - GUARD_DIGITS
+GUARD_DIGITS = 20
+
+
 @dataclass(frozen=True)
 class PrecisionContext:
-    """Working precision in decimal digits plus guard digits beyond the target."""
+    """Working precision in decimal digits."""
 
     decimal_digits: int
-    guard_digits: int = 20
 
     def __post_init__(self) -> None:
         if self.decimal_digits < 30:
             raise ValueError("decimal_digits must be >= 30")
-        if self.guard_digits < 0:
-            raise ValueError("guard_digits must be >= 0")
 
     def workdps(self):
         """Context manager setting mpmath's decimal precision."""
@@ -43,7 +46,7 @@ class PrecisionContext:
     def eps(self):
         """Certified relative accuracy after giving up the guard digits."""
         with self.workdps():
-            return mpmath.mpf(10) ** (self.guard_digits - self.decimal_digits)
+            return mpmath.mpf(10) ** (GUARD_DIGITS - self.decimal_digits)
 
 
 @dataclass(frozen=True)
@@ -96,80 +99,32 @@ def derived_constants(ctx: PrecisionContext) -> DerivedConstants:
 # Bernoulli numbers and polynomials (exact rationals)
 # ---------------------------------------------------------------------------
 
-def _tangent_numbers(nmax: int) -> list[int]:
-    """Tangent numbers T_1..T_nmax (integer triangle recurrence)."""
-    t = [0] * (nmax + 1)
-    if nmax >= 1:
-        t[1] = 1
-    for k in range(2, nmax + 1):
-        t[k] = (k - 1) * t[k - 1]
-    for k in range(2, nmax + 1):
-        for j in range(k, nmax + 1):
-            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
-    return t
-
-
-class BernoulliCache:
-    """Exact rational B_n (convention B_1 = -1/2) and rows B_p(d/k), d = 1..k."""
-
-    def __init__(self) -> None:
-        self.numbers: dict[int, Fraction] = {0: Fraction(1), 1: Fraction(-1, 2)}
-        self.poly_rows: dict[tuple[int, int], tuple[Fraction, ...]] = {}
-        self._tan: list[int] = [0]
-
-    def _ensure_even(self, n: int) -> None:
-        half = n // 2
-        if half < len(self._tan):
-            return
-        grow = max(half, 2 * (len(self._tan) - 1), 512)
-        self._tan = _tangent_numbers(grow)
-        for m in range(1, grow + 1):
-            four_m = 1 << (2 * m)
-            b = Fraction((-1) ** (m - 1) * 2 * m * self._tan[m], four_m * (four_m - 1))
-            self.numbers[2 * m] = b
-
-    def number(self, n: int) -> Fraction:
-        if n < 0:
-            raise ValueError("Bernoulli order must be >= 0")
-        if n in self.numbers:
-            return self.numbers[n]
-        if n % 2 == 1:
-            self.numbers[n] = Fraction(0)
-            return self.numbers[n]
-        self._ensure_even(n)
-        return self.numbers[n]
-
-    def poly(self, p: int, x: Fraction) -> Fraction:
-        """B_p(x) = sum_j C(p,j) B_j x^(p-j), exact."""
-        if p < 0:
-            raise ValueError("Bernoulli polynomial order must be >= 0")
-        x = Fraction(x)
-        value = Fraction(0)
-        for j in range(p + 1):
-            value = value * x + math.comb(p, j) * self.number(j)
-        return value
-
-    def poly_row(self, p: int, k: int) -> tuple[Fraction, ...]:
-        key = (p, k)
-        row = self.poly_rows.get(key)
-        if row is None:
-            row = tuple(self.poly(p, Fraction(d, k)) for d in range(1, k + 1))
-            self.poly_rows[key] = row
-        return row
-
-
-BERNOULLI = BernoulliCache()
-
-
+@lru_cache(maxsize=None)
 def bernoulli_number(n: int) -> Fraction:
-    return BERNOULLI.number(n)
+    """Exact B_n (convention B_1 = -1/2), from mpmath.bernfrac."""
+    if n < 0:
+        raise ValueError("Bernoulli order must be >= 0")
+    p, q = mpmath.bernfrac(n)
+    return Fraction(int(p), int(q))  # int(): plain ints under the gmpy2 backend
 
 
 def bernoulli_poly(p: int, x) -> Fraction:
+    """B_p(x) = sum_j C(p,j) B_j x^(p-j), exact, for 0 <= x <= 1."""
+    if p < 0:
+        raise ValueError("Bernoulli polynomial order must be >= 0")
     x = Fraction(x)
     if not 0 <= x <= 1:
         raise ValueError("bernoulli_poly expects 0 <= x <= 1")
-    return BERNOULLI.poly(p, x)
+    value = Fraction(0)
+    for j in range(p + 1):
+        value = value * x + math.comb(p, j) * bernoulli_number(j)
+    return value
+
+
+@lru_cache(maxsize=None)
+def bernoulli_row(p: int, k: int) -> tuple[Fraction, ...]:
+    """B_p(d/k) for d = 1..k."""
+    return tuple(bernoulli_poly(p, Fraction(d, k)) for d in range(1, k + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -194,4 +149,4 @@ def precision_for(n: int) -> PrecisionContext:
         a = mp.zeta(3)
         lead = 3 * a ** (mp.mpf(1) / 3) * (mp.mpf(n) / 2) ** (mp.mpf(2) / 3)
         digits = int(mp.ceil(lead / mp.log(10))) + 1 + 60
-    return PrecisionContext(decimal_digits=digits, guard_digits=20)
+    return PrecisionContext(decimal_digits=digits)

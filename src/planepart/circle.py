@@ -117,7 +117,6 @@ class Arc:
 
     def __init__(self, n: int, k: int, ctx: PrecisionContext):
         self.n, self.k, self.ctx = n, k, ctx
-        self.real = k <= 2
         self._terms: dict[int, mpmath.mpf] = {}
         cst = constants(ctx)
         with ctx.workdps():
@@ -127,22 +126,11 @@ class Arc:
             self.sqrt_ak3 = mp.sqrt(a / kf**3)
             base = mp.exp(k * cst.zeta_prime_m1) * (a / kf) ** (
                 mpmath.mpf(1) / 2 + kf / 24) / kf
-            if k == 1:
-                hs = [0]
-            else:
-                hs = [h for h in range(1, k) if math.gcd(h, k) == 1]
+            hs = [h for h in range(k) if math.gcd(h, k) == 1]  # [0] for k = 1
             self.gens = [CoeffGenerator(h, k, ctx) for h in hs]
-            if k == 1:
-                coefs = [base]
-            elif k == 2:
-                # e^(-2 pi i n h / 2) = (-1)^(n h), exactly real
-                coefs = [base * (-1) ** (n * h) * mp.exp(c_hk(h, k, ctx))
-                         for h in hs]
-            else:
-                roots = _roots_row(k, mp.prec)
-                coefs = [base * roots[(-n * h) % k] * mp.exp(c_hk(h, k, ctx))
-                         for h in hs]
-            self.coefs = coefs
+            roots = _roots_row(k, mp.prec)
+            self.coefs = [base * roots[(-n * h) % k] * mp.exp(c_hk(h, k, ctx))
+                          for h in hs]
             self.im_tol = mpmath.mpf(10) ** (-(ctx.decimal_digits // 2))
 
     def term(self, m: int):
@@ -155,21 +143,15 @@ class Arc:
                 gen.extend_to(m)
             gamma = -mpmath.mpf(self.k) / 12 - m
             A = almkvist_series(self.x, gamma, self.ctx).value
-            if self.real:
-                acc = mp.fsum(c * g.b[m] for c, g in zip(self.coefs, self.gens))
-            else:
-                acc = sum((c * g.b[m] for c, g in zip(self.coefs, self.gens)),
-                          mpmath.mpc(0))
-            scale = self.sqrt_ak3 ** m
-            val = scale * A * acc
-            if not self.real:
-                if abs(val.imag) / max(abs(val.real), mpmath.mpf(1)) > self.im_tol:
-                    raise PrecisionError(
-                        f"phi_{self.k}^({m})({self.n}) has a non-negligible "
-                        f"imaginary part; increase precision")
-                val = val.real
-            self._terms[m] = val
-            return val
+            acc = sum((c * g.b[m] for c, g in zip(self.coefs, self.gens)),
+                      mpmath.mpc(0))
+            val = self.sqrt_ak3 ** m * A * acc
+            if abs(val.imag) / max(abs(val.real), mpmath.mpf(1)) > self.im_tol:
+                raise PrecisionError(
+                    f"phi_{self.k}^({m})({self.n}) has a non-negligible "
+                    f"imaginary part; increase precision")
+            self._terms[m] = val.real
+            return self._terms[m]
 
 
 def mstar_theory(n: int, k: int, ctx: PrecisionContext):
@@ -272,7 +254,7 @@ def psi_m(n: int, h: int, k: int, m: int, ctx: PrecisionContext):
         gen.extend_to(m)
         bm = gen.b[m]
         A = almkvist_series(mp.sqrt(a / kf**3) * n, -kf / 12 - m, ctx).value
-        phase = mpmath.mpc(1) if k == 1 else _roots_row(k, mp.prec)[(-n * h) % k]
+        phase = _roots_row(k, mp.prec)[(-n * h) % k]
         pref = mp.exp(k * cst.zeta_prime_m1 + c_hk(h, k, ctx)) \
             * (a / kf) ** (mpmath.mpf(1) / 2 + kf / 24) / kf
         return phase * pref * bm * mp.sqrt(a / kf**3) ** m * A

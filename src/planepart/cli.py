@@ -175,11 +175,18 @@ def cmd_dedekind(args) -> tuple[dict, None]:
     return out, None
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer: {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="planepart",
         description="plane-partition counts: exact and superasymptotic")
-    parser.add_argument("--digits", type=int, default=None,
+    parser.add_argument("--digits", type=_positive_int, default=None,
                         help="working precision in decimal digits (default: auto)")
     parser.add_argument("--json", metavar="PATH", default=None,
                         help="write the report document to PATH")

@@ -18,7 +18,7 @@ from functools import lru_cache
 import mpmath
 from mpmath import mp
 
-from .arith import BERNOULLI, PrecisionContext, constants
+from .arith import PrecisionContext, bernoulli_row, constants
 
 # published correction constant in the b_{1,k} estimate
 B1K_GAMMA = "0.024529"
@@ -88,7 +88,7 @@ def v1_hk(h: int, k: int, ctx: PrecisionContext):
     if k <= 2:
         return mpmath.mpc(0)
     with ctx.workdps():
-        row3 = BERNOULLI.poly_row(3, k)
+        row3 = bernoulli_row(3, k)
         acc = mpmath.mpf(0)
         pi_over_k = mp.pi / k
         for d in range(1, k):
@@ -102,8 +102,8 @@ def v1_hk(h: int, k: int, ctx: PrecisionContext):
 @lru_cache(maxsize=None)
 def _vp_buckets(p: int, k: int) -> tuple[Fraction, ...]:
     """U_j = sum over d, d' in 1..k with d d' = j mod k of B_{p+2}(d'/k) B_p(d/k)."""
-    row_p = BERNOULLI.poly_row(p, k)
-    row_p2 = BERNOULLI.poly_row(p + 2, k)
+    row_p = bernoulli_row(p, k)
+    row_p2 = bernoulli_row(p + 2, k)
     buckets = [Fraction(0)] * k
     for d in range(1, k + 1):
         bp = row_p[d - 1]

@@ -5,8 +5,8 @@ uses, so agreement is evidence rather than tautology:
 
 - zeta'(-1) via Euler-Maclaurin summation of n*log(n) (the package asks
   mpmath's zeta for it);
-- Bernoulli numbers via the defining recurrence (the package uses the
-  tangent-number triangle);
+- Bernoulli numbers via the defining recurrence (the package takes them
+  from mpmath.bernfrac);
 - p2(n) via direct expansion of the MacMahon product (the package uses the
   sigma2 recurrence);
 - b^(m) coefficients via the exponential partition-sum formula (the package
@@ -151,7 +151,8 @@ def _cot_derivative_polys(order: int) -> list[list[int]]:
 
 def vp_hk_cot(p: int, h: int, k: int, ctx):
     """Cross-check closed form of v^(p)_{h,k} via derivatives of cot."""
-    from planepart.arith import BERNOULLI  # exact rationals only
+    # exact rationals only
+    from planepart.arith import bernoulli_number, bernoulli_row
     from planepart.dedekind import _check_coprime, _mpf_frac
 
     if p < 2:
@@ -159,7 +160,7 @@ def vp_hk_cot(p: int, h: int, k: int, ctx):
     _check_coprime(h, k)
     with ctx.workdps():
         poly = _cot_derivative_polys(p)[p - 1]  # (p-1)-th derivative of cot
-        row = BERNOULLI.poly_row(p + 2, k) if k > 1 else ()
+        row = bernoulli_row(p + 2, k) if k > 1 else ()
         acc = mpmath.mpc(0)
         pi_over_k = mp.pi / k
         for d in range(1, k):
@@ -171,7 +172,7 @@ def vp_hk_cot(p: int, h: int, k: int, ctx):
             for coef in reversed(poly):
                 val = val * c + coef
             acc += _mpf_frac(b2) * val
-        bp = BERNOULLI.number(p + 2) * BERNOULLI.number(p)
+        bp = bernoulli_number(p + 2) * bernoulli_number(p)
         two_i_p = mpmath.mpf(2) ** p * mpmath.mpc(0, 1) ** p
         total = _mpf_frac(bp) + acc * p / two_i_p
         pref = Fraction((-1) ** p * k ** (1 + p), math.factorial(p) * p * (p + 2))

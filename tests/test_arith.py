@@ -7,7 +7,7 @@ from mpmath import mp
 
 import oracles
 import planepart as pp
-from planepart.arith import BERNOULLI
+from planepart.arith import bernoulli_row
 
 
 class TestPrecisionContext:
@@ -16,7 +16,7 @@ class TestPrecisionContext:
             pp.PrecisionContext(decimal_digits=10)
 
     def test_eps(self):
-        ctx = pp.PrecisionContext(decimal_digits=50, guard_digits=20)
+        ctx = pp.PrecisionContext(decimal_digits=50)
         with ctx.workdps():
             assert ctx.eps == mpmath.mpf(10) ** -30
 
@@ -87,9 +87,8 @@ class TestBernoulli:
         assert pp.bernoulli_poly(2, Fraction(1, 2)) == Fraction(-1, 12)
 
     def test_poly_row_matches_poly(self):
-        row = BERNOULLI.poly_row(3, 7)
-        assert row == tuple(pp.bernoulli_poly(3, Fraction(d, 7)) if d < 7
-                            else BERNOULLI.poly(3, Fraction(d, 7))
+        row = bernoulli_row(3, 7)
+        assert row == tuple(pp.bernoulli_poly(3, Fraction(d, 7))
                             for d in range(1, 8))
 
     def test_poly_domain(self):

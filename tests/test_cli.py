@@ -169,3 +169,26 @@ class TestConstants:
         assert o["c2"].startswith("2.00944")
         assert o["c_at_0"].startswith("29.4696")
         assert o["lambda_c"].startswith("0.18011")
+
+
+class TestDigits:
+    @pytest.mark.parametrize("argv", [
+        ["--digits", "-5", "constants"],
+        ["--digits", "-5", "dedekind", "2", "5"],
+        ["--digits", "-5", "scan-bmin", "--k-list", "2-5"],
+        ["--digits", "0", "constants"],
+        ["--digits", "0", "estimate", "50"],
+    ], ids=" ".join)
+    def test_nonpositive_exits_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert "--digits" in capsys.readouterr().err
+
+    def test_display_digits_below_working_floor(self, capsys):
+        # 10 display digits over the 30-digit working floor
+        code, out, _ = run(capsys, "--digits", "10", "constants")
+        assert code == 0
+        o = outputs(out)
+        assert o["a"] == "1.202056903"
+        assert o["c2"] == "2.009445661"
