@@ -11,15 +11,13 @@ from .arith import (Constants, DerivedConstants, PrecisionContext,
                     constants, derived_constants, precision_for,
                     sigma2_table)
 from .exact import PlanePartitionTable, p2_exact_table
-from .dedekind import (DedekindSummary, b1k_estimate, b_hk, b_min, bound_suite,
-                       c_hk, dedekind_summary, reciprocity_residual, v1_hk,
-                       vp_hk)
-from .almkvist import (AlmkvistEval, SaddleData, almkvist_saddle,
-                       almkvist_series, saddle_data, wright_leading)
+from .dedekind import (b_hk, b_min, bound_suite, c_hk, reciprocity_residual,
+                       v1_hk, vp_hk)
+from .almkvist import AlmkvistEval, SaddleData, almkvist_series, saddle_data
 from .circle import (Arc, EstimateReport, MinorArcBound, PhiBreakdown,
                      TermRecord, c_of_lambda, cutoff_probe, d_of_lambda,
                      lambda_c, lambda_param, minor_arc_bound, mstar_numeric,
                      mstar_theory, n_cutoff_theory, p2_estimate, phi0_bound,
-                     psi_m, sa_error_bound)
+                     sa_error_bound)
 
 __version__ = "0.1.0"

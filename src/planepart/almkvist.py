@@ -3,8 +3,8 @@
 A(x|gamma) = (1/2) sum_{k>=0} x^k / (k! Gamma((3 - gamma + k)/2)), the entire
 solution of x y''' - (gamma - 3) y'' - 2 y = 0 singled out by the coefficient
 extraction contour; it plays the role Bessel I_{3/2} plays for linear
-partitions.  The saddle-point data g, f1, f2 drive the large-x estimate and
-all truncation-point formulas downstream.
+partitions.  The saddle-point data g, f1, f2 drive all truncation-point
+formulas downstream (the large-x estimate itself is in tests/oracles.py).
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import mpmath
 from mpmath import mp
 
-from .arith import PrecisionContext, constants
+from .arith import PrecisionContext
 
 
 @dataclass(frozen=True)
@@ -109,40 +109,3 @@ def saddle_data(lam, ctx: PrecisionContext) -> SaddleData:
         f1pp = -2 / (g + 2 * lv)
         f2 = g * g / mp.sqrt(1 - lv * g * g) - 1
         return SaddleData(lam=lv, g=g, f1=f1, f1p=f1p, f1pp=f1pp, f2=f2)
-
-
-def lambda_of(x, gamma, ctx: PrecisionContext):
-    """lam = -gamma / (3 * 2^(1/3) * x^(2/3))."""
-    with ctx.workdps():
-        xv = mpmath.mpf(x)
-        if xv <= 0:
-            raise ValueError("lambda_of requires x > 0")
-        return -mpmath.mpf(gamma) / (3 * mp.cbrt(2) * xv ** (mpmath.mpf(2) / 3))
-
-
-def almkvist_saddle(x, gamma, ctx: PrecisionContext):
-    """Saddle-point estimate of A(x|gamma) for x > 0, gamma <= 0."""
-    with ctx.workdps():
-        xv = mpmath.mpf(x)
-        if xv <= 0:
-            raise ValueError("almkvist_saddle requires x > 0")
-        lam = lambda_of(xv, gamma, ctx)
-        sd = saddle_data(lam, ctx)
-        half_x = xv / 2
-        two3 = mpmath.mpf(2) / 3
-        pref = half_x ** (mpmath.mpf(gamma) / 3 - two3) / mp.sqrt(12 * mp.pi)
-        return pref * mp.exp(3 * half_x**two3 * (1 + sd.f1)) * (1 + sd.f2)
-
-
-def wright_leading(n: int, ctx: PrecisionContext):
-    """Corrected leading-order growth of p2(n)."""
-    if n < 1:
-        raise ValueError("wright_leading requires n >= 1")
-    cst = constants(ctx)
-    with ctx.workdps():
-        a = cst.a
-        half_n = mpmath.mpf(n) / 2
-        two3 = mpmath.mpf(2) / 3
-        pref = a ** (mpmath.mpf(7) / 36) / mp.sqrt(12 * mp.pi)
-        return (pref * half_n ** (-mpmath.mpf(25) / 36)
-                * mp.exp(3 * mp.cbrt(a) * half_n**two3 + cst.zeta_prime_m1))

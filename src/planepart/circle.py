@@ -23,6 +23,7 @@ from .exact import p2_exact_table
 
 DEFAULT_K_THRESHOLD = "0.01"
 DEFAULT_M_FLOOR = "0.001"
+MAX_ARCS = 500  # no cutoff, numeric or theoretical, includes this arc
 
 
 def lambda_param(n: int, k: int, ctx: PrecisionContext):
@@ -103,6 +104,7 @@ class EstimateReport:
     estimate: mpmath.mpf
     rounded: int
     estimated_error: mpmath.mpf
+    decimal_digits: int  # the working precision of the estimate
     exact: int | None = None
     actual_error: mpmath.mpf | None = None
 
@@ -239,34 +241,12 @@ def mstar_numeric(arc: Arc, floor=DEFAULT_M_FLOOR) -> PhiBreakdown:
                             stop_reason=stop_reason)
 
 
-def psi_m(n: int, h: int, k: int, m: int, ctx: PrecisionContext):
-    """Single arc term psi^(m)_{h,k}(n) (complex)."""
-    if k < 1 or m < 0:
-        raise ValueError("psi_m requires k >= 1 and m >= 0")
-    ok = (h == 0 and k == 1) or (1 <= h < k and math.gcd(h, k) == 1)
-    if not ok:
-        raise ValueError("psi_m requires gcd(h,k) = 1 (h = 0 only for k = 1)")
-    cst = constants(ctx)
-    with ctx.workdps():
-        a = cst.a
-        kf = mpmath.mpf(k)
-        gen = CoeffGenerator(h, k, ctx)
-        gen.extend_to(m)
-        bm = gen.b[m]
-        A = almkvist_series(mp.sqrt(a / kf**3) * n, -kf / 12 - m, ctx).value
-        phase = _roots_row(k, mp.prec)[(-n * h) % k]
-        pref = mp.exp(k * cst.zeta_prime_m1 + c_hk(h, k, ctx)) \
-            * (a / kf) ** (mpmath.mpf(1) / 2 + kf / 24) / kf
-        return phase * pref * bm * mp.sqrt(a / kf**3) ** m * A
-
-
-def n_cutoff_theory(n: int, kappa2=0, ctx: PrecisionContext | None = None):
+def n_cutoff_theory(n: int, kappa2, ctx: PrecisionContext):
     """Major-arc cutoff N(n) = 2.948 n^(1/3) + (2.936 k2 - 1.468) log n + beta3,
     with beta3 = 1.587 + 2.936 k3 and k3 = 0.06."""
     if n < 1:
         raise ValueError("n_cutoff_theory requires n >= 1")
-    dps = ctx.decimal_digits if ctx else 30
-    with mp.workdps(dps):
+    with ctx.workdps():
         n13 = mpmath.mpf(n) ** (mpmath.mpf(1) / 3)
         beta3 = mpmath.mpf("1.587") + mpmath.mpf("2.936") * mpmath.mpf("0.06")
         return (mpmath.mpf("2.948") * n13
@@ -374,7 +354,7 @@ def p2_estimate(n: int, kappa2=None, k_threshold=DEFAULT_K_THRESHOLD,
     estimated_error aggregates the per-k truncation estimates plus the probe
     of the first excluded arc whose probe is nonzero, searched over at most
     seven arcs.  k_threshold must be positive: no probe falls below a
-    threshold <= 0.
+    threshold <= 0.  A kappa2 whose N(n) reaches MAX_ARCS is rejected.
     """
     if n < 1:
         raise ValueError("p2_estimate requires n >= 1")
@@ -384,10 +364,12 @@ def p2_estimate(n: int, kappa2=None, k_threshold=DEFAULT_K_THRESHOLD,
         thr = mpmath.mpf(k_threshold)
         if not thr > 0:  # also rejects nan
             raise ValueError("p2_estimate requires k_threshold > 0")
-        n_incl = (max(1, int(mp.floor(n_cutoff_theory(n, kappa2, ctx=ctx))))
+        n_incl = (max(1, int(mp.floor(n_cutoff_theory(n, kappa2, ctx))))
                   if kappa2 is not None else None)
+        if n_incl is not None and n_incl >= MAX_ARCS:
+            raise ValueError(f"p2_estimate requires floor(N(n)) < {MAX_ARCS}")
         for k in itertools.count(1):
-            if n_incl is None and k == 500:
+            if n_incl is None and k == MAX_ARCS:
                 raise PrecisionError("cutoff probe never dropped below threshold")
             arc = Arc(n, k, ctx)
             probe = cutoff_probe(arc)
@@ -404,7 +386,8 @@ def p2_estimate(n: int, kappa2=None, k_threshold=DEFAULT_K_THRESHOLD,
         est_err = mp.fsum(b.trunc_error_est for b in per_k) + probe_next
         rounded = int(mp.nint(estimate))
     report = EstimateReport(n=n, N_used=n_incl, per_k=per_k, estimate=estimate,
-                            rounded=rounded, estimated_error=est_err)
+                            rounded=rounded, estimated_error=est_err,
+                            decimal_digits=ctx.decimal_digits)
     if with_exact:
         exact = p2_exact_table(n)[n]
         with ctx.workdps():

@@ -84,11 +84,10 @@ def cmd_estimate(args) -> tuple[dict, None]:
     report = circle.p2_estimate(
         args.n, kappa2=args.kappa2, k_threshold=args.k_threshold,
         m_floor=args.m_floor, digits=args.digits, with_exact=args.with_exact)
-    dps = args.digits or arith.precision_for(args.n).decimal_digits
     out = {
         "n": report.n,
         "N_used": report.N_used,
-        "estimate": _nstr(report.estimate, dps),
+        "estimate": _nstr(report.estimate, report.decimal_digits),
         "rounded": str(report.rounded),
         "estimated_error": _nstr(report.estimated_error, 10),
         "per_k": [_breakdown_dict(b, 40) for b in report.per_k],
@@ -161,16 +160,17 @@ def cmd_dedekind(args) -> tuple[dict, None]:
         raise ValueError("h and k must be coprime")
     dps = args.digits or 50
     ctx = arith.PrecisionContext(decimal_digits=max(dps, 30))
-    s = dedekind.dedekind_summary(args.h, args.k, ctx)
+    h, k = args.h, args.k
+    reduced = 1 <= h < k
     out = {
-        "h": s.h,
-        "k": s.k,
-        "C_hk": _nstr(s.C_hk, dps),
-        "b_hk": _nstr(s.b_hk, dps) if s.b_hk is not None else None,
-        "v1": _nstr(s.v1, dps),
-        "reciprocity_residual": (_nstr(s.reciprocity, dps)
-                                 if s.reciprocity is not None else None),
-        "bound_flags": {name: flag for name, flag in s.bound_flags},
+        "h": h,
+        "k": k,
+        "C_hk": _nstr(dedekind.c_hk(h, k, ctx), dps),
+        "b_hk": _nstr(dedekind.b_hk(h, k, ctx), dps) if reduced else None,
+        "v1": _nstr(dedekind.v1_hk(h, k, ctx), dps),
+        "reciprocity_residual": (_nstr(dedekind.reciprocity_residual(h, k, ctx), dps)
+                                 if reduced else None),
+        "bound_flags": dict(dedekind.bound_suite(h, k, ctx)),
     }
     return out, None
 

@@ -1,17 +1,17 @@
 """Generalized Dedekind sums and asymptotic-series coefficients.
 
 Provides C_hk, b_hk, the residue coefficients v^(p)_hk, the exponential-series
-coefficients b^(m)_hk, published bound checks, and the reciprocity residual.
+coefficients b^(m)_hk, published bound checks, and the reciprocity residual;
+the published b_{1,k} estimate is a test oracle (tests/oracles.py).
 
-The primary v^(p) path is the O(k^2) double Bernoulli sum with exact rational
-values bucketed by d*d' mod k and one complex dot product against a precomputed
-table of k-th roots of unity.
+v^(p) is the O(k^2) double Bernoulli sum with exact rational values bucketed
+by d*d' mod k and one complex dot product against a precomputed table of k-th
+roots of unity.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -57,8 +57,6 @@ def _check_coprime(h: int, k: int) -> None:
 def c_hk(h: int, k: int, ctx: PrecisionContext):
     """C_{h,k} = (k/2) sum_j B_2(j/k) log|2 sin(pi j h / k)|; 0 for k = 1."""
     _check_coprime(h, k)
-    if k == 1:
-        return mpmath.mpf(0)
     with ctx.workdps():
         logsin = _logsin_row(k, mp.prec)
         acc = mpmath.mpf(0)
@@ -69,10 +67,8 @@ def c_hk(h: int, k: int, ctx: PrecisionContext):
 
 
 def b_hk(h: int, k: int, ctx: PrecisionContext):
-    """b_{h,k} = sum_j {hj/k}(1 - {hj/k}) log|2 sin(pi j / k)|."""
+    """b_{h,k} = sum_j {hj/k}(1 - {hj/k}) log|2 sin(pi j / k)|; 0 for k = 1."""
     _check_coprime(h, k)
-    if k == 1:
-        return mpmath.mpf(0)
     with ctx.workdps():
         logsin = _logsin_row(k, mp.prec)
         acc = mpmath.mpf(0)
@@ -85,8 +81,6 @@ def b_hk(h: int, k: int, ctx: PrecisionContext):
 def v1_hk(h: int, k: int, ctx: PrecisionContext):
     """v^(1)_{h,k} = (i k^2 / 6) sum_d B_3(d/k) cot(pi d h / k); purely imaginary."""
     _check_coprime(h, k)
-    if k <= 2:
-        return mpmath.mpc(0)
     with ctx.workdps():
         row3 = bernoulli_row(3, k)
         acc = mpmath.mpf(0)
@@ -190,23 +184,6 @@ class CoeffGenerator:
                 self.b.append(acc / m)
 
 
-def b1k_estimate(k: int, ctx: PrecisionContext):
-    """zeta(3) k / (2 pi^2) + log(k)/(6k) + gamma/k with the published gamma."""
-    if k < 2:
-        raise ValueError("b1k_estimate requires k >= 2")
-    cst = constants(ctx)
-    with ctx.workdps():
-        gamma = mpmath.mpf(B1K_GAMMA)
-        return cst.a * k / (2 * cst.pi**2) + mp.log(k) / (6 * k) + gamma / k
-
-
-def _b_reduced(first: int, second: int, ctx: PrecisionContext):
-    """b_{first, second} with the first index reduced mod the second."""
-    if second == 1:
-        return mpmath.mpf(0)
-    return b_hk(first % second, second, ctx)
-
-
 def reciprocity_residual(h: int, k: int, ctx: PrecisionContext):
     """Residual of the b_{h,k} reciprocity estimate; O(x^2) for small x = h/k."""
     _check_coprime(h, k)
@@ -223,7 +200,7 @@ def reciprocity_residual(h: int, k: int, ctx: PrecisionContext):
         gamma = mpmath.mpf(B1K_GAMMA)
         ell2 = a / (4 * pi2) - (mpmath.mpf(1) / 12 + 3 * a / (4 * pi2) - gamma) * x * y
         main = b_hk(h, k, ctx)
-        rec = (x / 2) * _b_reduced(k, h, ctx) + (y / 2) * _b_reduced(k, k - h, ctx)
+        rec = (x / 2) * b_hk(k % h, h, ctx) + (y / 2) * b_hk(k % (k - h), k - h, ctx)
         return main - rec - ell1 - ell2
 
 
@@ -263,28 +240,6 @@ def bound_suite(h: int, k: int, ctx: PrecisionContext) -> list[tuple[str, object
         else:
             verdicts.append(("chk_two_sided", None))
     return verdicts
-
-
-@dataclass
-class DedekindSummary:
-    h: int
-    k: int
-    C_hk: object
-    b_hk: object
-    v1: object
-    bound_flags: list[tuple[str, object]]
-    reciprocity: object
-
-
-def dedekind_summary(h: int, k: int, ctx: PrecisionContext) -> DedekindSummary:
-    _check_coprime(h, k)
-    C = c_hk(h, k, ctx)
-    b = b_hk(h, k, ctx) if 1 <= h < k else None
-    v1 = v1_hk(h, k, ctx)
-    flags = bound_suite(h, k, ctx)
-    rec = reciprocity_residual(h, k, ctx) if 1 <= h < k else None
-    return DedekindSummary(h=h, k=k, C_hk=C, b_hk=b, v1=v1,
-                           bound_flags=flags, reciprocity=rec)
 
 
 def b_min(k: int, ctx: PrecisionContext) -> tuple[int, object]:

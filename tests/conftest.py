@@ -44,6 +44,12 @@ def _report_for(n, exact_table):
 
 
 @pytest.fixture(scope="session")
+def mstar_7000_k1():
+    """Arc 1 at n = 7000 truncated with the default floor."""
+    return pp.mstar_numeric(pp.Arc(7000, 1, pp.precision_for(7000)))
+
+
+@pytest.fixture(scope="session")
 def report_750(exact_table_7000):
     return _report_for(750, exact_table_7000)
 

@@ -1,6 +1,6 @@
 """Independent oracles used by the test suite.
 
-Everything here is computed by a route different from the one the package
+Most of what is here is computed by a route different from the one the package
 uses, so agreement is evidence rather than tautology:
 
 - zeta'(-1) via Euler-Maclaurin summation of n*log(n) (the package asks
@@ -16,6 +16,9 @@ uses, so agreement is evidence rather than tautology:
 - the saddle root g(lam) via its closed radical form (the package uses
   Newton's method);
 - sigma2(n) by enumerating divisors (the package uses a divisor sieve).
+
+psi_m, b1k_estimate, lambda_of with almkvist_saddle, and wright_leading are
+not alternative routes: they are paper formulas that only the tests evaluate.
 """
 
 from __future__ import annotations
@@ -26,12 +29,17 @@ from fractions import Fraction
 import mpmath
 from mpmath import mp
 
+from planepart.almkvist import almkvist_series, saddle_data
+from planepart.arith import bernoulli_number, bernoulli_row  # exact rationals
+from planepart.arith import constants
+from planepart.dedekind import (B1K_GAMMA, CoeffGenerator, _check_coprime,
+                                _mpf_frac, _roots_row, c_hk, v1_hk, vp_hk,
+                                vp_rational)
+
 
 def em_zeta_prime_m1(dps: int = 50, N: int = 200, J: int = 12):
     """zeta'(-1) = 1/12 - log A, with log A from Euler-Maclaurin applied to
     sum_{n<=N} n log n (Glaisher's constant by its defining limit)."""
-    from planepart.arith import bernoulli_number  # exact rationals only
-
     with mp.workdps(dps + 15):
         s = mp.fsum(n * mp.log(n) for n in range(2, N + 1))
         Nf = mpmath.mpf(N)
@@ -103,8 +111,6 @@ def plane_partitions_brute(n: int) -> int:
 def b_coeff_partition_sum(h: int, k: int, m: int, ctx):
     """b^(m)_{h,k} = sum over partitions of m of prod_j v^(j)^mu_j / mu_j!
     (coefficient extraction from exp(sum_j v^(j) t^j))."""
-    from planepart.dedekind import v1_hk, vp_hk, vp_rational
-
     def v_of(j):
         if k <= 2:
             q = vp_rational(j, h, k) if j % 2 == 0 else Fraction(0)
@@ -151,10 +157,6 @@ def _cot_derivative_polys(order: int) -> list[list[int]]:
 
 def vp_hk_cot(p: int, h: int, k: int, ctx):
     """Cross-check closed form of v^(p)_{h,k} via derivatives of cot."""
-    # exact rationals only
-    from planepart.arith import bernoulli_number, bernoulli_row
-    from planepart.dedekind import _check_coprime, _mpf_frac
-
     if p < 2:
         raise ValueError("vp_hk_cot requires p >= 2")
     _check_coprime(h, k)
@@ -195,3 +197,71 @@ def g_radical(lam, ctx):
 
 def sigma2_by_enumeration(n: int) -> int:
     return sum(d * d for d in range(1, n + 1) if n % d == 0)
+
+
+def psi_m(n: int, h: int, k: int, m: int, ctx):
+    """Single arc term psi^(m)_{h,k}(n) (complex)."""
+    if k < 1 or m < 0:
+        raise ValueError("psi_m requires k >= 1 and m >= 0")
+    ok = (h == 0 and k == 1) or (1 <= h < k and math.gcd(h, k) == 1)
+    if not ok:
+        raise ValueError("psi_m requires gcd(h,k) = 1 (h = 0 only for k = 1)")
+    cst = constants(ctx)
+    with ctx.workdps():
+        a = cst.a
+        kf = mpmath.mpf(k)
+        gen = CoeffGenerator(h, k, ctx)
+        gen.extend_to(m)
+        bm = gen.b[m]
+        A = almkvist_series(mp.sqrt(a / kf**3) * n, -kf / 12 - m, ctx).value
+        phase = _roots_row(k, mp.prec)[(-n * h) % k]
+        pref = mp.exp(k * cst.zeta_prime_m1 + c_hk(h, k, ctx)) \
+            * (a / kf) ** (mpmath.mpf(1) / 2 + kf / 24) / kf
+        return phase * pref * bm * mp.sqrt(a / kf**3) ** m * A
+
+
+def b1k_estimate(k: int, ctx):
+    """zeta(3) k / (2 pi^2) + log(k)/(6k) + gamma/k with the published gamma."""
+    if k < 2:
+        raise ValueError("b1k_estimate requires k >= 2")
+    cst = constants(ctx)
+    with ctx.workdps():
+        gamma = mpmath.mpf(B1K_GAMMA)
+        return cst.a * k / (2 * cst.pi**2) + mp.log(k) / (6 * k) + gamma / k
+
+
+def lambda_of(x, gamma, ctx):
+    """lam = -gamma / (3 * 2^(1/3) * x^(2/3))."""
+    with ctx.workdps():
+        xv = mpmath.mpf(x)
+        if xv <= 0:
+            raise ValueError("lambda_of requires x > 0")
+        return -mpmath.mpf(gamma) / (3 * mp.cbrt(2) * xv ** (mpmath.mpf(2) / 3))
+
+
+def almkvist_saddle(x, gamma, ctx):
+    """Saddle-point estimate of A(x|gamma) for x > 0, gamma <= 0."""
+    with ctx.workdps():
+        xv = mpmath.mpf(x)
+        if xv <= 0:
+            raise ValueError("almkvist_saddle requires x > 0")
+        lam = lambda_of(xv, gamma, ctx)
+        sd = saddle_data(lam, ctx)
+        half_x = xv / 2
+        two3 = mpmath.mpf(2) / 3
+        pref = half_x ** (mpmath.mpf(gamma) / 3 - two3) / mp.sqrt(12 * mp.pi)
+        return pref * mp.exp(3 * half_x**two3 * (1 + sd.f1)) * (1 + sd.f2)
+
+
+def wright_leading(n: int, ctx):
+    """Corrected leading-order growth of p2(n)."""
+    if n < 1:
+        raise ValueError("wright_leading requires n >= 1")
+    cst = constants(ctx)
+    with ctx.workdps():
+        a = cst.a
+        half_n = mpmath.mpf(n) / 2
+        two3 = mpmath.mpf(2) / 3
+        pref = a ** (mpmath.mpf(7) / 36) / mp.sqrt(12 * mp.pi)
+        return (pref * half_n ** (-mpmath.mpf(25) / 36)
+                * mp.exp(3 * mp.cbrt(a) * half_n**two3 + cst.zeta_prime_m1))

@@ -5,6 +5,7 @@ import mpmath
 import pytest
 from mpmath import mp
 
+import oracles
 import planepart as pp
 from planepart import circle
 
@@ -53,8 +54,8 @@ class TestPsiPhi:
         ctx = pp.precision_for(40)
         with ctx.workdps():
             for h, k in [(1, 5), (2, 7)]:
-                a = circle.psi_m(30, h, k, 0, ctx)
-                b = circle.psi_m(30 + k, h, k, 0, ctx)
+                a = oracles.psi_m(30, h, k, 0, ctx)
+                b = oracles.psi_m(30 + k, h, k, 0, ctx)
                 ratio = b / a
                 assert abs(ratio.imag) < mpmath.mpf(10) ** -30
                 assert ratio.real > 0
@@ -63,15 +64,15 @@ class TestPsiPhi:
         ctx = pp.precision_for(40)
         with ctx.workdps():
             for m in range(4):
-                a = circle.psi_m(40, 1, 5, m, ctx)
-                b = circle.psi_m(40, 4, 5, m, ctx)
+                a = oracles.psi_m(40, 1, 5, m, ctx)
+                b = oracles.psi_m(40, 4, 5, m, ctx)
                 assert abs(b - mp.conj(a)) < mpmath.mpf(10) ** -25
 
     def test_psi_domain(self, ctx50):
         with pytest.raises(ValueError):
-            circle.psi_m(10, 0, 3, 0, ctx50)
+            oracles.psi_m(10, 0, 3, 0, ctx50)
         with pytest.raises(ValueError):
-            circle.psi_m(10, 2, 4, 0, ctx50)
+            oracles.psi_m(10, 2, 4, 0, ctx50)
 
     def test_phi_real_and_matches_psi_sum(self):
         ctx = pp.precision_for(60)
@@ -79,7 +80,7 @@ class TestPsiPhi:
             for k in (3, 5):
                 arc = circle.Arc(60, k, ctx)
                 for m in range(3):
-                    direct = sum(circle.psi_m(60, h, k, m, ctx)
+                    direct = sum(oracles.psi_m(60, h, k, m, ctx)
                                  for h in range(1, k) if math.gcd(h, k) == 1)
                     got = arc.term(m)
                     assert abs(direct.imag) < mpmath.mpf(10) ** -25
@@ -124,14 +125,15 @@ class TestMstar:
             ratio = b.trunc_error_est / mpmath.mpf("6438.01")
             assert mpmath.mpf("0.5") < ratio < 20
 
-    def test_theory_numeric_consistency(self):
+    def test_theory_numeric_consistency(self, mstar_7000_k1):
         # for n < ~6400 the superasymptotic minimum lies below both the
         # default m-floor and the default precision's noise floor, so the
         # minimum is probed with floor=0 at boosted precision
-        for n, ctx, floor in ((3000, pp.PrecisionContext(decimal_digits=500), 0),
-                              (5000, pp.PrecisionContext(decimal_digits=500), 0),
-                              (7000, pp.precision_for(7000), circle.DEFAULT_M_FLOOR)):
-            breakdown = circle.mstar_numeric(circle.Arc(n, 1, ctx), floor=floor)
+        hi = pp.PrecisionContext(decimal_digits=500)
+        cases = [(n, hi, circle.mstar_numeric(circle.Arc(n, 1, hi), floor=0))
+                 for n in (3000, 5000)]
+        cases.append((7000, pp.precision_for(7000), mstar_7000_k1))
+        for n, ctx, breakdown in cases:
             assert breakdown.stop_reason == "minimum-found"
             with ctx.workdps():
                 ratio = breakdown.m_star_used / circle.mstar_theory(n, 1, ctx)
@@ -234,6 +236,13 @@ class TestEstimate:
         for thr in ("0", "-1", "nan"):
             with pytest.raises(ValueError):
                 pp.p2_estimate(1, k_threshold=thr)
+        # N(n) is about 1e401 here: the walk over k would never end
+        with pytest.raises(ValueError):
+            pp.p2_estimate(50, kappa2="1e400")
+
+    def test_reports_working_precision(self):
+        assert pp.p2_estimate(100).decimal_digits == pp.precision_for(100).decimal_digits
+        assert pp.p2_estimate(100, digits=45).decimal_digits == 45
 
     @pytest.mark.parametrize("n, kappa2", [(100, None), (300, 0)])
     def test_leading_almkvist_once_per_arc(self, monkeypatch, n, kappa2):

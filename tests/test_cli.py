@@ -89,6 +89,11 @@ class TestEstimate:
             assert code == 2
             assert "k_threshold" in err
 
+    def test_cutoff_past_arc_limit_exits_2(self, capsys):
+        code, _, err = run(capsys, "estimate", "50", "--kappa2", "1e400")
+        assert code == 2
+        assert "N(n)" in err
+
 
 class TestPhi:
     def test_table1_k5_row(self, capsys):

@@ -179,7 +179,7 @@ class TestB1kEstimate:
     def test_against_direct_sum(self, ctx50):
         with ctx50.workdps():
             for k in (100, 500, 1000):
-                err = abs(pp.b1k_estimate(k, ctx50) - pp.b_hk(1, k, ctx50))
+                err = abs(oracles.b1k_estimate(k, ctx50) - pp.b_hk(1, k, ctx50))
                 assert err < mpmath.mpf(10) / k**2, k
 
     def test_leading_term_magnitude(self, ctx50):
@@ -238,15 +238,3 @@ class TestBMin:
                            if math.gcd(h, k) == 1)
                 assert abs(val - full) < ctx50.eps
 
-
-class TestSummary:
-    def test_smoke(self, ctx50):
-        s = dedekind.dedekind_summary(1, 2, ctx50)
-        with ctx50.workdps():
-            assert abs(s.C_hk + mp.log(2) / 12) < ctx50.eps
-            assert abs(s.b_hk - mp.log(2) / 4) < ctx50.eps
-
-    def test_k1(self, ctx50):
-        s = dedekind.dedekind_summary(0, 1, ctx50)
-        assert s.C_hk == 0
-        assert s.b_hk is None
