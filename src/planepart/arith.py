@@ -64,8 +64,9 @@ class DerivedConstants:
 
 
 @lru_cache(maxsize=None)
-def _constants_at(dps: int) -> Constants:
-    with mp.workdps(dps + 10):
+def constants(ctx: PrecisionContext) -> Constants:
+    """pi, a = zeta(3), zeta'(-1), log 2 at context precision."""
+    with mp.workdps(ctx.decimal_digits + 10):
         pi = +mp.pi
         a = mp.zeta(3)
         zpm1 = mp.zeta(-1, derivative=1)
@@ -73,26 +74,17 @@ def _constants_at(dps: int) -> Constants:
     return Constants(pi=pi, a=a, zeta_prime_m1=zpm1, log2=log2)
 
 
-def constants(ctx: PrecisionContext) -> Constants:
-    """pi, a = zeta(3), zeta'(-1), log 2 at context precision."""
-    return _constants_at(ctx.decimal_digits)
-
-
 @lru_cache(maxsize=None)
-def _derived_at(dps: int) -> DerivedConstants:
-    cst = _constants_at(dps)
-    with mp.workdps(dps + 10):
+def derived_constants(ctx: PrecisionContext) -> DerivedConstants:
+    """c1 = (2a)^(1/36) 2^(-1/4) e^{zeta'(-1)} and c2 = 3 * 2^(-2/3) * a^(1/3)."""
+    cst = constants(ctx)
+    with mp.workdps(ctx.decimal_digits + 10):
         third = mp.mpf(1) / 3
         c1 = (2 * cst.a) ** (mp.mpf(1) / 36) * mp.mpf(2) ** (-mp.mpf(1) / 4) * mp.exp(
             cst.zeta_prime_m1
         )
         c2 = 3 * mp.mpf(2) ** (-2 * third) * cst.a ** third
     return DerivedConstants(c1=c1, c2=c2)
-
-
-def derived_constants(ctx: PrecisionContext) -> DerivedConstants:
-    """c1 = (2a)^(1/36) 2^(-1/4) e^{zeta'(-1)} and c2 = 3 * 2^(-2/3) * a^(1/3)."""
-    return _derived_at(ctx.decimal_digits)
 
 
 # ---------------------------------------------------------------------------
@@ -141,10 +133,13 @@ def sigma2_table(N: int) -> list[int]:
     return tab
 
 
-def precision_for(n: int) -> PrecisionContext:
-    """Working precision sized from the leading exponential growth of p2(n)."""
+def precision_for(n: int, digits: int | None = None) -> PrecisionContext:
+    """The working precision for p2(n): `digits` decimal digits when given,
+    else sized from the leading exponential growth of p2(n)."""
     if n < 1:
         raise ValueError("precision_for requires n >= 1")
+    if digits is not None:
+        return PrecisionContext(decimal_digits=digits)
     with mp.workdps(30):
         a = mp.zeta(3)
         lead = 3 * a ** (mp.mpf(1) / 3) * (mp.mpf(n) / 2) ** (mp.mpf(2) / 3)

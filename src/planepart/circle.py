@@ -21,8 +21,11 @@ from .almkvist import almkvist_series, saddle_data
 from .dedekind import CoeffGenerator, _roots_row, c_hk
 from .exact import p2_exact_table
 
-DEFAULT_K_THRESHOLD = "0.01"
-DEFAULT_M_FLOOR = "0.001"
+# The numeric cutoff ends at the first arc whose nonzero probe is below
+# K_THRESHOLD; mstar_numeric stops an arc's series at a term below M_FLOOR.
+K_THRESHOLD = "0.01"
+M_FLOOR = "0.001"
+LAMBDA0 = "0.25"  # minor_arc_bound's Type II lam; above lambda_c = 0.1801...
 MAX_ARCS = 500  # no cutoff, numeric or theoretical, includes this arc
 
 
@@ -56,22 +59,17 @@ def d_of_lambda(lam, ctx: PrecisionContext):
 
 
 @lru_cache(maxsize=None)
-def _lambda_c_at(dps: int):
-    ctx = PrecisionContext(decimal_digits=dps)
+def lambda_c(ctx: PrecisionContext):
+    """The lam where d(lam) = 1 (arc-classification threshold)."""
     with ctx.workdps():
         lo, hi = mpmath.mpf("0.01"), mpmath.mpf("1.0")  # d decreasing, d(lo) > 1 > d(hi)
-        for _ in range(int(dps * 3.4) + 20):
+        for _ in range(int(ctx.decimal_digits * 3.4) + 20):
             mid = (lo + hi) / 2
             if d_of_lambda(mid, ctx) > 1:
                 lo = mid
             else:
                 hi = mid
         return (lo + hi) / 2
-
-
-def lambda_c(ctx: PrecisionContext):
-    """The lam where d(lam) = 1 (arc-classification threshold)."""
-    return _lambda_c_at(ctx.decimal_digits)
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +167,7 @@ def mstar_theory(n: int, k: int, ctx: PrecisionContext):
         return (c / k) * n13 - (c * c / (4 * der.c2 * k)) * sd.f1pp
 
 
-def mstar_numeric(arc: Arc, floor=DEFAULT_M_FLOOR) -> PhiBreakdown:
+def mstar_numeric(arc: Arc, floor=M_FLOOR) -> PhiBreakdown:
     """Sum the arc's phi^(m)_k in increasing m, truncating at the
     superasymptotic minimum term (declared after two consecutive increases of
     |phi^(m)| on the structurally-nonzero subsequence) or earlier when
@@ -295,19 +293,15 @@ class MinorArcBound:
     type2: mpmath.mpf
 
 
-def minor_arc_bound(n: int, kappa2, ctx: PrecisionContext,
-                    lambda0="0.25") -> MinorArcBound:
-    """Type I and Type II minor-arc bounds; lambda0 must exceed lam_c."""
+def minor_arc_bound(n: int, kappa2, ctx: PrecisionContext) -> MinorArcBound:
+    """Type I and Type II minor-arc bounds, the latter at lam = LAMBDA0."""
     if n < 1:
         raise ValueError("minor_arc_bound requires n >= 1")
     with ctx.workdps():
-        lam0 = mpmath.mpf(lambda0)
-        if lam0 <= lambda_c(ctx):
-            raise ValueError("minor_arc_bound requires lambda0 > lambda_c")
         kappa3 = mp.log(mpmath.mpf("1.06"))
         nf = mpmath.mpf(n)
         type1 = mpmath.mpf("1.06") * nf ** (-mpmath.mpf(kappa2)) * mp.exp(-kappa3)
-        d0 = d_of_lambda(lam0, ctx)
+        d0 = d_of_lambda(mpmath.mpf(LAMBDA0), ctx)
         beta1 = mpmath.mpf("2.948")
         c3 = -(beta1 / 24) * mp.log(d0)
         type2 = (mpmath.mpf("2.07") / mp.sqrt(nf)
@@ -342,28 +336,25 @@ def phi0_bound(n: int, k: int, ctx: PrecisionContext):
         return bound1 if bound2 is None else min(bound1, bound2)
 
 
-def p2_estimate(n: int, kappa2=None, k_threshold=DEFAULT_K_THRESHOLD,
-                m_floor=DEFAULT_M_FLOOR, digits: int | None = None,
+def p2_estimate(n: int, kappa2=None, digits: int | None = None,
                 with_exact: bool = False) -> EstimateReport:
     """Full superasymptotic estimate of p2(n) with an error ledger.
 
     Each arc k = 1, 2, ... is built once and probed (cutoff_probe).  Arcs are
     included up to the numeric cutoff (the k before the first arc whose
-    nonzero probe drops below k_threshold) by default, or up to [N(n)] when
+    nonzero probe drops below K_THRESHOLD) by default, or up to [N(n)] when
     kappa2 is given; each included arc is truncated in m per mstar_numeric.
     estimated_error aggregates the per-k truncation estimates plus the probe
     of the first excluded arc whose probe is nonzero, searched over at most
-    seven arcs.  k_threshold must be positive: no probe falls below a
-    threshold <= 0.  A kappa2 whose N(n) reaches MAX_ARCS is rejected.
+    seven arcs.  A kappa2 whose N(n) reaches MAX_ARCS is rejected.  digits
+    sets the working precision (see precision_for).
     """
     if n < 1:
         raise ValueError("p2_estimate requires n >= 1")
-    ctx = PrecisionContext(decimal_digits=digits) if digits else precision_for(n)
+    ctx = precision_for(n, digits)
     per_k: list[PhiBreakdown] = []
     with ctx.workdps():
-        thr = mpmath.mpf(k_threshold)
-        if not thr > 0:  # also rejects nan
-            raise ValueError("p2_estimate requires k_threshold > 0")
+        thr = mpmath.mpf(K_THRESHOLD)
         n_incl = (max(1, int(mp.floor(n_cutoff_theory(n, kappa2, ctx))))
                   if kappa2 is not None else None)
         if n_incl is not None and n_incl >= MAX_ARCS:
@@ -378,7 +369,7 @@ def p2_estimate(n: int, kappa2=None, k_threshold=DEFAULT_K_THRESHOLD,
             if n_incl is None and probe != 0 and probe < thr:
                 n_incl = max(1, k - 1)
             if n_incl is None or k <= n_incl:
-                per_k.append(mstar_numeric(arc, m_floor))
+                per_k.append(mstar_numeric(arc))
             elif probe != 0 or k == n_incl + 7:
                 probe_next = probe
                 break

@@ -81,9 +81,8 @@ def cmd_exact(args) -> tuple[dict, list | None]:
 
 
 def cmd_estimate(args) -> tuple[dict, None]:
-    report = circle.p2_estimate(
-        args.n, kappa2=args.kappa2, k_threshold=args.k_threshold,
-        m_floor=args.m_floor, digits=args.digits, with_exact=args.with_exact)
+    report = circle.p2_estimate(args.n, kappa2=args.kappa2, digits=args.digits,
+                                with_exact=args.with_exact)
     out = {
         "n": report.n,
         "N_used": report.N_used,
@@ -101,10 +100,8 @@ def cmd_estimate(args) -> tuple[dict, None]:
 def cmd_phi(args) -> tuple[dict, list | None]:
     if args.n < 1 or args.k < 1:
         raise ValueError("n and k must be >= 1")
-    ctx = (arith.PrecisionContext(decimal_digits=args.digits)
-           if args.digits else arith.precision_for(args.n))
-    breakdown = circle.mstar_numeric(circle.Arc(args.n, args.k, ctx),
-                                     floor=args.m_floor)
+    ctx = arith.precision_for(args.n, args.digits)
+    breakdown = circle.mstar_numeric(circle.Arc(args.n, args.k, ctx))
     out = _breakdown_dict(breakdown, ctx.decimal_digits)
     out["n"] = args.n
     rows = None
@@ -209,15 +206,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("n", type=int)
     p.add_argument("--kappa2", default=None,
                    help="use the theoretical cutoff N(n) with this kappa2")
-    p.add_argument("--k-threshold", default=circle.DEFAULT_K_THRESHOLD)
-    p.add_argument("--m-floor", default=circle.DEFAULT_M_FLOOR)
     p.add_argument("--with-exact", action="store_true")
     p.set_defaults(func=cmd_estimate)
 
     p = sub.add_parser("phi", help="phi_k(n) with truncation metadata")
     p.add_argument("n", type=int)
     p.add_argument("k", type=int)
-    p.add_argument("--m-floor", default=circle.DEFAULT_M_FLOOR)
     p.add_argument("--per-m", action="store_true",
                    help="emit the per-m term records (use with --csv)")
     p.set_defaults(func=cmd_phi)

@@ -122,6 +122,10 @@ class TestPrecisionFor:
         assert 370 <= d6999 <= 390
         assert d6999 >= 316 + 60
 
+    def test_given_digits(self):
+        assert pp.precision_for(100, 45).decimal_digits == 45
+        assert pp.precision_for(100) == pp.precision_for(100, None)
+
     def test_covers_exact_digit_count(self):
         # enough digits to hold p2(n) exactly plus guard
         table = pp.p2_exact_table(400)

@@ -180,9 +180,12 @@ class TestBounds:
             bound = circle.minor_arc_bound(400, mpmath.mpf("0.5"), ctx50)
             assert abs(bound.type1 - mpmath.mpf(400) ** mpmath.mpf("-0.5")) < mpmath.mpf(10) ** -30
 
-    def test_minor_arc_lambda0_guard(self, ctx50):
-        with pytest.raises(ValueError):
-            circle.minor_arc_bound(400, 0, ctx50, lambda0="0.1")
+    def test_lambda0_exceeds_lambda_c(self):
+        # the Type II minor-arc bound needs its lam above lam_c
+        for ctx in (pp.PrecisionContext(30), pp.PrecisionContext(50),
+                    pp.precision_for(750)):
+            with ctx.workdps():
+                assert mpmath.mpf(circle.LAMBDA0) > circle.lambda_c(ctx), ctx
 
     def test_phi0_bound_contains_probe_750(self):
         ctx = pp.precision_for(750)
@@ -232,10 +235,6 @@ class TestEstimate:
     def test_domain(self):
         with pytest.raises(ValueError):
             pp.p2_estimate(0)
-        # no probe falls below a threshold <= 0 (or nan)
-        for thr in ("0", "-1", "nan"):
-            with pytest.raises(ValueError):
-                pp.p2_estimate(1, k_threshold=thr)
         # N(n) is about 1e401 here: the walk over k would never end
         with pytest.raises(ValueError):
             pp.p2_estimate(50, kappa2="1e400")
@@ -243,6 +242,8 @@ class TestEstimate:
     def test_reports_working_precision(self):
         assert pp.p2_estimate(100).decimal_digits == pp.precision_for(100).decimal_digits
         assert pp.p2_estimate(100, digits=45).decimal_digits == 45
+        with pytest.raises(ValueError):  # 0 is no precision, not "auto"
+            pp.p2_estimate(50, digits=0)
 
     @pytest.mark.parametrize("n, kappa2", [(100, None), (300, 0)])
     def test_leading_almkvist_once_per_arc(self, monkeypatch, n, kappa2):

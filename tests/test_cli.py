@@ -83,11 +83,16 @@ class TestEstimate:
         assert code == 3
         assert "numerical failure" in err
 
-    def test_nonpositive_threshold_exits_2(self, capsys):
-        for n, thr in (("1", "0"), ("50", "-1")):
-            code, _, err = run(capsys, "estimate", n, "--k-threshold", thr)
-            assert code == 2
-            assert "k_threshold" in err
+    def test_removed_options_exit_2(self, capsys):
+        # the arc cutoff and the truncation floor are fixed, not options
+        for argv in (["estimate", "300", "--k-threshold", "inf"],
+                     ["estimate", "1", "--k-threshold", "1e-400"],
+                     ["estimate", "50", "--m-floor", "nan"],
+                     ["phi", "50", "1", "--m-floor", "0"]):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(argv)
+            assert exc.value.code == 2
+            assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_cutoff_past_arc_limit_exits_2(self, capsys):
         code, _, err = run(capsys, "estimate", "50", "--kappa2", "1e400")
