@@ -3,7 +3,9 @@ ledgers, per-term scans, Dedekind summaries, and b_min scan data.
 
 Every command emits a ReportDocument: {schema_version, command, inputs,
 outputs, timings} with all big numbers serialized as decimal strings.  Output
-is deterministic for fixed inputs and --digits (timings aside).
+is deterministic for fixed inputs and --digits (timings aside).  The estimate
+and phi_value of `phi` print the digits the working precision certifies
+(decimal_digits - GUARD_DIGITS); error estimates print 10 digits.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ def _breakdown_dict(b: circle.PhiBreakdown, dps: int) -> dict:
         "m_star_used": b.m_star_used,
         "stop_reason": b.stop_reason,
         "phi_value": _nstr(b.phi_value, dps),
-        "trunc_error_est": _nstr(b.trunc_error_est, dps),
+        "trunc_error_est": _nstr(b.trunc_error_est, 10),
         "terms_computed": len(b.terms),
     }
 
@@ -86,7 +88,8 @@ def cmd_estimate(args) -> tuple[dict, None]:
     out = {
         "n": report.n,
         "N_used": report.N_used,
-        "estimate": _nstr(report.estimate, report.decimal_digits),
+        "estimate": _nstr(report.estimate,
+                          report.decimal_digits - arith.GUARD_DIGITS),
         "rounded": str(report.rounded),
         "estimated_error": _nstr(report.estimated_error, 10),
         "per_k": [_breakdown_dict(b, 40) for b in report.per_k],
@@ -102,7 +105,7 @@ def cmd_phi(args) -> tuple[dict, list | None]:
         raise ValueError("n and k must be >= 1")
     ctx = arith.precision_for(args.n, args.digits)
     breakdown = circle.mstar_numeric(circle.Arc(args.n, args.k, ctx))
-    out = _breakdown_dict(breakdown, ctx.decimal_digits)
+    out = _breakdown_dict(breakdown, ctx.decimal_digits - arith.GUARD_DIGITS)
     out["n"] = args.n
     rows = None
     if args.per_m:
