@@ -27,6 +27,7 @@ K_THRESHOLD = "0.01"
 M_FLOOR = "0.001"
 LAMBDA0 = "0.25"  # minor_arc_bound's Type II lam; above lambda_c = 0.1801...
 MAX_ARCS = 500  # no cutoff, numeric or theoretical, includes this arc
+LADDER_GUARD = 10  # digits an Arc's Almkvist ladder carries above the working precision
 
 
 def lambda_param(n: int, k: int, ctx: PrecisionContext):
@@ -113,11 +114,24 @@ class Arc:
     Holds the arc prefactor, the C_{h,k} phases and one CoeffGenerator per h,
     and remembers every term it has computed, so probing the arc and then
     truncating it evaluates each term once.
+
+    The Almkvist values A_m = A(x | -k/12 - m) come from a ladder.  The
+    first request runs one series at m = 0, which also gives m = 1 and 2.  A
+    request past the end of the ladder seeds one series at
+    top = max(m, 2 * len), which gives top, top + 1 and top + 2, and runs
+    A_m = (x A_{m+3} + (m + 3 + k/12) A_{m+2}) / 2 down to the end of the
+    ladder, LADDER_GUARD digits above the working precision.  The recurrence
+    is the ODE x y''' - (gamma - 3) y'' - 2 y = 0 with
+    dA(x|gamma)/dx = A(x|gamma - 1).  Run downward, both of its terms are
+    positive (x > 0, gamma < 3), so no step cancels and each adds one
+    rounding error; run upward, it subtracts nearly equal numbers and loses
+    every digit.  Doubling the blocks costs O(log m) series per arc.
     """
 
     def __init__(self, n: int, k: int, ctx: PrecisionContext):
         self.n, self.k, self.ctx = n, k, ctx
         self._terms: dict[int, mpmath.mpf] = {}
+        self._ladder: list[mpmath.mpf] = []  # A_0, A_1, ...
         cst = constants(ctx)
         with ctx.workdps():
             a = cst.a
@@ -133,6 +147,25 @@ class Arc:
                           for h in hs]
             self.im_tol = mpmath.mpf(10) ** (-(ctx.decimal_digits // 2))
 
+    def almkvist(self, m: int):
+        """A(x | -k/12 - m) at the working precision, from the ladder."""
+        ladder = self._ladder
+        with self.ctx.workdps():
+            if not ladder:
+                ev = almkvist_series(self.x, -mpmath.mpf(self.k) / 12, self.ctx)
+                ladder += [ev.value, ev.value_m1, ev.value_m2]
+            if m >= len(ladder):
+                top = max(m, 2 * len(ladder))
+                hi = PrecisionContext(self.ctx.decimal_digits + LADDER_GUARD)
+                with hi.workdps():
+                    k12 = mpmath.mpf(self.k) / 12
+                    ev = almkvist_series(self.x, -k12 - top, hi)
+                    block = [ev.value_m2, ev.value_m1, ev.value]  # top+2, top+1, top
+                    for j in range(top - 1, len(ladder) - 1, -1):
+                        block.append((self.x * block[-3] + (j + 3 + k12) * block[-2]) / 2)
+                ladder += [+v for v in reversed(block)]  # rounds to working precision
+            return ladder[m]
+
     def term(self, m: int):
         """phi^(m)_k(n) as a real mpf; terms may be requested in any order but
         increasing m reuses all coefficient work."""
@@ -141,8 +174,7 @@ class Arc:
         with self.ctx.workdps():
             for gen in self.gens:
                 gen.extend_to(m)
-            gamma = -mpmath.mpf(self.k) / 12 - m
-            A = almkvist_series(self.x, gamma, self.ctx).value
+            A = self.almkvist(m)
             acc = sum((c * g.b[m] for c, g in zip(self.coefs, self.gens)),
                       mpmath.mpc(0))
             val = self.sqrt_ak3 ** m * A * acc

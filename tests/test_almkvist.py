@@ -29,6 +29,16 @@ class TestSeries:
         with ctx_hi.workdps():
             assert abs(ev.value - ev_hi.value) <= ev.tail_bound + abs(ev_hi.value) * ctx50.eps
 
+    def test_shifted_values_match_their_own_series(self, ctx50):
+        # one pass gives A(x|gamma-1) and A(x|gamma-2) as well
+        with ctx50.workdps():
+            for x in ("0", "0.5", "50", "1096"):
+                for gamma in (-mpmath.mpf(1) / 12, -mpmath.mpf(17) / 12 - 40):
+                    ev = pp.almkvist_series(x, gamma, ctx50)
+                    for got, shift in ((ev.value_m1, 1), (ev.value_m2, 2)):
+                        want = pp.almkvist_series(x, gamma - shift, ctx50).value
+                        assert abs(got / want - 1) <= ctx50.eps, (x, gamma, shift)
+
     def test_derivative_identity_by_central_differences(self, ctx50):
         # d/dx A(x|gamma) = A(x|gamma-1); central differences converge at
         # second order, so the error must shrink ~4x when h halves

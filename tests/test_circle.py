@@ -75,16 +75,26 @@ class TestPsiPhi:
             oracles.psi_m(10, 2, 4, 0, ctx50)
 
     def test_phi_real_and_matches_psi_sum(self):
-        ctx = pp.precision_for(60)
-        with ctx.workdps():
-            for k in (3, 5):
-                arc = circle.Arc(60, k, ctx)
-                for m in range(3):
-                    direct = sum(oracles.psi_m(60, h, k, m, ctx)
-                                 for h in range(1, k) if math.gcd(h, k) == 1)
+        # m up to 40 crosses several of the Almkvist ladder's doubling blocks
+        for n, k in [(60, 1), (60, 2), (60, 5), (500, 3)]:
+            ctx = pp.precision_for(n)
+            arc = circle.Arc(n, k, ctx)
+            with ctx.workdps():
+                for m in range(41):
+                    psis = [oracles.psi_m(n, h, k, m, ctx)
+                            for h in range(k) if math.gcd(h, k) == 1]
+                    direct = sum(psis)
                     got = arc.term(m)
-                    assert abs(direct.imag) < mpmath.mpf(10) ** -25
-                    assert abs(got - direct.real) < mpmath.mpf(10) ** -25
+                    assert abs(direct.imag) <= ctx.eps * max(abs(p) for p in psis)
+                    assert abs(got - direct.real) <= ctx.eps * abs(direct.real), (n, k, m)
+
+    def test_almkvist_ladder_matches_series_6999(self):
+        ctx = pp.precision_for(6999)
+        arc = circle.Arc(6999, 1, ctx)
+        with ctx.workdps():
+            for m in (1, 2, 450, 899):
+                series = pp.almkvist_series(arc.x, -mpmath.mpf(1) / 12 - m, ctx).value
+                assert abs(arc.almkvist(m) / series - 1) <= ctx.eps, m
 
     def test_phi_odd_m_zero_small_k(self, ctx50):
         ctx = pp.precision_for(50)
@@ -266,3 +276,29 @@ class TestEstimate:
                 leading[k] += 1
         ks = range(1, report.N_used + 2)
         assert [leading[k] for k in ks] == [1] * len(ks)
+
+    def test_almkvist_series_per_arc_logarithmic(self, monkeypatch):
+        # The Almkvist ladder runs one series per probed arc and one seed per
+        # doubling block of m, not one series per term.
+        n = 750
+        a = float(pp.constants(pp.precision_for(n)).a)
+        calls = collections.Counter()
+        m_max = collections.Counter()
+        series, term = circle.almkvist_series, circle.Arc.term
+
+        def counted(x, gamma, ctx):
+            calls[round((a * n * n / float(x) ** 2) ** (1 / 3))] += 1
+            return series(x, gamma, ctx)
+
+        def tracked(arc, m):
+            m_max[arc.k] = max(m_max[arc.k], m)
+            return term(arc, m)
+
+        monkeypatch.setattr(circle, "almkvist_series", counted)
+        monkeypatch.setattr(circle.Arc, "term", tracked)
+        report = pp.p2_estimate(n)
+        summed = {b.k for b in report.per_k}
+        assert summed < set(calls)
+        for k in calls:
+            allowed = 1 + (math.ceil(math.log2(m_max[k] + 2)) if k in summed else 0)
+            assert calls[k] <= allowed, (k, calls[k], m_max[k])
