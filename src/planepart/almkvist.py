@@ -58,7 +58,7 @@ def almkvist_series(x, gamma, ctx: PrecisionContext) -> AlmkvistEval:
         s0, s1, s2 = e + o, o, mpmath.mpf(0)  # sums of t_i, i t_i, i(i-1) t_i
         terms = 2
         j = 0
-        prev = None
+        prev = 0  # the weighted term of pair j = 0
         tail = mpmath.mpf(0)
         while True:
             scale_e = (2 * j + 1) * (2 * j + 2) * (u_even + j)
@@ -78,7 +78,7 @@ def almkvist_series(x, gamma, ctx: PrecisionContext) -> AlmkvistEval:
             # bounds the plain and i-weighted ratios from above and, like
             # them, decreases in j, so once it drops below 1/2 all three
             # tails are geometrically bounded relative to their sums.
-            if prev is not None and 2 * w < prev and w < tol * s2:
+            if 2 * w < prev and w < tol * s2:
                 ratio = w / prev
                 tail = (e + o) * ratio / (1 - ratio)
                 break
