@@ -115,9 +115,8 @@ class Arc:
     and remembers every term it has computed, so probing the arc and then
     truncating it evaluates each term once.
 
-    The Almkvist values A_m = A(x | -k/12 - m) come from a ladder.  The
-    first request runs one series at m = 0, which also gives m = 1 and 2.  A
-    request past the end of the ladder seeds one series at
+    The Almkvist values A_m = A(x | -k/12 - m) come from a ladder.  A
+    request past its end (the first one included) seeds one series at
     top = max(m, 2 * len), which gives top, top + 1 and top + 2, and runs
     A_m = (x A_{m+3} + (m + 3 + k/12) A_{m+2}) / 2 down to the end of the
     ladder, LADDER_GUARD digits above the working precision.  The recurrence
@@ -151,9 +150,6 @@ class Arc:
         """A(x | -k/12 - m) at the working precision, from the ladder."""
         ladder = self._ladder
         with self.ctx.workdps():
-            if not ladder:
-                ev = almkvist_series(self.x, -mpmath.mpf(self.k) / 12, self.ctx)
-                ladder += [ev.value, ev.value_m1, ev.value_m2]
             if m >= len(ladder):
                 top = max(m, 2 * len(ladder))
                 hi = PrecisionContext(self.ctx.decimal_digits + LADDER_GUARD)
@@ -379,7 +375,8 @@ def p2_estimate(n: int, kappa2=None, digits: int | None = None,
     estimated_error aggregates the per-k truncation estimates plus the probe
     of the first excluded arc whose probe is nonzero, searched over at most
     seven arcs.  A kappa2 whose N(n) reaches MAX_ARCS is rejected.  digits
-    sets the working precision (see precision_for).
+    sets the working precision (see precision_for); PrecisionError if its
+    certified digits (ctx.eps) do not reach the estimate's units place.
     """
     if n < 1:
         raise ValueError("p2_estimate requires n >= 1")
@@ -406,6 +403,9 @@ def p2_estimate(n: int, kappa2=None, digits: int | None = None,
                 probe_next = probe
                 break
         estimate = mp.fsum(b.phi_value for b in per_k)
+        if abs(estimate) * ctx.eps >= mpmath.mpf(1) / 2:
+            raise PrecisionError(f"{ctx.decimal_digits} digits cannot certify "
+                                 f"the units place of p2({n})")
         est_err = mp.fsum(b.trunc_error_est for b in per_k) + probe_next
         rounded = int(mp.nint(estimate))
     report = EstimateReport(n=n, N_used=n_incl, per_k=per_k, estimate=estimate,

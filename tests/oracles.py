@@ -15,7 +15,9 @@ uses, so agreement is evidence rather than tautology:
   sum over roots of unity);
 - the saddle root g(lam) via its closed radical form (the package uses
   Newton's method);
-- sigma2(n) by enumerating divisors (the package uses a divisor sieve).
+- sigma2(n) by enumerating divisors (the package uses a divisor sieve);
+- A(x|gamma) by summing its power series term by term (the package sums
+  its even and odd halves as two 0F2 series with mpmath's hyper).
 
 psi_m, b1k_estimate, lambda_of with almkvist_saddle, and wright_leading are
 not alternative routes: they are paper formulas that only the tests evaluate.
@@ -228,6 +230,29 @@ def b1k_estimate(k: int, ctx):
     with ctx.workdps():
         gamma = mpmath.mpf(B1K_GAMMA)
         return cst.a * k / (2 * cst.pi**2) + mp.log(k) / (6 * k) + gamma / k
+
+
+def almkvist_power_series(x, gamma, ctx):
+    """A(x|gamma) = (1/2) sum_i x^i / (i! Gamma((3 - gamma + i)/2)) for
+    x >= 0 and gamma < 3, term by term 10 digits above ctx."""
+    with mp.workdps(ctx.decimal_digits + 10):
+        xv, gv = mpmath.mpf(x), mpmath.mpf(gamma)
+        tol = mpmath.mpf(10) ** -(ctx.decimal_digits + 10)
+        terms = [mp.rgamma((3 - gv) / 2), xv * mp.rgamma((4 - gv) / 2)]
+        total = terms[0] + terms[1]
+        i = 1
+        while True:
+            i += 1
+            # t_i / t_(i-2) = x^2 / (i (i-1) (1 - gamma + i)/2): positive and
+            # falling in i, so once it is below 1/2 each parity's tail is
+            # below its last term
+            ratio = xv * xv / (i * (i - 1) * (1 - gv + i) / 2)
+            terms.append(terms[-2] * ratio)
+            total += terms[-1]
+            if ratio < mpmath.mpf(1) / 2 and terms[-1] + terms[-2] < tol * total:
+                break
+    with ctx.workdps():
+        return total / 2
 
 
 def lambda_of(x, gamma, ctx):

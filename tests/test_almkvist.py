@@ -4,6 +4,7 @@ from mpmath import mp
 
 import oracles
 import planepart as pp
+from planepart import circle
 
 
 class TestSeries:
@@ -21,23 +22,29 @@ class TestSeries:
         with pytest.raises(ValueError):
             pp.almkvist_series(1, 3, ctx50)
 
-    def test_tail_bound_honest(self, ctx50):
-        # doubling precision does not move the value beyond the tail bound
+    def test_value_stable_under_precision_doubling(self, ctx50):
         ctx_hi = pp.PrecisionContext(decimal_digits=100)
         ev = pp.almkvist_series(50, mpmath.mpf("-1") / 12, ctx50)
         ev_hi = pp.almkvist_series(50, mpmath.mpf("-1") / 12, ctx_hi)
         with ctx_hi.workdps():
-            assert abs(ev.value - ev_hi.value) <= ev.tail_bound + abs(ev_hi.value) * ctx50.eps
+            assert abs(ev.value - ev_hi.value) <= abs(ev_hi.value) * ctx50.eps
 
-    def test_shifted_values_match_their_own_series(self, ctx50):
-        # one pass gives A(x|gamma-1) and A(x|gamma-2) as well
-        with ctx50.workdps():
-            for x in ("0", "0.5", "50", "1096"):
-                for gamma in (-mpmath.mpf(1) / 12, -mpmath.mpf(17) / 12 - 40):
-                    ev = pp.almkvist_series(x, gamma, ctx50)
-                    for got, shift in ((ev.value_m1, 1), (ev.value_m2, 2)):
-                        want = pp.almkvist_series(x, gamma - shift, ctx50).value
-                        assert abs(got / want - 1) <= ctx50.eps, (x, gamma, shift)
+    @pytest.mark.parametrize("n", [None, 6999])
+    def test_three_values_match_power_series_oracle(self, ctx50, n):
+        # None: four x at 50 digits; 6999: the x of arc 1 at p2(6999)'s precision
+        if n is None:
+            ctx, xs = ctx50, ("0", "0.5", "50", "1096")
+        else:
+            ctx = pp.precision_for(n)
+            xs = (circle.Arc(n, 1, ctx).x,)
+        with ctx.workdps():
+            for x in xs:
+                for gamma in (-mpmath.mpf(1) / 12, -mpmath.mpf(17) / 12 - 40,
+                              -mpmath.mpf(1) / 12 - 899):
+                    ev = pp.almkvist_series(x, gamma, ctx)
+                    for got, shift in ((ev.value, 0), (ev.value_m1, 1), (ev.value_m2, 2)):
+                        want = oracles.almkvist_power_series(x, gamma - shift, ctx)
+                        assert abs(got / want - 1) <= ctx.eps, (x, gamma, shift)
 
     def test_derivative_identity_by_central_differences(self, ctx50):
         # d/dx A(x|gamma) = A(x|gamma-1); central differences converge at

@@ -92,7 +92,7 @@ class TestPsiPhi:
         ctx = pp.precision_for(6999)
         arc = circle.Arc(6999, 1, ctx)
         with ctx.workdps():
-            for m in (1, 2, 450, 899):
+            for m in (0, 1, 2, 450, 899):
                 series = pp.almkvist_series(arc.x, -mpmath.mpf(1) / 12 - m, ctx).value
                 assert abs(arc.almkvist(m) / series - 1) <= ctx.eps, m
 
@@ -254,6 +254,12 @@ class TestEstimate:
         assert pp.p2_estimate(100, digits=45).decimal_digits == 45
         with pytest.raises(ValueError):  # 0 is no precision, not "auto"
             pp.p2_estimate(50, digits=0)
+
+    def test_uncertified_units_place_raises(self):
+        # 36 digits certify 16, and p2(100) has 17; 45 digits certify 25
+        with pytest.raises(pp.PrecisionError):
+            pp.p2_estimate(100, digits=36)
+        assert pp.p2_estimate(100, digits=45).rounded == pp.p2_exact_table(100)[100]
 
     @pytest.mark.parametrize("n, kappa2", [(100, None), (300, 0)])
     def test_leading_almkvist_once_per_arc(self, monkeypatch, n, kappa2):

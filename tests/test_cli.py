@@ -83,6 +83,11 @@ class TestEstimate:
         assert code == 3
         assert "numerical failure" in err
 
+    def test_uncertified_units_place_exits_3(self, capsys):
+        code, _, err = run(capsys, "--digits", "36", "estimate", "100")
+        assert code == 3
+        assert "numerical failure" in err
+
     def test_removed_options_exit_2(self, capsys):
         # the arc cutoff and the truncation floor are fixed, not options
         for argv in (["estimate", "300", "--k-threshold", "inf"],
