@@ -171,8 +171,8 @@ class Arc:
             for gen in self.gens:
                 gen.extend_to(m)
             A = self.almkvist(m)
-            acc = sum((c * g.b[m] for c, g in zip(self.coefs, self.gens)),
-                      mpmath.mpc(0))
+            acc = (1, 1j, -1, -1j)[m % 4] * sum(
+                (c * g.b[m] for c, g in zip(self.coefs, self.gens)), mpmath.mpc(0))
             val = self.sqrt_ak3 ** m * A * acc
             if abs(val.imag) / max(abs(val.real), mpmath.mpf(1)) > self.im_tol:
                 raise PrecisionError(
@@ -376,11 +376,13 @@ def p2_estimate(n: int, kappa2=None, digits: int | None = None,
     of the first excluded arc whose probe is nonzero, searched over at most
     seven arcs.  A kappa2 whose N(n) reaches MAX_ARCS is rejected.  digits
     sets the working precision (see precision_for); PrecisionError if its
-    certified digits (ctx.eps) do not reach the estimate's units place.
+    certified digits (ctx.eps) do not reach the units place of arc 1's m = 0
+    term (checked before any arc is summed) or of the estimate.
     """
     if n < 1:
         raise ValueError("p2_estimate requires n >= 1")
     ctx = precision_for(n, digits)
+    uncertified = f"{ctx.decimal_digits} digits cannot certify the units place of p2({n})"
     per_k: list[PhiBreakdown] = []
     with ctx.workdps():
         thr = mpmath.mpf(K_THRESHOLD)
@@ -393,6 +395,9 @@ def p2_estimate(n: int, kappa2=None, digits: int | None = None,
                 raise PrecisionError("cutoff probe never dropped below threshold")
             arc = Arc(n, k, ctx)
             probe = cutoff_probe(arc)
+            # The sum's roundoff scales with its largest term, arc 1's m = 0.
+            if k == 1 and probe * ctx.eps >= mpmath.mpf(1) / 2:
+                raise PrecisionError(uncertified)
             # Structural zeros of the m = 0 term are skipped: they say nothing
             # about the arc's size (its higher-m terms do not cancel).
             if n_incl is None and probe != 0 and probe < thr:
@@ -404,8 +409,7 @@ def p2_estimate(n: int, kappa2=None, digits: int | None = None,
                 break
         estimate = mp.fsum(b.phi_value for b in per_k)
         if abs(estimate) * ctx.eps >= mpmath.mpf(1) / 2:
-            raise PrecisionError(f"{ctx.decimal_digits} digits cannot certify "
-                                 f"the units place of p2({n})")
+            raise PrecisionError(uncertified)
         est_err = mp.fsum(b.trunc_error_est for b in per_k) + probe_next
         rounded = int(mp.nint(estimate))
     report = EstimateReport(n=n, N_used=n_incl, per_k=per_k, estimate=estimate,

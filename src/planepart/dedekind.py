@@ -4,9 +4,12 @@ Provides C_hk, b_hk, the residue coefficients v^(p)_hk, the exponential-series
 coefficients b^(m)_hk, published bound checks, and the reciprocity residual;
 the published b_{1,k} estimate is a test oracle (tests/oracles.py).
 
-v^(p) is the O(k^2) double Bernoulli sum with exact rational values bucketed
-by d*d' mod k and one complex dot product against a precomputed table of k-th
-roots of unity.
+Every order v^(p), p >= 1, is the O(k^2) double Bernoulli sum with exact
+rational values bucketed by d*d' mod k and one complex dot product against a
+precomputed table of k-th roots of unity.  v^(p) is real for even p and purely
+imaginary for odd p, so the b^(m) recurrence runs on real numbers (see
+CoeffGenerator).  v1_hk is v^(1) in its cot form, which the `dedekind` CLI
+command prints.
 """
 
 from __future__ import annotations
@@ -127,9 +130,9 @@ def vp_rational(p: int, h: int, k: int) -> Fraction:
 
 
 def vp_hk(p: int, h: int, k: int, ctx: PrecisionContext):
-    """v^(p)_{h,k} (p >= 2) by the double Bernoulli sum over roots of unity."""
-    if p < 2:
-        raise ValueError("vp_hk requires p >= 2 (use v1_hk)")
+    """v^(p)_{h,k} (p >= 1) by the double Bernoulli sum over roots of unity."""
+    if p < 1:
+        raise ValueError("vp_hk requires p >= 1")
     _check_coprime(h, k)
     with ctx.workdps():
         if k <= 2:
@@ -145,42 +148,32 @@ def vp_hk(p: int, h: int, k: int, ctx: PrecisionContext):
 
 
 class CoeffGenerator:
-    """Incrementally extends v^(m) and b^(m) for one (h, k).
+    """Incrementally extends v^(m) and b^(m) for one (h, k), rotated to reals.
 
-    For k <= 2 the coefficients are real (odd orders vanish identically) and
-    the recurrence runs on mpf; otherwise on mpc.
+    B_p(1 - x) = (-1)^p B_p(x) makes v^(p) real for even p and purely
+    imaginary for odd p.  So v[m] = i^-m v^(m) and b[m] = i^-m b^(m) are real:
+    exp(sum_p v^(p) z^p) = exp(sum_p v[p] (iz)^p).  The recurrence
+    m b[m] = sum_j j v[j] b[m - j] runs on mpf and skips v[j] = 0 (every odd
+    order for k <= 2).
     """
 
     def __init__(self, h: int, k: int, ctx: PrecisionContext):
         _check_coprime(h, k)
         self.h, self.k, self.ctx = h, k, ctx
-        self.real = k <= 2
         with ctx.workdps():
-            one = mpmath.mpf(1) if self.real else mpmath.mpc(1)
             self.v: list = [None]
-            self.b: list = [one]
-
-    def _v_of(self, m: int):
-        if self.real:
-            if m % 2 == 1:
-                return mpmath.mpf(0)
-            return _mpf_frac(vp_rational(m, self.h, self.k))
-        if m == 1:
-            return v1_hk(self.h, self.k, self.ctx)
-        return vp_hk(m, self.h, self.k, self.ctx)
+            self.b: list = [mpmath.mpf(1)]
 
     def extend_to(self, M: int) -> None:
         with self.ctx.workdps():
             while len(self.b) <= M:
                 m = len(self.b)
-                self.v.append(self._v_of(m))
-                if self.real and m % 2 == 1:
-                    self.b.append(mpmath.mpf(0))
-                    continue
-                start, step = (2, 2) if self.real else (1, 1)
-                acc = mpmath.mpf(0) if self.real else mpmath.mpc(0)
-                for j in range(start, m + 1, step):
-                    acc += j * self.v[j] * self.b[m - j]
+                v = vp_hk(m, self.h, self.k, self.ctx)
+                self.v.append((1, 1, -1, -1)[m % 4] * (v.imag if m % 2 else v.real))
+                acc = mpmath.mpf(0)
+                for j in range(1, m + 1):
+                    if self.v[j]:
+                        acc += j * self.v[j] * self.b[m - j]
                 self.b.append(acc / m)
 
 

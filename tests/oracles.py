@@ -35,8 +35,7 @@ from planepart.almkvist import almkvist_series, saddle_data
 from planepart.arith import bernoulli_number, bernoulli_row  # exact rationals
 from planepart.arith import constants
 from planepart.dedekind import (B1K_GAMMA, CoeffGenerator, _check_coprime,
-                                _mpf_frac, _roots_row, c_hk, v1_hk, vp_hk,
-                                vp_rational)
+                                _mpf_frac, _roots_row, c_hk, v1_hk, vp_hk)
 
 
 def em_zeta_prime_m1(dps: int = 50, N: int = 200, J: int = 12):
@@ -114,9 +113,6 @@ def b_coeff_partition_sum(h: int, k: int, m: int, ctx):
     """b^(m)_{h,k} = sum over partitions of m of prod_j v^(j)^mu_j / mu_j!
     (coefficient extraction from exp(sum_j v^(j) t^j))."""
     def v_of(j):
-        if k <= 2:
-            q = vp_rational(j, h, k) if j % 2 == 0 else Fraction(0)
-            return mpmath.mpc(mpmath.mpf(q.numerator) / q.denominator)
         return v1_hk(h, k, ctx) if j == 1 else vp_hk(j, h, k, ctx)
 
     def partitions(total, max_part):
@@ -214,7 +210,7 @@ def psi_m(n: int, h: int, k: int, m: int, ctx):
         kf = mpmath.mpf(k)
         gen = CoeffGenerator(h, k, ctx)
         gen.extend_to(m)
-        bm = gen.b[m]
+        bm = (1, 1j, -1, -1j)[m % 4] * gen.b[m]  # b^(m) = i^m b[m]
         A = almkvist_series(mp.sqrt(a / kf**3) * n, -kf / 12 - m, ctx).value
         phase = _roots_row(k, mp.prec)[(-n * h) % k]
         pref = mp.exp(k * cst.zeta_prime_m1 + c_hk(h, k, ctx)) \

@@ -255,11 +255,18 @@ class TestEstimate:
         with pytest.raises(ValueError):  # 0 is no precision, not "auto"
             pp.p2_estimate(50, digits=0)
 
-    def test_uncertified_units_place_raises(self):
+    def test_uncertified_units_place_raises(self, monkeypatch):
         # 36 digits certify 16, and p2(100) has 17; 45 digits certify 25
-        with pytest.raises(pp.PrecisionError):
-            pp.p2_estimate(100, digits=36)
         assert pp.p2_estimate(100, digits=45).rounded == pp.p2_exact_table(100)[100]
+
+        # refused from arc 1's probe, before any arc is summed
+        def summed(arc):
+            pytest.fail(f"arc {arc.k} summed at a refused precision")
+
+        monkeypatch.setattr(circle, "mstar_numeric", summed)
+        for n, digits in [(750, 40), (100, 36)]:
+            with pytest.raises(pp.PrecisionError):
+                pp.p2_estimate(n, digits=digits)
 
     @pytest.mark.parametrize("n, kappa2", [(100, None), (300, 0)])
     def test_leading_almkvist_once_per_arc(self, monkeypatch, n, kappa2):

@@ -121,6 +121,15 @@ class TestV1:
                 vc = pp.v1_hk(k - h, k, ctx50)
                 assert abs(v + vc) < mpmath.mpf(10) ** -40
 
+    def test_bucket_sum_matches_cot_form(self, ctx50):
+        with ctx50.workdps():
+            for k in range(1, 30):
+                for h in range(k):
+                    if math.gcd(h, k) != 1:
+                        continue
+                    v1 = pp.v1_hk(h, k, ctx50)
+                    assert abs(pp.vp_hk(1, h, k, ctx50) - v1) <= abs(v1) * ctx50.eps, (h, k)
+
 
 class TestVp:
     def test_trivial_zero(self, ctx50):
@@ -143,6 +152,18 @@ class TestVp:
                         scale = max(abs(a), abs(b), mpmath.mpf(10) ** -25)
                         assert abs(a - b) / scale < mpmath.mpf(10) ** -25, (p, h, k)
 
+    def test_real_or_imaginary_by_parity(self, ctx50):
+        # B_p(1 - x) = (-1)^p B_p(x): v^(p) is real for even p, imaginary for odd
+        with ctx50.workdps():
+            for k in range(3, 13):
+                for h in range(1, k):
+                    if math.gcd(h, k) != 1:
+                        continue
+                    for p in range(1, 11):
+                        v = pp.vp_hk(p, h, k, ctx50)
+                        off_axis = v.real if p % 2 else v.imag
+                        assert abs(off_axis) <= abs(v) * ctx50.eps, (p, h, k)
+
     def test_rational_route_matches_complex_route(self, ctx50):
         with ctx50.workdps():
             for p in (2, 4, 6):
@@ -159,13 +180,16 @@ class TestBCoeffs:
             assert gen.b == [1]
 
     def test_recurrence_vs_partition_sum_oracle(self, ctx50):
+        # gen.b holds the real rotated b[m] = i^-m b^(m)
         with ctx50.workdps():
-            for h, k in [(1, 3), (1, 2), (2, 5)]:
+            for h, k in [(0, 1), (1, 2), (1, 3), (2, 5), (1, 7), (3, 10), (5, 12)]:
                 gen = dedekind.CoeffGenerator(h, k, ctx50)
-                gen.extend_to(6)
-                for m in range(7):
+                gen.extend_to(8)
+                assert all(isinstance(b, mpmath.mpf) for b in gen.b), (h, k)
+                for m in range(9):
                     oracle = oracles.b_coeff_partition_sum(h, k, m, ctx50)
-                    assert abs(mpmath.mpc(gen.b[m]) - oracle) < mpmath.mpf(10) ** -35, (h, k, m)
+                    got = (1, 1j, -1, -1j)[m % 4] * gen.b[m]
+                    assert abs(got - oracle) < mpmath.mpf(10) ** -35, (h, k, m)
 
     def test_odd_orders_vanish_for_k_le_2(self, ctx50):
         for h, k in [(0, 1), (1, 2)]:
