@@ -4,8 +4,9 @@ polynomials, and the divisor-sum sieve shared by every other module.
 All floating-point work runs through mpmath; a PrecisionContext fixes the
 decimal working precision and every operation evaluates inside that context.
 Bernoulli numbers are mpmath.bernfrac's exact rationals, and the polynomial
-rows B_p(d/k) are evaluated from them exactly (fractions.Fraction), so the
-series coefficients downstream have no float error source.
+rows B_p(d/k) are evaluated from them exactly, as integers over one common
+denominator per row, so the series coefficients downstream have no float
+error source.
 """
 
 from __future__ import annotations
@@ -100,6 +101,27 @@ def bernoulli_number(n: int) -> Fraction:
     return Fraction(int(p), int(q))  # int(): plain ints under the gmpy2 backend
 
 
+def _scaled_coeffs(p: int, k: int) -> tuple[int, list[int]]:
+    """(L, [C(p,j) L B_j k^j for j = 0..p]) with L a common denominator of
+    B_0..B_p, so that L k^p B_p(d/k) = sum_j c_j d^(p-j) in integers."""
+    L = math.lcm(2, *(bernoulli_number(j).denominator for j in range(0, p + 1, 2)))
+    coeffs = []
+    binom, kj = 1, 1
+    for j in range(p + 1):
+        b = bernoulli_number(j)
+        coeffs.append(binom * kj * (L // b.denominator * b.numerator) if b else 0)
+        binom = binom * (p - j) // (j + 1)
+        kj *= k
+    return L, coeffs
+
+
+def _horner(coeffs: list[int], d: int) -> int:
+    acc = 0
+    for c in coeffs:
+        acc = acc * d + c
+    return acc
+
+
 def bernoulli_poly(p: int, x) -> Fraction:
     """B_p(x) = sum_j C(p,j) B_j x^(p-j), exact, for 0 <= x <= 1."""
     if p < 0:
@@ -107,16 +129,35 @@ def bernoulli_poly(p: int, x) -> Fraction:
     x = Fraction(x)
     if not 0 <= x <= 1:
         raise ValueError("bernoulli_poly expects 0 <= x <= 1")
-    value = Fraction(0)
-    for j in range(p + 1):
-        value = value * x + math.comb(p, j) * bernoulli_number(j)
-    return value
+    L, coeffs = _scaled_coeffs(p, x.denominator)
+    return Fraction(_horner(coeffs, x.numerator), L * x.denominator**p)
 
 
 @lru_cache(maxsize=None)
+def bernoulli_int_row(p: int, k: int) -> tuple[int, tuple[int, ...]]:
+    """(D, (N_1, ..., N_k)) with B_p(d/k) = N_d / D, one common denominator.
+
+    For k >= 3, D = L k^p and one integer Horner step per order and
+    d <= k/2; B_p(1 - x) = (-1)^p B_p(x) gives the rest of the row, d = k
+    included (from d = 0).  For k <= 2 no row is evaluated:
+    B_p(1) = (-1)^p B_p and B_p(1/2) = (2^(1-p) - 1) B_p."""
+    sign = -1 if p % 2 else 1
+    if k <= 2:
+        b = bernoulli_number(p)
+        if k == 1:
+            return b.denominator, (sign * b.numerator,)
+        return b.denominator << p, ((2 - (1 << p)) * b.numerator,
+                                    sign * b.numerator << p)
+    L, coeffs = _scaled_coeffs(p, k)
+    half = [coeffs[-1]] + [_horner(coeffs, d) for d in range(1, k // 2 + 1)]
+    row = tuple(half[d] if 2 * d <= k else sign * half[k - d] for d in range(1, k + 1))
+    return L * k**p, row
+
+
 def bernoulli_row(p: int, k: int) -> tuple[Fraction, ...]:
     """B_p(d/k) for d = 1..k."""
-    return tuple(bernoulli_poly(p, Fraction(d, k)) for d in range(1, k + 1))
+    den, row = bernoulli_int_row(p, k)
+    return tuple(Fraction(num, den) for num in row)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from mpmath import mp
 
 from .arith import (PrecisionContext, PrecisionError, constants,
                     derived_constants, precision_for)
-from .almkvist import almkvist_series, saddle_data
+from .almkvist import SaddleData, almkvist_series, saddle_data
 from .dedekind import CoeffGenerator, _roots_row, c_hk
 from .exact import p2_exact_table
 
@@ -39,11 +39,13 @@ def lambda_param(n: int, k: int, ctx: PrecisionContext):
         return mpmath.mpf(k * k) / (24 * der.c2 * mpmath.mpf(n) ** (mpmath.mpf(2) / 3))
 
 
-def c_of_lambda(lam, ctx: PrecisionContext):
-    """c(lam) = 4 pi^2 e^{-f1'(lam)/2} / (2a)^(1/3)."""
+def c_of_lambda(lam, ctx: PrecisionContext, sd: SaddleData | None = None):
+    """c(lam) = 4 pi^2 e^{-f1'(lam)/2} / (2a)^(1/3); sd, when given, is
+    saddle_data(lam, ctx), already computed by the caller."""
     cst = constants(ctx)
     with ctx.workdps():
-        sd = saddle_data(lam, ctx)
+        if sd is None:
+            sd = saddle_data(lam, ctx)
         return 4 * cst.pi**2 * mp.exp(-sd.f1p / 2) / mp.cbrt(2 * cst.a)
 
 
@@ -111,9 +113,15 @@ class EstimateReport:
 class Arc:
     """The k-th Farey arc of the estimate for p2(n): its terms phi^(m)_k(n).
 
-    Holds the arc prefactor, the C_{h,k} phases and one CoeffGenerator per h,
-    and remembers every term it has computed, so probing the arc and then
-    truncating it evaluates each term once.
+    Holds the arc prefactor, the C_{h,k} phases and one CoeffGenerator per
+    coprime h <= k/2, and remembers every term it has computed, so probing
+    the arc and then truncating it evaluates each term once.
+
+    For k >= 3, h pairs with k - h: C_{k-h,k} = C_{h,k} and the phase
+    e^{-2 pi i n h / k} is conjugated, so coef_{k-h} = conj(coef_h), and the
+    real rotated coefficients obey b_{k-h}[m] = (-1)^m b_h[m].  The pair adds
+    (coef_h + (-1)^m conj(coef_h)) b_h[m] to the h-sum.  For k <= 2 the one
+    h is its own partner and adds coef_h b_h[m].
 
     The Almkvist values A_m = A(x | -k/12 - m) come from a ladder.  A
     request past its end (the first one included) seeds one series at
@@ -139,11 +147,15 @@ class Arc:
             self.sqrt_ak3 = mp.sqrt(a / kf**3)
             base = mp.exp(k * cst.zeta_prime_m1) * (a / kf) ** (
                 mpmath.mpf(1) / 2 + kf / 24) / kf
-            hs = [h for h in range(k) if math.gcd(h, k) == 1]  # [0] for k = 1
+            # h <= k/2: [0] for k = 1, [1] for k = 2, h < k/2 for k >= 3
+            hs = [h for h in range(k // 2 + 1) if math.gcd(h, k) == 1]
             self.gens = [CoeffGenerator(h, k, ctx) for h in hs]
             roots = _roots_row(k, mp.prec)
-            self.coefs = [base * roots[(-n * h) % k] * mp.exp(c_hk(h, k, ctx))
-                          for h in hs]
+            self.coefs = []  # (weight for even m, weight for odd m) per h
+            for h in hs:
+                c = base * roots[(-n * h) % k] * mp.exp(c_hk(h, k, ctx))
+                cc = mp.conj(c)
+                self.coefs.append((c, c) if 2 * h % k == 0 else (c + cc, c - cc))
             self.im_tol = mpmath.mpf(10) ** (-(ctx.decimal_digits // 2))
 
     def almkvist(self, m: int):
@@ -172,7 +184,8 @@ class Arc:
                 gen.extend_to(m)
             A = self.almkvist(m)
             acc = (1, 1j, -1, -1j)[m % 4] * sum(
-                (c * g.b[m] for c, g in zip(self.coefs, self.gens)), mpmath.mpc(0))
+                (c[m % 2] * g.b[m] for c, g in zip(self.coefs, self.gens)),
+                mpmath.mpc(0))
             val = self.sqrt_ak3 ** m * A * acc
             if abs(val.imag) / max(abs(val.real), mpmath.mpf(1)) > self.im_tol:
                 raise PrecisionError(
@@ -190,7 +203,7 @@ def mstar_theory(n: int, k: int, ctx: PrecisionContext):
     with ctx.workdps():
         lam = lambda_param(n, k, ctx)
         sd = saddle_data(lam, ctx)
-        c = c_of_lambda(lam, ctx)
+        c = c_of_lambda(lam, ctx, sd)
         n13 = mpmath.mpf(n) ** (mpmath.mpf(1) / 3)
         return (c / k) * n13 - (c * c / (4 * der.c2 * k)) * sd.f1pp
 
@@ -217,7 +230,7 @@ def mstar_numeric(arc: Arc, floor=M_FLOOR) -> PhiBreakdown:
         m_star = None
         trunc = None
         max_ab = mpmath.mpf(0)
-        min_entry = None  # (m, ab, record index) of the running minimum
+        min_pos = None  # index in abs_seq of the running minimum
         m = 0
         while m <= cap:
             val = arc.term(m)
@@ -239,23 +252,23 @@ def mstar_numeric(arc: Arc, floor=M_FLOOR) -> PhiBreakdown:
                     m += step
                     continue
                 abs_seq.append((m, ab, len(records) - 1))
-                if min_entry is None or ab < min_entry[1]:
-                    min_entry = abs_seq[-1]
+                if min_pos is None or ab < abs_seq[min_pos][1]:
+                    min_pos = len(abs_seq) - 1
                 # The minimum term is declared either after two consecutive
                 # increases of |phi^(m)| or once a term exceeds 8x the
                 # running minimum (the divergent tail can zig-zag between
                 # parities, which defeats the consecutive-increase test).
                 two_incr = (len(abs_seq) >= 3
                             and abs_seq[-1][1] > abs_seq[-2][1] > abs_seq[-3][1])
-                blowup = ab > 8 * min_entry[1]
+                blowup = ab > 8 * abs_seq[min_pos][1]
                 if two_incr or blowup:
                     stop_reason = "minimum-found"
-                    m_star = min_entry[0]
-                    # first neglected nonzero term after the minimum
-                    trunc = next(r.abs_value
-                                 for r in records[min_entry[2] + 1:]
-                                 if r.abs_value > 0)
-                    records = records[:min_entry[2] + 1]
+                    m_star, _, last = abs_seq[min_pos]
+                    # the first neglected term after the minimum that is
+                    # not a structural zero: the next entry of abs_seq
+                    # (the current term at the latest)
+                    trunc = abs_seq[min_pos + 1][1]
+                    records = records[:last + 1]
                     break
             m += step
         if m_star is None:

@@ -4,11 +4,16 @@ Provides C_hk, b_hk, the residue coefficients v^(p)_hk, the exponential-series
 coefficients b^(m)_hk, published bound checks, and the reciprocity residual;
 the published b_{1,k} estimate is a test oracle (tests/oracles.py).
 
-Every order v^(p), p >= 1, is the O(k^2) double Bernoulli sum with exact
-rational values bucketed by d*d' mod k and one complex dot product against a
-precomputed table of k-th roots of unity.  v^(p) is real for even p and purely
-imaginary for odd p, so the b^(m) recurrence runs on real numbers (see
-CoeffGenerator).  v1_hk is v^(1) in its cot form, which the `dedekind` CLI
+Every order v^(p), p >= 1, is the O(k^2) double Bernoulli sum bucketed by
+d*d' mod k: integer rows L k^p B_p(d/k) (arith.bernoulli_int_row), integer
+products, one division per bucket.  B_p(1 - x) = (-1)^p B_p(x) halves the
+work twice.  The d and k - d terms fall into buckets j and k - j with the
+sign (-1)^p, so the double sum runs over d <= k/2.  And U_{k-j} = (-1)^p U_j,
+so v^(p) is a sum of U_j cos(2 pi j h / k) over 0 <= j <= k/2 (real) for
+even p and of U_j sin(2 pi j h / k) (imaginary) for odd p.  The b^(m)
+recurrence therefore runs on real numbers (CoeffGenerator), and
+b_{k-h} follows from b_h, so an arc needs one generator per pair h, k - h
+(circle.Arc).  v1_hk is v^(1) in its cot form, which the `dedekind` CLI
 command prints.
 """
 
@@ -21,7 +26,7 @@ from functools import lru_cache
 import mpmath
 from mpmath import mp
 
-from .arith import PrecisionContext, bernoulli_row, constants
+from .arith import PrecisionContext, bernoulli_int_row, bernoulli_row, constants
 
 # published correction constant in the b_{1,k} estimate
 B1K_GAMMA = "0.024529"
@@ -98,19 +103,30 @@ def v1_hk(h: int, k: int, ctx: PrecisionContext):
 
 @lru_cache(maxsize=None)
 def _vp_buckets(p: int, k: int) -> tuple[Fraction, ...]:
-    """U_j = sum over d, d' in 1..k with d d' = j mod k of B_{p+2}(d'/k) B_p(d/k)."""
-    row_p = bernoulli_row(p, k)
-    row_p2 = bernoulli_row(p + 2, k)
-    buckets = [Fraction(0)] * k
+    """U_j = sum over d, d' in 1..k with d d' = j mod k of B_{p+2}(d'/k) B_p(d/k).
+
+    Sums integer rows (bernoulli_int_row) and divides once per bucket.  The
+    d and k - d terms land in buckets j and k - j with the sign (-1)^p, so
+    only d <= k/2 and d = k are summed, and U_{k-j} = (-1)^p U_j."""
+    den_p, row_p = bernoulli_int_row(p, k)
+    den_p2, row_p2 = bernoulli_int_row(p + 2, k)
+    sign = -1 if p % 2 else 1
+    mirrored = [0] * k  # from 0 < d < k/2, with k - d folded in below
+    own = [0] * k       # from d = k/2 and d = k, their own mirror images
     for d in range(1, k + 1):
+        if k < 2 * d < 2 * k:
+            continue
         bp = row_p[d - 1]
         if bp == 0:
             continue
-        for dq in range(1, k + 1):
-            b2 = row_p2[dq - 1]
-            if b2 != 0:
-                buckets[(d * dq) % k] += b2 * bp
-    return tuple(buckets)
+        acc = mirrored if 2 * d < k else own
+        for dq, b2 in enumerate(row_p2, 1):
+            if b2:
+                acc[(d * dq) % k] += b2 * bp
+    den = den_p * den_p2
+    half = [Fraction(mirrored[j] + sign * mirrored[-j] + own[j], den)
+            for j in range(k // 2 + 1)]
+    return tuple(half[j] if 2 * j <= k else sign * half[k - j] for j in range(k))
 
 
 def _vp_prefactor(p: int, k: int) -> Fraction:
@@ -130,7 +146,11 @@ def vp_rational(p: int, h: int, k: int) -> Fraction:
 
 
 def vp_hk(p: int, h: int, k: int, ctx: PrecisionContext):
-    """v^(p)_{h,k} (p >= 1) by the double Bernoulli sum over roots of unity."""
+    """v^(p)_{h,k} (p >= 1) by the double Bernoulli sum over roots of unity.
+
+    U_{k-j} = (-1)^p U_j pairs the buckets: the sum is U_0 + 2 sum_{0<j<k/2}
+    U_j cos(2 pi j h / k) (+ U_{k/2} cos(pi h)) for even p, a real number,
+    and 2i sum_{0<j<k/2} U_j sin(2 pi j h / k) for odd p, an imaginary one."""
     if p < 1:
         raise ValueError("vp_hk requires p >= 1")
     _check_coprime(h, k)
@@ -139,12 +159,16 @@ def vp_hk(p: int, h: int, k: int, ctx: PrecisionContext):
             return mpmath.mpc(_mpf_frac(vp_rational(p, h, k)))
         buckets = _vp_buckets(p, k)
         roots = _roots_row(k, mp.prec)
-        acc = mpmath.mpc(0)
-        for j in range(k):
-            u = buckets[j]
-            if u != 0:
-                acc += _mpf_frac(u) * roots[(j * h) % k]
-        return _mpf_frac(_vp_prefactor(p, k)) * acc
+        pairs = range(1, (k + 1) // 2)  # 0 < j < k/2
+        pref = _mpf_frac(_vp_prefactor(p, k))
+        if p % 2:
+            s = mp.fdot((_mpf_frac(buckets[j]), roots[(j * h) % k].imag) for j in pairs)
+            return mpmath.mpc(0, 2 * pref * s)
+        s = 2 * mp.fdot((_mpf_frac(buckets[j]), roots[(j * h) % k].real) for j in pairs)
+        s += _mpf_frac(buckets[0])
+        if k % 2 == 0:
+            s += _mpf_frac(buckets[k // 2]) * (-1 if h % 2 else 1)
+        return mpmath.mpc(pref * s)
 
 
 class CoeffGenerator:
@@ -153,15 +177,16 @@ class CoeffGenerator:
     B_p(1 - x) = (-1)^p B_p(x) makes v^(p) real for even p and purely
     imaginary for odd p.  So v[m] = i^-m v^(m) and b[m] = i^-m b^(m) are real:
     exp(sum_p v^(p) z^p) = exp(sum_p v[p] (iz)^p).  The recurrence
-    m b[m] = sum_j j v[j] b[m - j] runs on mpf and skips v[j] = 0 (every odd
-    order for k <= 2).
+    m b[m] = sum_j j v[j] b[m - j] is one mpf dot product per order (jv holds
+    j v[j]; every odd order is 0 for k <= 2).  The same symmetry gives
+    b_{k-h}[m] = (-1)^m b_h[m], which circle.Arc uses to pair h with k - h.
     """
 
     def __init__(self, h: int, k: int, ctx: PrecisionContext):
         _check_coprime(h, k)
         self.h, self.k, self.ctx = h, k, ctx
         with ctx.workdps():
-            self.v: list = [None]
+            self.jv: list = [mpmath.mpf(0)]
             self.b: list = [mpmath.mpf(1)]
 
     def extend_to(self, M: int) -> None:
@@ -169,12 +194,8 @@ class CoeffGenerator:
             while len(self.b) <= M:
                 m = len(self.b)
                 v = vp_hk(m, self.h, self.k, self.ctx)
-                self.v.append((1, 1, -1, -1)[m % 4] * (v.imag if m % 2 else v.real))
-                acc = mpmath.mpf(0)
-                for j in range(1, m + 1):
-                    if self.v[j]:
-                        acc += j * self.v[j] * self.b[m - j]
-                self.b.append(acc / m)
+                self.jv.append((m, m, -m, -m)[m % 4] * (v.imag if m % 2 else v.real))
+                self.b.append(mp.fdot(self.jv[1:], reversed(self.b)) / m)
 
 
 def reciprocity_residual(h: int, k: int, ctx: PrecisionContext):

@@ -13,6 +13,11 @@ uses, so agreement is evidence rather than tautology:
   uses the m*b^(m) convolution recurrence);
 - v^(p)_{h,k} via derivatives of cot (the package uses the double Bernoulli
   sum over roots of unity);
+- v^(p)_{h,k} via the full complex sum over all k buckets, built from
+  Fraction Horner rows (the package sums integer rows, half the buckets and
+  real cosines or sines);
+- B_p(x) by a Horner loop in Fractions (the package evaluates integer rows
+  over one common denominator);
 - the saddle root g(lam) via its closed radical form (the package uses
   Newton's method);
 - sigma2(n) by enumerating divisors (the package uses a divisor sieve);
@@ -35,7 +40,8 @@ from planepart.almkvist import almkvist_series, saddle_data
 from planepart.arith import bernoulli_number, bernoulli_row  # exact rationals
 from planepart.arith import constants
 from planepart.dedekind import (B1K_GAMMA, CoeffGenerator, _check_coprime,
-                                _mpf_frac, _roots_row, c_hk, v1_hk, vp_hk)
+                                _mpf_frac, _roots_row, _vp_prefactor, c_hk,
+                                v1_hk, vp_hk)
 
 
 def em_zeta_prime_m1(dps: int = 50, N: int = 200, J: int = 12):
@@ -62,6 +68,33 @@ def bernoulli_by_recurrence(nmax: int) -> list[Fraction]:
         acc = sum(math.comb(n + 1, j) * b[j] for j in range(n))
         b.append(-acc / (n + 1))
     return b
+
+
+def bernoulli_poly_horner(p: int, x: Fraction) -> Fraction:
+    """B_p(x) = sum_j C(p,j) B_j x^(p-j) by Horner's rule in Fractions."""
+    value = Fraction(0)
+    for j in range(p + 1):
+        value = value * x + math.comb(p, j) * bernoulli_number(j)
+    return value
+
+
+def vp_full_bucket_sum(p: int, h: int, k: int, ctx):
+    """v^(p)_{h,k} = (-1)^p k^(2p) / (p! p (p+2)) sum_j U_j e^(2 pi i j h / k)
+    over every bucket j = 0..k-1, with U_j = sum over d d' = j mod k of
+    B_{p+2}(d'/k) B_p(d/k) from Fraction Horner rows (complex arithmetic)."""
+    _check_coprime(h, k)
+    row_p = [bernoulli_poly_horner(p, Fraction(d, k)) for d in range(1, k + 1)]
+    row_p2 = [bernoulli_poly_horner(p + 2, Fraction(d, k)) for d in range(1, k + 1)]
+    buckets = [Fraction(0)] * k
+    for d, bp in enumerate(row_p, 1):
+        for dq, b2 in enumerate(row_p2, 1):
+            buckets[(d * dq) % k] += b2 * bp
+    with ctx.workdps():
+        roots = _roots_row(k, mp.prec)
+        acc = mpmath.mpc(0)
+        for j, u in enumerate(buckets):
+            acc += _mpf_frac(u) * roots[(j * h) % k]
+        return _mpf_frac(_vp_prefactor(p, k)) * acc
 
 
 def p2_by_product(N: int) -> list[int]:

@@ -91,6 +91,15 @@ class TestBernoulli:
         assert row == tuple(pp.bernoulli_poly(3, Fraction(d, 7))
                             for d in range(1, 8))
 
+    def test_integer_rows_match_fraction_horner_oracle(self):
+        for p in range(31):
+            for k in list(range(1, 16)) + [35]:
+                assert bernoulli_row(p, k) == tuple(
+                    oracles.bernoulli_poly_horner(p, Fraction(d, k))
+                    for d in range(1, k + 1)), (p, k)
+            for x in (Fraction(0), Fraction(1), Fraction(1, 2), Fraction(3, 7)):
+                assert pp.bernoulli_poly(p, x) == oracles.bernoulli_poly_horner(p, x)
+
     def test_poly_domain(self):
         with pytest.raises(ValueError):
             pp.bernoulli_poly(2, Fraction(3, 2))

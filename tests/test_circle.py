@@ -1,5 +1,6 @@
 import collections
 import math
+import types
 
 import mpmath
 import pytest
@@ -76,7 +77,7 @@ class TestPsiPhi:
 
     def test_phi_real_and_matches_psi_sum(self):
         # m up to 40 crosses several of the Almkvist ladder's doubling blocks
-        for n, k in [(60, 1), (60, 2), (60, 5), (500, 3)]:
+        for n, k in [(60, 1), (60, 2), (60, 5), (500, 3), (60, 6), (60, 7), (60, 12)]:
             ctx = pp.precision_for(n)
             arc = circle.Arc(n, k, ctx)
             with ctx.workdps():
@@ -148,6 +149,24 @@ class TestMstar:
             with ctx.workdps():
                 ratio = breakdown.m_star_used / circle.mstar_theory(n, 1, ctx)
                 assert mpmath.mpf("0.8") < ratio < mpmath.mpf("1.3"), n
+
+
+    def test_truncation_entry_skips_roundoff_residue(self):
+        # a term at the roundoff floor of the largest term after the minimum
+        # is a structural zero, not the first neglected term
+        ctx = pp.precision_for(100)
+        with ctx.workdps():
+            gate = int(circle.mstar_theory(100, 3, ctx) / 2)
+            residue = 100 * ctx.eps / 10
+            sizes = {gate: 0.5, gate + 1: 0.2, gate + 2: residue,
+                     gate + 3: 0.3, gate + 4: 0.4}
+            arc = types.SimpleNamespace(
+                n=100, k=3, ctx=ctx, term=lambda m: mpmath.mpf(sizes.get(m, 100)))
+            breakdown = circle.mstar_numeric(arc)
+        assert breakdown.stop_reason == "minimum-found"
+        assert breakdown.m_star_used == gate + 1
+        assert [r.m for r in breakdown.terms] == list(range(gate + 2))
+        assert breakdown.trunc_error_est == mpmath.mpf(0.3)
 
 
 class TestCutoff:

@@ -152,17 +152,17 @@ class TestVp:
                         scale = max(abs(a), abs(b), mpmath.mpf(10) ** -25)
                         assert abs(a - b) / scale < mpmath.mpf(10) ** -25, (p, h, k)
 
-    def test_real_or_imaginary_by_parity(self, ctx50):
-        # B_p(1 - x) = (-1)^p B_p(x): v^(p) is real for even p, imaginary for odd
+    def test_matches_full_bucket_sum_oracle(self, ctx50):
+        # odd and even k, and the U_{k/2} bucket of even k
         with ctx50.workdps():
-            for k in range(3, 13):
+            for k in list(range(3, 13)) + [35]:
                 for h in range(1, k):
                     if math.gcd(h, k) != 1:
                         continue
-                    for p in range(1, 11):
+                    for p in range(1, 13):
                         v = pp.vp_hk(p, h, k, ctx50)
-                        off_axis = v.real if p % 2 else v.imag
-                        assert abs(off_axis) <= abs(v) * ctx50.eps, (p, h, k)
+                        oracle = oracles.vp_full_bucket_sum(p, h, k, ctx50)
+                        assert abs(v - oracle) <= abs(oracle) * ctx50.eps, (p, h, k)
 
     def test_rational_route_matches_complex_route(self, ctx50):
         with ctx50.workdps():
