@@ -34,7 +34,8 @@ def almkvist_series(x, gamma, ctx: PrecisionContext) -> AlmkvistEval:
     """A(x|gamma), A(x|gamma-1) and A(x|gamma-2).  By (2j)! = 4^j j! (1/2)_j
     and (2j+1)! = 4^j j! (3/2)_j, A(x|gamma) = (rgamma(u) 0F2(; 1/2, u; x^2/4)
     + x rgamma(u') 0F2(; 3/2, u'; x^2/4)) / 2 with u = (3 - gamma)/2 and
-    u' = 2 - gamma/2; all terms are positive for gamma < 3."""
+    u' = u + 1/2; all terms are positive for gamma < 3.  1/Gamma at u,
+    u + 1/2, u + 1, u + 3/2 takes two rgamma calls, by Gamma(s+1) = s Gamma(s)."""
     with ctx.workdps():
         xv = mpmath.mpf(x)
         gv = mpmath.mpf(gamma)
@@ -43,11 +44,13 @@ def almkvist_series(x, gamma, ctx: PrecisionContext) -> AlmkvistEval:
         if gv >= 3:
             raise ValueError("almkvist_series requires gamma < 3")
         z = xv * xv / 4
-        values = []
-        for g in (gv, gv - 1, gv - 2):
-            u_even, u_odd = (3 - g) / 2, 2 - g / 2
-            values.append((mp.rgamma(u_even) * mp.hyper([], [0.5, u_even], z)
-                           + xv * mp.rgamma(u_odd) * mp.hyper([], [1.5, u_odd], z)) / 2)
+        u = (3 - gv) / 2
+        us = (u, u + 0.5, u + 1, u + 1.5)
+        r0, r1 = mp.rgamma(u), mp.rgamma(us[1])
+        rg = (r0, r1, r0 / u, r1 / us[1])
+        values = [(rg[j] * mp.hyper([], [0.5, us[j]], z)
+                   + xv * rg[j + 1] * mp.hyper([], [1.5, us[j + 1]], z)) / 2
+                  for j in range(3)]  # gamma, gamma - 1, gamma - 2
         return AlmkvistEval(*values, terms_used=6)
 
 

@@ -66,11 +66,12 @@ class DerivedConstants:
 
 @lru_cache(maxsize=None)
 def constants(ctx: PrecisionContext) -> Constants:
-    """pi, a = zeta(3), zeta'(-1), log 2 at context precision."""
+    """pi, a = zeta(3) (Apery's constant), zeta'(-1) = 1/12 - log A (A is
+    Glaisher's constant) and log 2 at context precision."""
     with mp.workdps(ctx.decimal_digits + 10):
         pi = +mp.pi
-        a = mp.zeta(3)
-        zpm1 = mp.zeta(-1, derivative=1)
+        a = +mp.apery
+        zpm1 = mp.mpf(1) / 12 - mp.log(mp.glaisher)
         log2 = mp.log(2)
     return Constants(pi=pi, a=a, zeta_prime_m1=zpm1, log2=log2)
 

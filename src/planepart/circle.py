@@ -28,6 +28,8 @@ M_FLOOR = "0.001"
 LAMBDA0 = "0.25"  # minor_arc_bound's Type II lam; above lambda_c = 0.1801...
 MAX_ARCS = 500  # no cutoff, numeric or theoretical, includes this arc
 LADDER_GUARD = 10  # digits an Arc's Almkvist ladder carries above the working precision
+LADDER_SEED = 32  # an Arc's first Almkvist series: most arcs stop below this m
+MSTAR_CTX = PrecisionContext(30)  # mstar_numeric only needs mstar_theory's integer part
 
 
 def lambda_param(n: int, k: int, ctx: PrecisionContext):
@@ -120,19 +122,23 @@ class Arc:
     For k >= 3, h pairs with k - h: C_{k-h,k} = C_{h,k} and the phase
     e^{-2 pi i n h / k} is conjugated, so coef_{k-h} = conj(coef_h), and the
     real rotated coefficients obey b_{k-h}[m] = (-1)^m b_h[m].  The pair adds
-    (coef_h + (-1)^m conj(coef_h)) b_h[m] to the h-sum.  For k <= 2 the one
-    h is its own partner and adds coef_h b_h[m].
+    i^m c b_h[m] to the h-sum, with c = c_e = 2 Re coef_h for even m and
+    c = c_o = 2i Im coef_h for odd m (for k <= 2, c = coef_h, real, its own
+    partner).  So the h-sum is real, one mpf dot product of b_h[m] with the
+    weights Re c_e, -Im c_o, -Re c_e, Im c_o, the one for m mod 4.
 
     The Almkvist values A_m = A(x | -k/12 - m) come from a ladder.  A
-    request past its end (the first one included) seeds one series at
-    top = max(m, 2 * len), which gives top, top + 1 and top + 2, and runs
+    request past its end seeds one series at top = max(m, 2 * len,
+    LADDER_SEED), which gives top, top + 1 and top + 2, and runs
     A_m = (x A_{m+3} + (m + 3 + k/12) A_{m+2}) / 2 down to the end of the
     ladder, LADDER_GUARD digits above the working precision.  The recurrence
     is the ODE x y''' - (gamma - 3) y'' - 2 y = 0 with
     dA(x|gamma)/dx = A(x|gamma - 1).  Run downward, both of its terms are
     positive (x > 0, gamma < 3), so no step cancels and each adds one
     rounding error; run upward, it subtracts nearly equal numbers and loses
-    every digit.  Doubling the blocks costs O(log m) series per arc.
+    every digit.  The first block, seeded by the probe's m = 0 request,
+    reaches past the last term of most arcs; doubling the later blocks
+    costs O(log m) series per arc.
     """
 
     def __init__(self, n: int, k: int, ctx: PrecisionContext):
@@ -141,29 +147,28 @@ class Arc:
         self._ladder: list[mpmath.mpf] = []  # A_0, A_1, ...
         cst = constants(ctx)
         with ctx.workdps():
-            a = cst.a
             kf = mpmath.mpf(k)
-            self.x = mp.sqrt(a / kf**3) * n
-            self.sqrt_ak3 = mp.sqrt(a / kf**3)
-            base = mp.exp(k * cst.zeta_prime_m1) * (a / kf) ** (
+            self.sqrt_ak3 = mp.sqrt(cst.a / kf**3)
+            self.x = self.sqrt_ak3 * n
+            base = mp.exp(k * cst.zeta_prime_m1) * (cst.a / kf) ** (
                 mpmath.mpf(1) / 2 + kf / 24) / kf
             # h <= k/2: [0] for k = 1, [1] for k = 2, h < k/2 for k >= 3
             hs = [h for h in range(k // 2 + 1) if math.gcd(h, k) == 1]
             self.gens = [CoeffGenerator(h, k, ctx) for h in hs]
             roots = _roots_row(k, mp.prec)
-            self.coefs = []  # (weight for even m, weight for odd m) per h
+            self.weights = ([], [], [], [])  # per m mod 4, one per h
             for h in hs:
                 c = base * roots[(-n * h) % k] * mp.exp(c_hk(h, k, ctx))
-                cc = mp.conj(c)
-                self.coefs.append((c, c) if 2 * h % k == 0 else (c + cc, c - cc))
-            self.im_tol = mpmath.mpf(10) ** (-(ctx.decimal_digits // 2))
+                re, im = (c.real, c.imag) if 2 * h % k == 0 else (2 * c.real, 2 * c.imag)
+                for w, v in zip(self.weights, (re, -im, -re, im)):
+                    w.append(v)
 
     def almkvist(self, m: int):
         """A(x | -k/12 - m) at the working precision, from the ladder."""
         ladder = self._ladder
         with self.ctx.workdps():
             if m >= len(ladder):
-                top = max(m, 2 * len(ladder))
+                top = max(m, 2 * len(ladder), LADDER_SEED)
                 hi = PrecisionContext(self.ctx.decimal_digits + LADDER_GUARD)
                 with hi.workdps():
                     k12 = mpmath.mpf(self.k) / 12
@@ -183,15 +188,8 @@ class Arc:
             for gen in self.gens:
                 gen.extend_to(m)
             A = self.almkvist(m)
-            acc = (1, 1j, -1, -1j)[m % 4] * sum(
-                (c[m % 2] * g.b[m] for c, g in zip(self.coefs, self.gens)),
-                mpmath.mpc(0))
-            val = self.sqrt_ak3 ** m * A * acc
-            if abs(val.imag) / max(abs(val.real), mpmath.mpf(1)) > self.im_tol:
-                raise PrecisionError(
-                    f"phi_{self.k}^({m})({self.n}) has a non-negligible "
-                    f"imaginary part; increase precision")
-            self._terms[m] = val.real
+            acc = mp.fdot(self.weights[m % 4], [g.b[m] for g in self.gens])
+            self._terms[m] = self.sqrt_ak3 ** m * A * acc
             return self._terms[m]
 
 
@@ -217,7 +215,7 @@ def mstar_numeric(arc: Arc, floor=M_FLOOR) -> PhiBreakdown:
     step = 2 if k <= 2 else 1
     with ctx.workdps():
         floor_v = mpmath.mpf(floor)
-        theory = mstar_theory(n, k, ctx)
+        theory = mstar_theory(n, k, MSTAR_CTX)
         cap = int(3 * theory) + 60
         # Near-cancellation dips in the head of the series (before the
         # asymptotic decay regime) can mimic the superasymptotic minimum;

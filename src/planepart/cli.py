@@ -186,8 +186,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="planepart",
         description="plane-partition counts: exact and superasymptotic")
-    parser.add_argument("--digits", type=_positive_int, default=None,
-                        help="working precision in decimal digits (default: auto)")
+    parser.add_argument("--digits", type=_positive_int, default=None, help=(
+        "estimate, phi: the working precision in decimal digits (default: from n); "
+        "constants, dedekind, scan-bmin: a working precision of max(DIGITS, 30) "
+        "(default 50), and constants and dedekind print DIGITS digits"))
     parser.add_argument("--json", metavar="PATH", default=None,
                         help="write the report document to PATH")
     parser.add_argument("--csv", metavar="PATH", default=None,

@@ -102,12 +102,14 @@ def v1_hk(h: int, k: int, ctx: PrecisionContext):
 
 
 @lru_cache(maxsize=None)
-def _vp_buckets(p: int, k: int) -> tuple[Fraction, ...]:
-    """U_j = sum over d, d' in 1..k with d d' = j mod k of B_{p+2}(d'/k) B_p(d/k).
+def _vp_buckets(p: int, k: int) -> tuple[int, tuple[int, ...]]:
+    """(D, (N_0, ..., N_{k//2})) with U_j = N_j / D, where U_j is the sum over
+    d, d' in 1..k with d d' = j mod k of B_{p+2}(d'/k) B_p(d/k).
 
-    Sums integer rows (bernoulli_int_row) and divides once per bucket.  The
-    d and k - d terms land in buckets j and k - j with the sign (-1)^p, so
-    only d <= k/2 and d = k are summed, and U_{k-j} = (-1)^p U_j."""
+    Sums integer rows (bernoulli_int_row) over their one common denominator.
+    The d and k - d terms land in buckets j and k - j with the sign (-1)^p,
+    so only d <= k/2 and d = k are summed, and U_{k-j} = (-1)^p U_j gives
+    the buckets past k/2."""
     den_p, row_p = bernoulli_int_row(p, k)
     den_p2, row_p2 = bernoulli_int_row(p + 2, k)
     sign = -1 if p % 2 else 1
@@ -123,10 +125,8 @@ def _vp_buckets(p: int, k: int) -> tuple[Fraction, ...]:
         for dq, b2 in enumerate(row_p2, 1):
             if b2:
                 acc[(d * dq) % k] += b2 * bp
-    den = den_p * den_p2
-    half = [Fraction(mirrored[j] + sign * mirrored[-j] + own[j], den)
-            for j in range(k // 2 + 1)]
-    return tuple(half[j] if 2 * j <= k else sign * half[k - j] for j in range(k))
+    return den_p * den_p2, tuple(mirrored[j] + sign * mirrored[-j] + own[j]
+                                 for j in range(k // 2 + 1))
 
 
 def _vp_prefactor(p: int, k: int) -> Fraction:
@@ -137,12 +137,9 @@ def vp_rational(p: int, h: int, k: int) -> Fraction:
     """Exact v^(p)_{h,k} for k in {1, 2}, where the roots of unity are +-1."""
     if k not in (1, 2):
         raise ValueError("vp_rational is only exact for k in {1, 2}")
-    buckets = _vp_buckets(p, k)
-    if k == 1:
-        s = buckets[0]
-    else:
-        s = buckets[0] - buckets[1]  # h = 1: omega^(j) = (-1)^j
-    return _vp_prefactor(p, k) * s
+    den, buckets = _vp_buckets(p, k)
+    s = buckets[0] if k == 1 else buckets[0] - buckets[1]  # h = 1: (-1)^j
+    return _vp_prefactor(p, k) * Fraction(s, den)
 
 
 def vp_hk(p: int, h: int, k: int, ctx: PrecisionContext):
@@ -150,25 +147,23 @@ def vp_hk(p: int, h: int, k: int, ctx: PrecisionContext):
 
     U_{k-j} = (-1)^p U_j pairs the buckets: the sum is U_0 + 2 sum_{0<j<k/2}
     U_j cos(2 pi j h / k) (+ U_{k/2} cos(pi h)) for even p, a real number,
-    and 2i sum_{0<j<k/2} U_j sin(2 pi j h / k) for odd p, an imaginary one."""
+    and 2i sum_{0<j<k/2} U_j sin(2 pi j h / k) for odd p, an imaginary one
+    (U_0 = U_{k/2} = 0).  The integer numerators of U_j meet the cos or sin
+    row in one dot product, scaled once by the prefactor over their
+    denominator."""
     if p < 1:
         raise ValueError("vp_hk requires p >= 1")
     _check_coprime(h, k)
     with ctx.workdps():
         if k <= 2:
             return mpmath.mpc(_mpf_frac(vp_rational(p, h, k)))
-        buckets = _vp_buckets(p, k)
+        den, buckets = _vp_buckets(p, k)
         roots = _roots_row(k, mp.prec)
-        pairs = range(1, (k + 1) // 2)  # 0 < j < k/2
-        pref = _mpf_frac(_vp_prefactor(p, k))
-        if p % 2:
-            s = mp.fdot((_mpf_frac(buckets[j]), roots[(j * h) % k].imag) for j in pairs)
-            return mpmath.mpc(0, 2 * pref * s)
-        s = 2 * mp.fdot((_mpf_frac(buckets[j]), roots[(j * h) % k].real) for j in pairs)
-        s += _mpf_frac(buckets[0])
-        if k % 2 == 0:
-            s += _mpf_frac(buckets[k // 2]) * (-1 if h % 2 else 1)
-        return mpmath.mpc(pref * s)
+        part = "imag" if p % 2 else "real"
+        s = _mpf_frac(_vp_prefactor(p, k) / den) * mp.fdot(
+            ((1 if 2 * j % k == 0 else 2) * u, getattr(roots[(j * h) % k], part))
+            for j, u in enumerate(buckets))
+        return mpmath.mpc(0, s) if p % 2 else mpmath.mpc(s)
 
 
 class CoeffGenerator:

@@ -3,8 +3,11 @@
 Most of what is here is computed by a route different from the one the package
 uses, so agreement is evidence rather than tautology:
 
-- zeta'(-1) via Euler-Maclaurin summation of n*log(n) (the package asks
-  mpmath's zeta for it);
+- zeta'(-1) via Euler-Maclaurin summation of n*log(n) (the package takes
+  1/12 - log of mpmath's Glaisher constant, which mpmath derives from
+  zeta'(2));
+- zeta(3) by Apery's series (mpmath's apery, which the package takes, sums
+  the Amdeberhan-Zeilberger series);
 - Bernoulli numbers via the defining recurrence (the package takes them
   from mpmath.bernfrac);
 - p2(n) via direct expansion of the MacMahon product (the package uses the
@@ -59,6 +62,15 @@ def em_zeta_prime_m1(dps: int = 50, N: int = 200, J: int = 12):
                     * math.factorial(2 * j - 3) / math.factorial(2 * j))
             log_a += coef * Nf ** (2 - 2 * j)
         return mpmath.mpf(1) / 12 - log_a
+
+
+def zeta3_apery_series(dps: int):
+    """zeta(3) = (5/2) sum_{n>=1} (-1)^(n+1) / (n^3 C(2n, n)); the terms
+    shrink like 4^-n."""
+    with mp.workdps(dps + 15):
+        terms = int((dps + 15) / math.log10(4)) + 1
+        return 5 * mp.fsum((-1) ** (n + 1) / (mpmath.mpf(n) ** 3 * math.comb(2 * n, n))
+                           for n in range(1, terms + 1)) / 2
 
 
 def bernoulli_by_recurrence(nmax: int) -> list[Fraction]:

@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -46,6 +50,28 @@ class TestConstants:
                   + mpmath.mpf(1) / (4 * tail_start**4))
             assert abs(cst.a - s) < mpmath.mpf(10) ** -10
             assert abs(mp.exp(cst.log2) - 2) < ctx50.eps
+
+    def test_high_precision_against_oracles_in_one_process(self):
+        # mpmath keeps apery and glaisher at the highest precision it has
+        # computed and rounds later requests from it: a fresh process asks
+        # for 60 digits, then p2(6999)'s precision, then 200 digits
+        digits = (60, pp.precision_for(6999).decimal_digits, 200)
+        script = ("import sys\nfrom mpmath import mp\nimport planepart as pp\n"
+                  "for d in map(int, sys.argv[1:]):\n"
+                  "    c = pp.constants(pp.PrecisionContext(d))\n"
+                  "    print(mp.nstr(c.a, d + 10), mp.nstr(c.zeta_prime_m1, d + 10))\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(pp.__file__).parents[1]))
+        out = subprocess.run([sys.executable, "-c", script, *map(str, digits)],
+                             env=env, capture_output=True, text=True, check=True)
+        lines = out.stdout.splitlines()
+        assert len(lines) == len(digits)
+        for d, line in zip(digits, lines):
+            a, zpm1 = line.split()
+            with mp.workdps(d + 10):
+                tol = mpmath.mpf(10) ** -d
+                assert abs(mpmath.mpf(a) - oracles.zeta3_apery_series(d)) < tol, d
+                oracle = oracles.em_zeta_prime_m1(d, N=1000, J=120)
+                assert abs(mpmath.mpf(zpm1) - oracle) < tol, d
 
     def test_derived_constants(self, ctx50):
         cst = pp.constants(ctx50)

@@ -97,6 +97,17 @@ class TestPsiPhi:
                 series = pp.almkvist_series(arc.x, -mpmath.mpf(1) / 12 - m, ctx).value
                 assert abs(arc.almkvist(m) / series - 1) <= ctx.eps, m
 
+    @pytest.mark.parametrize("n", [107, 992])
+    def test_almkvist_first_block_matches_series(self, n):
+        # A_0..A_(LADDER_SEED - 1) come from the first block's downward run
+        ctx = pp.precision_for(n)
+        for k in (1, 5, 20):
+            arc = circle.Arc(n, k, ctx)
+            with ctx.workdps():
+                for m in range(circle.LADDER_SEED + 1):
+                    series = pp.almkvist_series(arc.x, -mpmath.mpf(k) / 12 - m, ctx).value
+                    assert abs(arc.almkvist(m) / series - 1) <= ctx.eps, (k, m)
+
     def test_phi_odd_m_zero_small_k(self, ctx50):
         ctx = pp.precision_for(50)
         assert circle.Arc(50, 1, ctx).term(3) == 0
@@ -290,28 +301,39 @@ class TestEstimate:
     @pytest.mark.parametrize("n, kappa2", [(100, None), (300, 0)])
     def test_leading_almkvist_once_per_arc(self, monkeypatch, n, kappa2):
         # A(x | -k/12) is arc k's m = 0 term, which both the cutoff probe and
-        # the truncation need; each arc evaluates it once.
-        calls = []
-        series = circle.almkvist_series
+        # the truncation need.  It comes from the arc's first ladder block:
+        # each arc runs exactly one series whose block covers m = 0 (seeded
+        # at LADDER_SEED, every later seed lies past the first block), and an
+        # arc whose terms stay inside that block runs no second series.
+        tops = collections.defaultdict(list)
+        m_max = collections.Counter()
+        series, term = circle.almkvist_series, circle.Arc.term
+        a = float(pp.constants(pp.precision_for(n)).a)
 
         def counted(x, gamma, ctx):
-            calls.append((x, gamma))
+            k = round((a * n * n / float(x) ** 2) ** (1 / 3))  # x = sqrt(a/k^3) n
+            tops[k].append(round(-float(gamma) - k / 12))
             return series(x, gamma, ctx)
 
+        def tracked(arc, m):
+            m_max[arc.k] = max(m_max[arc.k], m)
+            return term(arc, m)
+
         monkeypatch.setattr(circle, "almkvist_series", counted)
+        monkeypatch.setattr(circle.Arc, "term", tracked)
         report = pp.p2_estimate(n, kappa2=kappa2)
-        a = float(pp.constants(pp.precision_for(n)).a)
-        leading = collections.Counter()
-        for x, gamma in calls:
-            k = round((a * n * n / float(x) ** 2) ** (1 / 3))  # x = sqrt(a/k^3) n
-            if round(-float(gamma) - k / 12) == 0:
-                leading[k] += 1
+        first_block = circle.LADDER_SEED + 2  # the first series gives A_0..A_34
         ks = range(1, report.N_used + 2)
-        assert [leading[k] for k in ks] == [1] * len(ks)
+        for k in ks:
+            assert tops[k][0] == circle.LADDER_SEED, (k, tops[k])
+            assert all(top > first_block for top in tops[k][1:]), (k, tops[k])
+            if m_max[k] <= first_block:
+                assert len(tops[k]) == 1, (k, tops[k], m_max[k])
+        assert any(m_max[k] <= first_block for k in ks)
 
     def test_almkvist_series_per_arc_logarithmic(self, monkeypatch):
         # The Almkvist ladder runs one series per probed arc and one seed per
-        # doubling block of m, not one series per term.
+        # doubling block of m from LADDER_SEED, not one series per term.
         n = 750
         a = float(pp.constants(pp.precision_for(n)).a)
         calls = collections.Counter()
@@ -326,11 +348,19 @@ class TestEstimate:
             m_max[arc.k] = max(m_max[arc.k], m)
             return term(arc, m)
 
+        def doubling_blocks(m):
+            # blocks of a ladder extended one term at a time: each seeds at
+            # max(twice the ladder's length, LADDER_SEED) and adds top + 3
+            length, blocks = 0, 0
+            while length <= m:
+                length = max(2 * length, circle.LADDER_SEED) + 3
+                blocks += 1
+            return blocks
+
         monkeypatch.setattr(circle, "almkvist_series", counted)
         monkeypatch.setattr(circle.Arc, "term", tracked)
         report = pp.p2_estimate(n)
         summed = {b.k for b in report.per_k}
         assert summed < set(calls)
         for k in calls:
-            allowed = 1 + (math.ceil(math.log2(m_max[k] + 2)) if k in summed else 0)
-            assert calls[k] <= allowed, (k, calls[k], m_max[k])
+            assert calls[k] <= doubling_blocks(m_max[k]), (k, calls[k], m_max[k])

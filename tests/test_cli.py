@@ -200,6 +200,12 @@ class TestDigits:
         assert exc.value.code == 2
         assert "--digits" in capsys.readouterr().err
 
+    def test_help_states_both_meanings(self):
+        text = " ".join(cli.build_parser().format_help().split())
+        assert "estimate, phi: the working precision in decimal digits" in text
+        assert ("constants, dedekind, scan-bmin: a working precision of "
+                "max(DIGITS, 30)") in text
+
     def test_display_digits_below_working_floor(self, capsys):
         # 10 display digits over the 30-digit working floor
         code, out, _ = run(capsys, "--digits", "10", "constants")
