@@ -22,10 +22,12 @@ CASES = [
     ["estimate", "107", "--with-exact"],
     ["estimate", "300", "--kappa2", "0"],
     ["phi", "500", "1", "--per-m"],
+    ["phi", "500", "2", "--per-m"],
     ["phi", "500", "3", "--per-m"],
     ["dedekind", "7", "100"],
     ["dedekind", "0", "1"],
     ["dedekind", "1", "2"],
+    ["--digits", "120", "dedekind", "1", "2"],
     ["--digits", "30", "constants"],
     ["scan-bmin", "--k-list", "p:2-60"],
 ]
