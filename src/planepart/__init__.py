@@ -7,9 +7,8 @@ error ledger.
 """
 
 from .arith import (Constants, DerivedConstants, PrecisionContext,
-                    PrecisionError, bernoulli_number, bernoulli_poly,
-                    constants, derived_constants, precision_for,
-                    sigma2_table)
+                    PrecisionError, bernoulli_number, constants,
+                    derived_constants, precision_for, sigma2_table)
 from .exact import PlanePartitionTable, p2_exact_table
 from .dedekind import (b_hk, b_min, bound_suite, c_hk, reciprocity_residual,
                        v1_hk, vp_hk)

@@ -1,12 +1,13 @@
 """Precision contexts, fundamental constants, exact Bernoulli numbers and
-polynomials, and the divisor-sum sieve shared by every other module.
+integer Bernoulli polynomial rows, the sigma2 divisor sieve of the exact
+recurrence, and the working precision of an estimate.
 
 All floating-point work runs through mpmath; a PrecisionContext fixes the
 decimal working precision and every operation evaluates inside that context.
 Bernoulli numbers are mpmath.bernfrac's exact rationals, and the polynomial
 rows B_p(d/k) are evaluated from them exactly, as integers over one common
-denominator per row, so the series coefficients downstream have no float
-error source.
+denominator per row (bernoulli_int_row), so the series coefficients
+downstream have no float error source.
 """
 
 from __future__ import annotations
@@ -90,7 +91,7 @@ def derived_constants(ctx: PrecisionContext) -> DerivedConstants:
 
 
 # ---------------------------------------------------------------------------
-# Bernoulli numbers and polynomials (exact rationals)
+# Bernoulli numbers and polynomial rows (exact)
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
@@ -102,46 +103,16 @@ def bernoulli_number(n: int) -> Fraction:
     return Fraction(int(p), int(q))  # int(): plain ints under the gmpy2 backend
 
 
-def _scaled_coeffs(p: int, k: int) -> tuple[int, list[int]]:
-    """(L, [C(p,j) L B_j k^j for j = 0..p]) with L a common denominator of
-    B_0..B_p, so that L k^p B_p(d/k) = sum_j c_j d^(p-j) in integers."""
-    L = math.lcm(2, *(bernoulli_number(j).denominator for j in range(0, p + 1, 2)))
-    coeffs = []
-    binom, kj = 1, 1
-    for j in range(p + 1):
-        b = bernoulli_number(j)
-        coeffs.append(binom * kj * (L // b.denominator * b.numerator) if b else 0)
-        binom = binom * (p - j) // (j + 1)
-        kj *= k
-    return L, coeffs
-
-
-def _horner(coeffs: list[int], d: int) -> int:
-    acc = 0
-    for c in coeffs:
-        acc = acc * d + c
-    return acc
-
-
-def bernoulli_poly(p: int, x) -> Fraction:
-    """B_p(x) = sum_j C(p,j) B_j x^(p-j), exact, for 0 <= x <= 1."""
-    if p < 0:
-        raise ValueError("Bernoulli polynomial order must be >= 0")
-    x = Fraction(x)
-    if not 0 <= x <= 1:
-        raise ValueError("bernoulli_poly expects 0 <= x <= 1")
-    L, coeffs = _scaled_coeffs(p, x.denominator)
-    return Fraction(_horner(coeffs, x.numerator), L * x.denominator**p)
-
-
 @lru_cache(maxsize=None)
 def bernoulli_int_row(p: int, k: int) -> tuple[int, tuple[int, ...]]:
     """(D, (N_1, ..., N_k)) with B_p(d/k) = N_d / D, one common denominator.
 
-    For k >= 3, D = L k^p and one integer Horner step per order and
-    d <= k/2; B_p(1 - x) = (-1)^p B_p(x) gives the rest of the row, d = k
-    included (from d = 0).  For k <= 2 no row is evaluated:
-    B_p(1) = (-1)^p B_p and B_p(1/2) = (2^(1-p) - 1) B_p."""
+    For k >= 3, D = L k^p with L a common denominator of B_0..B_p, and
+    L k^p B_p(d/k) = sum_j C(p,j) L B_j k^j d^(p-j) is one integer Horner
+    loop for each d <= k/2; B_p(1 - x) = (-1)^p B_p(x) gives the rest of the
+    row, d = k included (from d = 0).  For k <= 2 no row is evaluated:
+    B_p(1) = (-1)^p B_p and B_p(1/2) = (2^(1-p) - 1) B_p, which spares arc 1
+    of p2(6999) seconds of Horner loops up to p = 882."""
     sign = -1 if p % 2 else 1
     if k <= 2:
         b = bernoulli_number(p)
@@ -149,16 +120,22 @@ def bernoulli_int_row(p: int, k: int) -> tuple[int, tuple[int, ...]]:
             return b.denominator, (sign * b.numerator,)
         return b.denominator << p, ((2 - (1 << p)) * b.numerator,
                                     sign * b.numerator << p)
-    L, coeffs = _scaled_coeffs(p, k)
-    half = [coeffs[-1]] + [_horner(coeffs, d) for d in range(1, k // 2 + 1)]
+    L = math.lcm(2, *(bernoulli_number(j).denominator for j in range(0, p + 1, 2)))
+    coeffs = []  # C(p,j) L B_j k^j
+    binom, kj = 1, 1
+    for j in range(p + 1):
+        b = bernoulli_number(j)
+        coeffs.append(binom * kj * (L // b.denominator * b.numerator) if b else 0)
+        binom = binom * (p - j) // (j + 1)
+        kj *= k
+    half = [coeffs[-1]]
+    for d in range(1, k // 2 + 1):
+        acc = 0
+        for c in coeffs:
+            acc = acc * d + c
+        half.append(acc)
     row = tuple(half[d] if 2 * d <= k else sign * half[k - d] for d in range(1, k + 1))
     return L * k**p, row
-
-
-def bernoulli_row(p: int, k: int) -> tuple[Fraction, ...]:
-    """B_p(d/k) for d = 1..k."""
-    den, row = bernoulli_int_row(p, k)
-    return tuple(Fraction(num, den) for num in row)
 
 
 # ---------------------------------------------------------------------------

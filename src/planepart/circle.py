@@ -270,8 +270,8 @@ def mstar_numeric(arc: Arc, floor=M_FLOOR) -> PhiBreakdown:
                     break
             m += step
         if m_star is None:
-            m_star = records[-1].m if records else 0
-            trunc = records[-1].abs_value if records else mpmath.mpf(0)
+            m_star = records[-1].m
+            trunc = records[-1].abs_value
         phi_value = mp.fsum(r.value for r in records)
         return PhiBreakdown(k=k, m_star_used=m_star, terms=records,
                             phi_value=phi_value, trunc_error_est=trunc,

@@ -4,13 +4,15 @@ Provides C_hk, b_hk, the residue coefficients v^(p)_hk, the exponential-series
 coefficients b^(m)_hk, published bound checks, and the reciprocity residual;
 the published b_{1,k} estimate is a test oracle (tests/oracles.py).
 
-Every order v^(p), p >= 1, is the O(k^2) double Bernoulli sum bucketed by
-d*d' mod k: integer rows L k^p B_p(d/k) (arith.bernoulli_int_row), integer
-products, one division per bucket.  B_p(1 - x) = (-1)^p B_p(x) halves the
-work twice.  The d and k - d terms fall into buckets j and k - j with the
+Every order v^(p), p >= 1, at every k is the O(k^2) double Bernoulli sum
+bucketed by d*d' mod k: integer rows L k^p B_p(d/k) (arith.bernoulli_int_row),
+integer products, one division per bucket.  B_p(1 - x) = (-1)^p B_p(x) halves
+the work twice.  The d and k - d terms fall into buckets j and k - j with the
 sign (-1)^p, so the double sum runs over d <= k/2.  And U_{k-j} = (-1)^p U_j,
 so v^(p) is a sum of U_j cos(2 pi j h / k) over 0 <= j <= k/2 (real) for
-even p and of U_j sin(2 pi j h / k) (imaginary) for odd p.  The b^(m)
+even p and of U_j sin(2 pi j h / k) (imaginary) for odd p.  At k = 1 and 2
+only U_0 and U_{k/2} remain, and the roots are +-1; vp_rational gives those
+arcs' v^(p) as exact rationals for reference.  The b^(m)
 recurrence therefore runs on real numbers (CoeffGenerator), and
 b_{k-h} follows from b_h, so an arc needs one generator per pair h, k - h
 (circle.Arc).  v1_hk is v^(1) in its cot form, which the `dedekind` CLI
@@ -26,7 +28,7 @@ from functools import lru_cache
 import mpmath
 from mpmath import mp
 
-from .arith import PrecisionContext, bernoulli_int_row, bernoulli_row, constants
+from .arith import PrecisionContext, bernoulli_int_row, constants
 
 # published correction constant in the b_{1,k} estimate
 B1K_GAMMA = "0.024529"
@@ -90,14 +92,12 @@ def v1_hk(h: int, k: int, ctx: PrecisionContext):
     """v^(1)_{h,k} = (i k^2 / 6) sum_d B_3(d/k) cot(pi d h / k); purely imaginary."""
     _check_coprime(h, k)
     with ctx.workdps():
-        row3 = bernoulli_row(3, k)
+        den, row3 = bernoulli_int_row(3, k)
         acc = mpmath.mpf(0)
         pi_over_k = mp.pi / k
-        for d in range(1, k):
-            b3 = row3[d - 1]
-            if b3 == 0:
-                continue
-            acc += _mpf_frac(b3) * mp.cot(pi_over_k * ((d * h) % k))
+        for d, num in enumerate(row3[:-1], 1):
+            if num:
+                acc += _mpf_frac(Fraction(num, den)) * mp.cot(pi_over_k * ((d * h) % k))
         return mpmath.mpc(0, acc * k * k / 6)
 
 
@@ -134,7 +134,8 @@ def _vp_prefactor(p: int, k: int) -> Fraction:
 
 
 def vp_rational(p: int, h: int, k: int) -> Fraction:
-    """Exact v^(p)_{h,k} for k in {1, 2}, where the roots of unity are +-1."""
+    """Exact v^(p)_{h,k} for k in {1, 2}, where the roots of unity are +-1
+    (a reference for vp_hk; the pipeline does not call it)."""
     if k not in (1, 2):
         raise ValueError("vp_rational is only exact for k in {1, 2}")
     den, buckets = _vp_buckets(p, k)
@@ -155,8 +156,6 @@ def vp_hk(p: int, h: int, k: int, ctx: PrecisionContext):
         raise ValueError("vp_hk requires p >= 1")
     _check_coprime(h, k)
     with ctx.workdps():
-        if k <= 2:
-            return mpmath.mpc(_mpf_frac(vp_rational(p, h, k)))
         den, buckets = _vp_buckets(p, k)
         roots = _roots_row(k, mp.prec)
         part = "imag" if p % 2 else "real"

@@ -17,8 +17,9 @@ uses, so agreement is evidence rather than tautology:
 - v^(p)_{h,k} via derivatives of cot (the package uses the double Bernoulli
   sum over roots of unity);
 - v^(p)_{h,k} via the full complex sum over all k buckets, built from
-  Fraction Horner rows (the package sums integer rows, half the buckets and
-  real cosines or sines);
+  Fraction Horner rows, roots of unity from mp.exp and the prefactor written
+  out here (the package sums integer rows, half the buckets and real cosines
+  or sines from its own tables);
 - B_p(x) by a Horner loop in Fractions (the package evaluates integer rows
   over one common denominator);
 - the saddle root g(lam) via its closed radical form (the package uses
@@ -26,6 +27,9 @@ uses, so agreement is evidence rather than tautology:
 - sigma2(n) by enumerating divisors (the package uses a divisor sieve);
 - A(x|gamma) by summing its power series term by term (the package sums
   its even and odd halves as two 0F2 series with mpmath's hyper).
+
+Only public names are imported from planepart (test_dedekind checks this), so
+no oracle shares a private helper with the code it checks.
 
 psi_m, b1k_estimate, lambda_of with almkvist_saddle, and wright_leading are
 not alternative routes: they are paper formulas that only the tests evaluate.
@@ -40,11 +44,22 @@ import mpmath
 from mpmath import mp
 
 from planepart.almkvist import almkvist_series, saddle_data
-from planepart.arith import bernoulli_number, bernoulli_row  # exact rationals
-from planepart.arith import constants
-from planepart.dedekind import (B1K_GAMMA, CoeffGenerator, _check_coprime,
-                                _mpf_frac, _roots_row, _vp_prefactor, c_hk,
-                                v1_hk, vp_hk)
+from planepart.arith import bernoulli_number, constants
+from planepart.dedekind import B1K_GAMMA, CoeffGenerator, c_hk, v1_hk, vp_hk
+
+
+def _frac_mpf(q: Fraction):
+    return mpmath.mpf(q.numerator) / q.denominator
+
+
+def _root(j: int, k: int):
+    """e^(2 pi i j / k) by mp.exp at the current precision."""
+    return mp.exp(2j * mp.pi * (j % k) / k)
+
+
+def _require_coprime(h: int, k: int) -> None:
+    if k < 1 or math.gcd(h, k) != 1:
+        raise ValueError(f"(h, k) = ({h}, {k}) must be coprime with k >= 1")
 
 
 def em_zeta_prime_m1(dps: int = 50, N: int = 200, J: int = 12):
@@ -94,19 +109,19 @@ def vp_full_bucket_sum(p: int, h: int, k: int, ctx):
     """v^(p)_{h,k} = (-1)^p k^(2p) / (p! p (p+2)) sum_j U_j e^(2 pi i j h / k)
     over every bucket j = 0..k-1, with U_j = sum over d d' = j mod k of
     B_{p+2}(d'/k) B_p(d/k) from Fraction Horner rows (complex arithmetic)."""
-    _check_coprime(h, k)
+    _require_coprime(h, k)
     row_p = [bernoulli_poly_horner(p, Fraction(d, k)) for d in range(1, k + 1)]
     row_p2 = [bernoulli_poly_horner(p + 2, Fraction(d, k)) for d in range(1, k + 1)]
     buckets = [Fraction(0)] * k
     for d, bp in enumerate(row_p, 1):
         for dq, b2 in enumerate(row_p2, 1):
             buckets[(d * dq) % k] += b2 * bp
+    pref = Fraction((-1) ** p * k ** (2 * p), math.factorial(p) * p * (p + 2))
     with ctx.workdps():
-        roots = _roots_row(k, mp.prec)
         acc = mpmath.mpc(0)
         for j, u in enumerate(buckets):
-            acc += _mpf_frac(u) * roots[(j * h) % k]
-        return _mpf_frac(_vp_prefactor(p, k)) * acc
+            acc += _frac_mpf(u) * _root(j * h, k)
+        return _frac_mpf(pref) * acc
 
 
 def p2_by_product(N: int) -> list[int]:
@@ -202,26 +217,25 @@ def vp_hk_cot(p: int, h: int, k: int, ctx):
     """Cross-check closed form of v^(p)_{h,k} via derivatives of cot."""
     if p < 2:
         raise ValueError("vp_hk_cot requires p >= 2")
-    _check_coprime(h, k)
+    _require_coprime(h, k)
     with ctx.workdps():
         poly = _cot_derivative_polys(p)[p - 1]  # (p-1)-th derivative of cot
-        row = bernoulli_row(p + 2, k) if k > 1 else ()
         acc = mpmath.mpc(0)
         pi_over_k = mp.pi / k
         for d in range(1, k):
-            b2 = row[d - 1]
+            b2 = bernoulli_poly_horner(p + 2, Fraction(d, k))
             if b2 == 0:
                 continue
             c = mp.cot(pi_over_k * ((d * h) % k))
             val = mpmath.mpf(0)
             for coef in reversed(poly):
                 val = val * c + coef
-            acc += _mpf_frac(b2) * val
+            acc += _frac_mpf(b2) * val
         bp = bernoulli_number(p + 2) * bernoulli_number(p)
         two_i_p = mpmath.mpf(2) ** p * mpmath.mpc(0, 1) ** p
-        total = _mpf_frac(bp) + acc * p / two_i_p
+        total = _frac_mpf(bp) + acc * p / two_i_p
         pref = Fraction((-1) ** p * k ** (1 + p), math.factorial(p) * p * (p + 2))
-        return _mpf_frac(pref) * total
+        return _frac_mpf(pref) * total
 
 
 def g_radical(lam, ctx):
@@ -257,7 +271,7 @@ def psi_m(n: int, h: int, k: int, m: int, ctx):
         gen.extend_to(m)
         bm = (1, 1j, -1, -1j)[m % 4] * gen.b[m]  # b^(m) = i^m b[m]
         A = almkvist_series(mp.sqrt(a / kf**3) * n, -kf / 12 - m, ctx).value
-        phase = _roots_row(k, mp.prec)[(-n * h) % k]
+        phase = _root(-n * h, k)
         pref = mp.exp(k * cst.zeta_prime_m1 + c_hk(h, k, ctx)) \
             * (a / kf) ** (mpmath.mpf(1) / 2 + kf / 24) / kf
         return phase * pref * bm * mp.sqrt(a / kf**3) ** m * A

@@ -11,7 +11,7 @@ from mpmath import mp
 
 import oracles
 import planepart as pp
-from planepart.arith import bernoulli_row
+from planepart.arith import bernoulli_int_row
 
 
 class TestPrecisionContext:
@@ -107,28 +107,15 @@ class TestBernoulli:
                       for j in range(n + 1))
             assert acc == 0, n
 
-    def test_poly_values(self):
-        assert pp.bernoulli_poly(2, 0) == Fraction(1, 6)
-        assert pp.bernoulli_poly(3, Fraction(1, 3)) == Fraction(1, 27)
-        assert pp.bernoulli_poly(2, Fraction(1, 2)) == Fraction(-1, 12)
-
-    def test_poly_row_matches_poly(self):
-        row = bernoulli_row(3, 7)
-        assert row == tuple(pp.bernoulli_poly(3, Fraction(d, 7))
-                            for d in range(1, 8))
-
     def test_integer_rows_match_fraction_horner_oracle(self):
-        for p in range(31):
-            for k in list(range(1, 16)) + [35]:
-                assert bernoulli_row(p, k) == tuple(
-                    oracles.bernoulli_poly_horner(p, Fraction(d, k))
-                    for d in range(1, k + 1)), (p, k)
-            for x in (Fraction(0), Fraction(1), Fraction(1, 2), Fraction(3, 7)):
-                assert pp.bernoulli_poly(p, x) == oracles.bernoulli_poly_horner(p, x)
-
-    def test_poly_domain(self):
-        with pytest.raises(ValueError):
-            pp.bernoulli_poly(2, Fraction(3, 2))
+        # the k <= 2 closed forms also at orders that arc 1 of p2(6999) reads
+        cases = [(p, k) for p in range(31) for k in list(range(1, 16)) + [35]]
+        cases += [(p, k) for p in (100, 501, 882) for k in (1, 2)]
+        for p, k in cases:
+            den, row = bernoulli_int_row(p, k)
+            assert tuple(Fraction(num, den) for num in row) == tuple(
+                oracles.bernoulli_poly_horner(p, Fraction(d, k))
+                for d in range(1, k + 1)), (p, k)
 
 
 class TestSigma2:
