@@ -3,9 +3,9 @@ ledgers, per-term scans, Dedekind summaries, and b_min scan data.
 
 Every command emits a ReportDocument: {schema_version, command, inputs,
 outputs, timings} with all big numbers serialized as decimal strings.  Output
-is deterministic for fixed inputs and --digits (timings aside).  The estimate
-and phi_value of `phi` print the digits the working precision certifies
-(decimal_digits - GUARD_DIGITS); error estimates print 10 digits.
+is deterministic for fixed inputs and --digits (timings aside).  Every command
+prints only the digits its working precision certifies (decimal_digits -
+GUARD_DIGITS); error estimates print 10 digits.
 """
 
 from __future__ import annotations
@@ -43,6 +43,12 @@ def _breakdown_dict(b: circle.PhiBreakdown, dps: int) -> dict:
     }
 
 
+def _printed_digits(args, default: int) -> tuple[int, arith.PrecisionContext]:
+    """DIGITS and a context GUARD_DIGITS above them (at least 30)."""
+    dps = args.digits or default
+    return dps, arith.PrecisionContext(max(dps + arith.GUARD_DIGITS, 30))
+
+
 def _write_csv(path: str, header: list[str], rows: list[list[str]]) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -51,8 +57,7 @@ def _write_csv(path: str, header: list[str], rows: list[list[str]]) -> None:
 
 
 def cmd_constants(args) -> tuple[dict, None]:
-    dps = args.digits or 50
-    ctx = arith.PrecisionContext(decimal_digits=max(dps, 30))
+    dps, ctx = _printed_digits(args, 50)
     cst = arith.constants(ctx)
     der = arith.derived_constants(ctx)
     with ctx.workdps():
@@ -144,22 +149,20 @@ def _parse_k_list(spec: str) -> list[int]:
 
 def cmd_scan_bmin(args) -> tuple[dict, list]:
     ks = _parse_k_list(args.k_list)
-    dps = args.digits or 50
-    ctx = arith.PrecisionContext(decimal_digits=max(dps, 30))
-    rows = []
+    dps, ctx = _printed_digits(args, 30)
+    rows, values = [], []
     for k in ks:
         h, val = dedekind.b_min(k, ctx)
-        rows.append([str(k), str(h), _nstr(val, 30)])
-    out = {"count": len(rows),
-           "min_overall": _nstr(min(mpmath.mpf(r[2]) for r in rows), 30)}
+        values.append(val)
+        rows.append([str(k), str(h), _nstr(val, dps)])
+    out = {"count": len(rows), "min_overall": _nstr(min(values), dps)}
     return out, (["k", "argmin_h", "b_min"], rows)
 
 
 def cmd_dedekind(args) -> tuple[dict, None]:
     if math.gcd(args.h, args.k) != 1:
         raise ValueError("h and k must be coprime")
-    dps = args.digits or 50
-    ctx = arith.PrecisionContext(decimal_digits=max(dps, 30))
+    dps, ctx = _printed_digits(args, 50)
     h, k = args.h, args.k
     reduced = 1 <= h < k
     out = {
@@ -188,8 +191,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="plane-partition counts: exact and superasymptotic")
     parser.add_argument("--digits", type=_positive_int, default=None, help=(
         "estimate, phi: the working precision in decimal digits (default: from n); "
-        "constants, dedekind, scan-bmin: a working precision of max(DIGITS, 30) "
-        "(default 50), and constants and dedekind print DIGITS digits"))
+        "constants, dedekind, scan-bmin: the digits printed (default 50; scan-bmin: "
+        f"30), computed at DIGITS + {arith.GUARD_DIGITS} (at least 30) working digits"))
     parser.add_argument("--json", metavar="PATH", default=None,
                         help="write the report document to PATH")
     parser.add_argument("--csv", metavar="PATH", default=None,

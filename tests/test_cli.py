@@ -174,6 +174,23 @@ class TestDedekind:
         code, _, _ = run(capsys, "dedekind", "2", "4")
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [["--digits", "30", "dedekind", "13", "97"],
+                                      ["dedekind", "7", "100"]], ids=" ".join)
+    def test_printed_digits_are_certified(self, capsys, argv):
+        # every printed digit is the 100-digit value rounded to the printed
+        # digits, so no roundoff of the working precision shows
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        o = outputs(out)
+        dps = int(argv[1]) if argv[0] == "--digits" else 50
+        h, k = int(argv[-2]), int(argv[-1])
+        ctx = pp.PrecisionContext(100)
+        reference = {"C_hk": pp.c_hk(h, k, ctx), "b_hk": pp.b_hk(h, k, ctx),
+                     "v1": pp.v1_hk(h, k, ctx),
+                     "reciprocity_residual": pp.reciprocity_residual(h, k, ctx)}
+        assert {name: o[name] for name in reference} == \
+            {name: cli._nstr(value, dps) for name, value in reference.items()}
+
 
 class TestConstants:
     def test_values(self, capsys):
@@ -203,8 +220,9 @@ class TestDigits:
     def test_help_states_both_meanings(self):
         text = " ".join(cli.build_parser().format_help().split())
         assert "estimate, phi: the working precision in decimal digits" in text
-        assert ("constants, dedekind, scan-bmin: a working precision of "
-                "max(DIGITS, 30)") in text
+        assert ("constants, dedekind, scan-bmin: the digits printed (default 50; "
+                "scan-bmin: 30), computed at DIGITS + 20 (at least 30) working "
+                "digits") in text
 
     def test_display_digits_below_working_floor(self, capsys):
         # 10 display digits over the 30-digit working floor

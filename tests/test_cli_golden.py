@@ -28,7 +28,9 @@ CASES = [
     ["dedekind", "0", "1"],
     ["dedekind", "1", "2"],
     ["--digits", "120", "dedekind", "1", "2"],
+    ["--digits", "30", "dedekind", "13", "97"],
     ["--digits", "30", "constants"],
+    ["--digits", "400", "constants"],
     ["scan-bmin", "--k-list", "p:2-60"],
 ]
 
