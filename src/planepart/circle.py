@@ -67,14 +67,7 @@ def d_of_lambda(lam, ctx: PrecisionContext):
 def lambda_c(ctx: PrecisionContext):
     """The lam where d(lam) = 1 (arc-classification threshold)."""
     with ctx.workdps():
-        lo, hi = mpmath.mpf("0.01"), mpmath.mpf("1.0")  # d decreasing, d(lo) > 1 > d(hi)
-        for _ in range(int(ctx.decimal_digits * 3.4) + 20):
-            mid = (lo + hi) / 2
-            if d_of_lambda(mid, ctx) > 1:
-                lo = mid
-            else:
-                hi = mid
-        return (lo + hi) / 2
+        return mp.findroot(lambda lam: d_of_lambda(lam, ctx) - 1, mpmath.mpf("0.18"))
 
 
 # ---------------------------------------------------------------------------

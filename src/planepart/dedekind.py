@@ -15,8 +15,8 @@ only U_0 and U_{k/2} remain, and the roots are +-1; vp_rational gives those
 arcs' v^(p) as exact rationals for reference.  The b^(m)
 recurrence therefore runs on real numbers (CoeffGenerator), and
 b_{k-h} follows from b_h, so an arc needs one generator per pair h, k - h
-(circle.Arc).  v1_hk is v^(1) in its cot form, which the `dedekind` CLI
-command prints.
+(circle.Arc).  v1_hk, which the `dedekind` CLI command prints, is vp_hk at
+p = 1; the cot form of v^(p) is a test oracle (tests/oracles.py).
 """
 
 from __future__ import annotations
@@ -46,10 +46,11 @@ ROW_CACHE_SIZE = 256
 
 @lru_cache(maxsize=ROW_CACHE_SIZE)
 def _logsin_row(k: int, prec: int) -> tuple:
-    """log|2 sin(pi j / k)| for j = 1..k-1 at binary precision prec."""
+    """log|2 sin(pi j / k)|, j = 1..k-1, at binary precision prec (k - j mirrors j)."""
     with mp.workprec(prec):
         pi_over_k = mp.pi / k
-        return tuple(mp.log(2 * mp.sin(pi_over_k * j)) for j in range(1, k))
+        half = [mp.log(2 * mp.sin(pi_over_k * j)) for j in range(1, k // 2 + 1)]
+    return tuple(half + half[:(k - 1) // 2][::-1])
 
 
 @lru_cache(maxsize=ROW_CACHE_SIZE)
@@ -89,16 +90,8 @@ def b_hk(h: int, k: int, ctx: PrecisionContext):
 
 
 def v1_hk(h: int, k: int, ctx: PrecisionContext):
-    """v^(1)_{h,k} = (i k^2 / 6) sum_d B_3(d/k) cot(pi d h / k); purely imaginary."""
-    _check_coprime(h, k)
-    with ctx.workdps():
-        den, row3 = bernoulli_int_row(3, k)
-        acc = mpmath.mpf(0)
-        pi_over_k = mp.pi / k
-        for d, num in enumerate(row3[:-1], 1):
-            if num:
-                acc += _mpf_frac(Fraction(num, den)) * mp.cot(pi_over_k * ((d * h) % k))
-        return mpmath.mpc(0, acc * k * k / 6)
+    """v^(1)_{h,k}, purely imaginary (vp_hk at p = 1)."""
+    return vp_hk(1, h, k, ctx)
 
 
 @lru_cache(maxsize=None)

@@ -45,7 +45,7 @@ from mpmath import mp
 
 from planepart.almkvist import almkvist_series, saddle_data
 from planepart.arith import bernoulli_number, constants
-from planepart.dedekind import B1K_GAMMA, CoeffGenerator, c_hk, v1_hk, vp_hk
+from planepart.dedekind import B1K_GAMMA, CoeffGenerator, c_hk, vp_hk
 
 
 def _frac_mpf(q: Fraction):
@@ -172,9 +172,6 @@ def plane_partitions_brute(n: int) -> int:
 def b_coeff_partition_sum(h: int, k: int, m: int, ctx):
     """b^(m)_{h,k} = sum over partitions of m of prod_j v^(j)^mu_j / mu_j!
     (coefficient extraction from exp(sum_j v^(j) t^j))."""
-    def v_of(j):
-        return v1_hk(h, k, ctx) if j == 1 else vp_hk(j, h, k, ctx)
-
     def partitions(total, max_part):
         if total == 0:
             yield []
@@ -186,7 +183,7 @@ def b_coeff_partition_sum(h: int, k: int, m: int, ctx):
     with ctx.workdps():
         if m == 0:
             return mpmath.mpc(1)
-        vs = {j: v_of(j) for j in range(1, m + 1)}
+        vs = {j: vp_hk(j, h, k, ctx) for j in range(1, m + 1)}
         total = mpmath.mpc(0)
         for lam in partitions(m, m):
             mult: dict[int, int] = {}
@@ -214,9 +211,10 @@ def _cot_derivative_polys(order: int) -> list[list[int]]:
 
 
 def vp_hk_cot(p: int, h: int, k: int, ctx):
-    """Cross-check closed form of v^(p)_{h,k} via derivatives of cot."""
-    if p < 2:
-        raise ValueError("vp_hk_cot requires p >= 2")
+    """Cross-check closed form of v^(p)_{h,k} via derivatives of cot (at
+    p = 1, cot itself; the B_{p+2} B_p term is then B_3 B_1 = 0)."""
+    if p < 1:
+        raise ValueError("vp_hk_cot requires p >= 1")
     _require_coprime(h, k)
     with ctx.workdps():
         poly = _cot_derivative_polys(p)[p - 1]  # (p-1)-th derivative of cot

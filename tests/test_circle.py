@@ -10,6 +10,12 @@ import oracles
 import planepart as pp
 from planepart import circle
 
+# the 30-digit floor, 50 and 400 digits, the working precision of
+# `--digits 400 constants` (420) and the precisions of n = 750 and n = 6999
+LAMBDA_C_CONTEXTS = (pp.PrecisionContext(30), pp.PrecisionContext(50),
+                     pp.PrecisionContext(400), pp.PrecisionContext(420),
+                     pp.precision_for(750), pp.precision_for(6999))
+
 
 class TestLambda:
     def test_value_750(self, ctx50):
@@ -39,15 +45,18 @@ class TestCAndD:
                 ident = 4 * cst.pi**2 / ((2 * cst.a) ** (mpmath.mpf(1) / 3) * g)
                 assert abs(c - ident) < mpmath.mpf(10) ** -40
 
-    def test_lambda_c_and_d(self, ctx50):
-        with ctx50.workdps():
-            lam_c = circle.lambda_c(ctx50)
-            assert abs(lam_c - mpmath.mpf("0.18012")) < mpmath.mpf("1e-4")
-            assert abs(circle.d_of_lambda(lam_c, ctx50) - 1) < mpmath.mpf(10) ** -30
-            # d decreasing
-            d_lo = circle.d_of_lambda(mpmath.mpf("0.1"), ctx50)
-            d_hi = circle.d_of_lambda(mpmath.mpf("0.25"), ctx50)
-            assert d_lo > 1 > d_hi
+    def test_lambda_c_and_d(self):
+        # lambda_c's root finder converges at every precision the CLI and
+        # the pipeline reach, from the 30-digit floor to n = 6999
+        for ctx in LAMBDA_C_CONTEXTS:
+            with ctx.workdps():
+                lam_c = circle.lambda_c(ctx)
+                assert abs(lam_c - mpmath.mpf("0.18012")) < mpmath.mpf("1e-4")
+                assert abs(circle.d_of_lambda(lam_c, ctx) - 1) <= ctx.eps, ctx
+                # d decreasing
+                d_lo = circle.d_of_lambda(mpmath.mpf("0.1"), ctx)
+                d_hi = circle.d_of_lambda(mpmath.mpf("0.25"), ctx)
+                assert d_lo > 1 > d_hi
 
 
 class TestPsiPhi:
@@ -222,8 +231,7 @@ class TestBounds:
 
     def test_lambda0_exceeds_lambda_c(self):
         # the Type II minor-arc bound needs its lam above lam_c
-        for ctx in (pp.PrecisionContext(30), pp.PrecisionContext(50),
-                    pp.precision_for(750)):
+        for ctx in LAMBDA_C_CONTEXTS:
             with ctx.workdps():
                 assert mpmath.mpf(circle.LAMBDA0) > circle.lambda_c(ctx), ctx
 
