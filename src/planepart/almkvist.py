@@ -3,13 +3,15 @@
 A(x|gamma) = (1/2) sum_{k>=0} x^k / (k! Gamma((3 - gamma + k)/2)), the entire
 solution of x y''' - (gamma - 3) y'' - 2 y = 0 singled out by the coefficient
 extraction contour; it plays the role Bessel I_{3/2} plays for linear
-partitions.  Its even and odd halves are two 0F2 series, which mpmath's
-mp.hyper sums in fixed-point integers to the working precision.  An arc of
-the estimate (circle.Arc) needs A(x | -k/12 - m) for m = 0, 1, 2, ...: it
-seeds its ladder with almkvist_series, three consecutive values at once,
-and runs the ODE's three-term recurrence downward for the rest.  The
-saddle-point data g, f1, f2 drive all truncation-point formulas downstream
-(the large-x estimate itself is in tests/oracles.py).
+partitions.  Its first two x-derivatives, A(x|gamma - 1) and A(x|gamma - 2),
+weight the same terms by k/x and k(k-1)/x^2, so almkvist_series sums one
+term sequence, in Python integers above the working precision, and returns
+all three.  An arc of the estimate (circle.Arc) needs A(x | -k/12 - m) for
+m = 0, 1, 2, ...: it seeds its ladder with almkvist_series, three
+consecutive values at once, and runs the ODE's three-term recurrence
+downward for the rest.  The saddle-point data g, f1, f2 drive all
+truncation-point formulas downstream (the large-x estimate itself is in
+tests/oracles.py).
 """
 
 from __future__ import annotations
@@ -18,8 +20,12 @@ from dataclasses import dataclass
 
 import mpmath
 from mpmath import mp
+from mpmath.libmp import to_fixed
 
 from .arith import PrecisionContext
+
+
+SERIES_GUARD = 20  # bits almkvist_series's fixed-point sums carry above the working precision
 
 
 @dataclass(frozen=True)
@@ -27,15 +33,39 @@ class AlmkvistEval:
     value: mpmath.mpf     # A(x|gamma)
     value_m1: mpmath.mpf  # A(x|gamma - 1) = d/dx A(x|gamma)
     value_m2: mpmath.mpf  # A(x|gamma - 2) = d^2/dx^2 A(x|gamma)
-    terms_used: int       # 0F2 sums evaluated: mpmath reports no term count
+    terms_used: int       # terms T_j the two chains summed (0 at x = 0)
+
+
+def _chain(t, e, j, num, den_shift, w, one, wp):
+    """Sums of T_j, j T_j and j (j - 1) T_j over one parity class of j,
+    from T_j = t 2^e on: T_{j+2} = T_j num / ((j + 1)(j + 2) w_j 2^den_shift)
+    with w_j = w + j one.  Every T is positive, so the sums are plain
+    integers over the common exponent e, which rises whenever t outgrows
+    wp bits; the chain ends when T drops below 2^e.  Returns the three
+    sums, e and the number of terms."""
+    s0 = s1 = s2 = terms = 0
+    while t:
+        s0 += t
+        s1 += j * t
+        s2 += j * (j - 1) * t
+        terms += 1
+        t = t * num // (((j + 1) * (j + 2) * (w + j * one)) << den_shift)
+        j += 2
+        excess = t.bit_length() - wp
+        if excess > 32:
+            t, s0, s1, s2, e = t >> excess, s0 >> excess, s1 >> excess, s2 >> excess, e + excess
+    return s0, s1, s2, e, terms
 
 
 def almkvist_series(x, gamma, ctx: PrecisionContext) -> AlmkvistEval:
-    """A(x|gamma), A(x|gamma-1) and A(x|gamma-2).  By (2j)! = 4^j j! (1/2)_j
-    and (2j+1)! = 4^j j! (3/2)_j, A(x|gamma) = (rgamma(u) 0F2(; 1/2, u; x^2/4)
-    + x rgamma(u') 0F2(; 3/2, u'; x^2/4)) / 2 with u = (3 - gamma)/2 and
-    u' = u + 1/2; all terms are positive for gamma < 3.  1/Gamma at u,
-    u + 1/2, u + 1, u + 3/2 takes two rgamma calls, by Gamma(s+1) = s Gamma(s)."""
+    """A(x|gamma), A(x|gamma-1) and A(x|gamma-2) from one term sequence.
+
+    With u = (3 - gamma)/2 and T_j = x^j / (j! Gamma(u + j/2)),
+    A(x|gamma) = (1/2) sum T_j, A(x|gamma-1) = (1/2x) sum j T_j and
+    A(x|gamma-2) = (1/2x^2) sum j (j-1) T_j.  The even and odd j run as two
+    chains, T_{j+2} = T_j 2x^2 / ((j+1)(j+2)(2u + j)), from rgamma(u) and
+    x rgamma(u + 1/2), in Python integers SERIES_GUARD bits above the working
+    precision.  For gamma < 3 every term is positive, so nothing cancels."""
     with ctx.workdps():
         xv = mpmath.mpf(x)
         gv = mpmath.mpf(gamma)
@@ -43,15 +73,29 @@ def almkvist_series(x, gamma, ctx: PrecisionContext) -> AlmkvistEval:
             raise ValueError("almkvist_series requires x >= 0")
         if gv >= 3:
             raise ValueError("almkvist_series requires gamma < 3")
-        z = xv * xv / 4
         u = (3 - gv) / 2
-        us = (u, u + 0.5, u + 1, u + 1.5)
-        r0, r1 = mp.rgamma(u), mp.rgamma(us[1])
-        rg = (r0, r1, r0 / u, r1 / us[1])
-        values = [(rg[j] * mp.hyper([], [0.5, us[j]], z)
-                   + xv * rg[j + 1] * mp.hyper([], [1.5, us[j + 1]], z)) / 2
-                  for j in range(3)]  # gamma, gamma - 1, gamma - 2
-        return AlmkvistEval(*values, terms_used=6)
+        if not xv:
+            r0 = mp.rgamma(u)
+            return AlmkvistEval(r0 / 2, mp.rgamma(u + 0.5) / 2, r0 / (2 * u), terms_used=0)
+        wp = mp.prec + SERIES_GUARD
+        with mp.workprec(wp):
+            x2 = 2 * xv * xv
+            w = 3 - gv  # 2u
+            starts = (mp.rgamma(u), xv * mp.rgamma(u + 0.5))
+        # w_j = w + j over 2^g, with wp bits at j = 0; x2 = man 2^exp, so
+        # x2 / w_j = man 2^(exp + g) / (w_j 2^g), shifted onto num or den_shift
+        g = wp + max(0, -mp.mag(w))
+        shift = x2.exp + g
+        num = x2.man << max(shift, 0)
+        sums = []
+        for j, start in enumerate(starts):
+            lead = wp - start.bc  # the first term gets wp bits
+            sums.append(_chain(start.man << lead, start.exp - lead, j, num, max(-shift, 0),
+                               to_fixed(w._mpf_, g), 1 << g, wp))
+        e = min(sums[0][3], sums[1][3])
+        s0, s1, s2 = (sum(c[i] << (c[3] - e) for c in sums) for i in range(3))
+        return AlmkvistEval(mpmath.mpf((s0, e - 1)), mpmath.mpf((s1, e - 1)) / xv,
+                            mpmath.mpf((s2, e)) / x2, terms_used=sums[0][4] + sums[1][4])
 
 
 @dataclass(frozen=True)

@@ -123,15 +123,16 @@ class Arc:
     The Almkvist values A_m = A(x | -k/12 - m) come from a ladder.  A
     request past its end seeds one series at top = max(m, 2 * len,
     LADDER_SEED), which gives top, top + 1 and top + 2, and runs
-    A_m = (x A_{m+3} + (m + 3 + k/12) A_{m+2}) / 2 down to the end of the
-    ladder, LADDER_GUARD digits above the working precision.  The recurrence
-    is the ODE x y''' - (gamma - 3) y'' - 2 y = 0 with
-    dA(x|gamma)/dx = A(x|gamma - 1).  Run downward, both of its terms are
-    positive (x > 0, gamma < 3), so no step cancels and each adds one
-    rounding error; run upward, it subtracts nearly equal numbers and loses
-    every digit.  The first block, seeded by the probe's m = 0 request,
-    reaches past the last term of most arcs; doubling the later blocks
-    costs O(log m) series per arc.
+    24 A_m = 12 x A_{m+3} + (12 m + 36 + k) A_{m+2} down to the end of the
+    ladder in Python integers over one power of two, LADDER_GUARD digits
+    above the working precision at the smallest seed.  The recurrence is the
+    ODE x y''' - (gamma - 3) y'' - 2 y = 0 with dA(x|gamma)/dx =
+    A(x|gamma - 1).  Run downward, both of its terms are positive (x > 0,
+    gamma < 3), so no step cancels, each adds one rounding error, and every
+    value is larger than the one two steps up; run upward, it subtracts
+    nearly equal numbers and loses every digit.  The first block, seeded by
+    the probe's m = 0 request, reaches past the last term of most arcs;
+    doubling the later blocks costs O(log m) series per arc.
     """
 
     def __init__(self, n: int, k: int, ctx: PrecisionContext):
@@ -159,18 +160,24 @@ class Arc:
     def almkvist(self, m: int):
         """A(x | -k/12 - m) at the working precision, from the ladder."""
         ladder = self._ladder
-        with self.ctx.workdps():
-            if m >= len(ladder):
-                top = max(m, 2 * len(ladder), LADDER_SEED)
-                hi = PrecisionContext(self.ctx.decimal_digits + LADDER_GUARD)
-                with hi.workdps():
-                    k12 = mpmath.mpf(self.k) / 12
-                    ev = almkvist_series(self.x, -k12 - top, hi)
-                    block = [ev.value_m2, ev.value_m1, ev.value]  # top+2, top+1, top
-                    for j in range(top - 1, len(ladder) - 1, -1):
-                        block.append((self.x * block[-3] + (j + 3 + k12) * block[-2]) / 2)
-                ladder += [+v for v in reversed(block)]  # rounds to working precision
-            return ladder[m]
+        if m >= len(ladder):
+            top = max(m, 2 * len(ladder), LADDER_SEED)
+            hi = PrecisionContext(self.ctx.decimal_digits + LADDER_GUARD)
+            with hi.workdps():
+                ev = almkvist_series(self.x, -mpmath.mpf(self.k) / 12 - top, hi)
+                seeds = (ev.value_m2, ev.value_m1, ev.value)  # top+2, top+1, top
+                # integers over 2^e: the smallest seed gets hi's precision,
+                # and every value down the ladder is larger
+                e = min(v.exp + v.bc for v in seeds) - mp.prec
+            block = [v.man << (v.exp - e) for v in seeds]
+            xm, xe = self.x.man, self.x.exp
+            for j in range(top - 1, len(ladder) - 1, -1):
+                xa = block[-3] * xm
+                xa = xa << xe if xe >= 0 else xa >> -xe
+                block.append((12 * xa + (12 * j + 36 + self.k) * block[-2]) // 24)
+            with self.ctx.workdps():
+                ladder += [mpmath.mpf((a, e)) for a in reversed(block)]
+        return ladder[m]
 
     def term(self, m: int):
         """phi^(m)_k(n) as a real mpf; terms may be requested in any order but
@@ -208,6 +215,7 @@ def mstar_numeric(arc: Arc, floor=M_FLOOR) -> PhiBreakdown:
     step = 2 if k <= 2 else 1
     with ctx.workdps():
         floor_v = mpmath.mpf(floor)
+        eps = ctx.eps
         theory = mstar_theory(n, k, MSTAR_CTX)
         cap = int(3 * theory) + 60
         # Near-cancellation dips in the head of the series (before the
@@ -233,7 +241,7 @@ def mstar_numeric(arc: Arc, floor=M_FLOOR) -> PhiBreakdown:
             # the largest term seen so far is such a zero contaminated by
             # cancellation error, not a genuinely small term.
             max_ab = max(max_ab, ab)
-            if ab != 0 and ab > max_ab * ctx.eps:
+            if ab != 0 and ab > max_ab * eps:
                 if ab < floor_v:
                     stop_reason = "below-floor"
                     m_star = m

@@ -10,13 +10,16 @@ integer products, one division per bucket.  B_p(1 - x) = (-1)^p B_p(x) halves
 the work twice.  The d and k - d terms fall into buckets j and k - j with the
 sign (-1)^p, so the double sum runs over d <= k/2.  And U_{k-j} = (-1)^p U_j,
 so v^(p) is a sum of U_j cos(2 pi j h / k) over 0 <= j <= k/2 (real) for
-even p and of U_j sin(2 pi j h / k) (imaginary) for odd p.  At k = 1 and 2
-only U_0 and U_{k/2} remain, and the roots are +-1; vp_rational gives those
-arcs' v^(p) as exact rationals for reference.  The b^(m)
-recurrence therefore runs on real numbers (CoeffGenerator), and
-b_{k-h} follows from b_h, so an arc needs one generator per pair h, k - h
-(circle.Arc).  v1_hk, which the `dedekind` CLI command prints, is vp_hk at
-p = 1; the cot form of v^(p) is a test oracle (tests/oracles.py).
+even p and of U_j sin(2 pi j h / k) (imaginary) for odd p: one integer dot
+product with a fixed-point cos or sin row, ROOTS_GUARD bits above the
+working precision, from the same roots of unity that give circle.Arc its
+phases (_roots_row).  At k = 1 and 2 only U_0 and U_{k/2} remain, and the
+roots are +-1; vp_rational gives those arcs' v^(p) as exact rationals for
+reference.  The b^(m) recurrence therefore runs on real numbers
+(CoeffGenerator), and b_{k-h} follows from b_h, so an arc needs one
+generator per pair h, k - h (circle.Arc).  v1_hk, which the `dedekind` CLI
+command prints, is vp_hk at p = 1; the cot form of v^(p) is a test oracle
+(tests/oracles.py).
 """
 
 from __future__ import annotations
@@ -27,15 +30,12 @@ from functools import lru_cache
 
 import mpmath
 from mpmath import mp
+from mpmath.libmp import from_int, fzero, mpf_div, mpf_shift, to_fixed
 
 from .arith import PrecisionContext, bernoulli_int_row, constants
 
 # published correction constant in the b_{1,k} estimate
 B1K_GAMMA = "0.024529"
-
-
-def _mpf_frac(q: Fraction):
-    return mpmath.mpf(q.numerator) / q.denominator
 
 
 # One estimate uses about N(n) + 7 rows, all at its own precision, so a
@@ -53,11 +53,25 @@ def _logsin_row(k: int, prec: int) -> tuple:
     return tuple(half + half[:(k - 1) // 2][::-1])
 
 
+ROOTS_GUARD = 32  # bits the roots of unity carry above the precision they serve
+
+
 @lru_cache(maxsize=ROW_CACHE_SIZE)
 def _roots_row(k: int, prec: int) -> tuple:
-    """e^{2 pi i j / k} for j = 0..k-1 at binary precision prec."""
-    with mp.workprec(prec):
-        return tuple(mp.expjpi(mpmath.mpf(2 * j) / k) for j in range(k))
+    """e^{2 pi i j / k} for j = 0..k-1 at binary precision prec + ROOTS_GUARD
+    (j > k/2 mirrors k - j by conjugation)."""
+    with mp.workprec(prec + ROOTS_GUARD):
+        half = [mp.expjpi(mpmath.mpf(2 * j) / k) for j in range(k // 2 + 1)]
+        return tuple(half + [z.conjugate() for z in reversed(half[1:(k + 1) // 2])])
+
+
+@lru_cache(maxsize=ROW_CACHE_SIZE)
+def _trig_fixed_row(k: int, prec: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """cos and sin of 2 pi j / k, j = 0..k-1, as integers over
+    2^(prec + ROOTS_GUARD), from _roots_row."""
+    roots = _roots_row(k, prec)
+    return tuple(tuple(to_fixed(getattr(z, part)._mpf_, prec + ROOTS_GUARD) for z in roots)
+                 for part in ("real", "imag"))
 
 
 def _check_coprime(h: int, k: int) -> None:
@@ -70,11 +84,9 @@ def c_hk(h: int, k: int, ctx: PrecisionContext):
     _check_coprime(h, k)
     with ctx.workdps():
         logsin = _logsin_row(k, mp.prec)
-        acc = mpmath.mpf(0)
-        for j in range(1, k):
-            num = 6 * j * j - 6 * j * k + k * k  # 6k^2 * B_2(j/k)
-            acc += num * logsin[(j * h) % k - 1]
-        return acc / (12 * k)
+        # 6 j^2 - 6 j k + k^2 = 6k^2 B_2(j/k)
+        return mp.fdot((6 * j * j - 6 * j * k + k * k, logsin[(j * h) % k - 1])
+                       for j in range(1, k)) / (12 * k)
 
 
 def b_hk(h: int, k: int, ctx: PrecisionContext):
@@ -82,11 +94,8 @@ def b_hk(h: int, k: int, ctx: PrecisionContext):
     _check_coprime(h, k)
     with ctx.workdps():
         logsin = _logsin_row(k, mp.prec)
-        acc = mpmath.mpf(0)
-        for j in range(1, k):
-            r = (h * j) % k
-            acc += (r * (k - r)) * logsin[j - 1]
-        return acc / (k * k)
+        return mp.fdot(((h * j) % k * (k - (h * j) % k), logsin[j - 1])
+                       for j in range(1, k)) / (k * k)
 
 
 def v1_hk(h: int, k: int, ctx: PrecisionContext):
@@ -122,8 +131,10 @@ def _vp_buckets(p: int, k: int) -> tuple[int, tuple[int, ...]]:
                                  for j in range(k // 2 + 1))
 
 
-def _vp_prefactor(p: int, k: int) -> Fraction:
-    return Fraction((-1) ** p * k ** (2 * p), math.factorial(p) * p * (p + 2))
+def _vp_prefactor(p: int, k: int) -> tuple[int, int]:
+    """(-1)^p k^(2p) and p! p (p + 2), the numerator and denominator of the
+    prefactor of v^(p)."""
+    return (-1) ** p * k ** (2 * p), math.factorial(p) * p * (p + 2)
 
 
 def vp_rational(p: int, h: int, k: int) -> Fraction:
@@ -133,7 +144,8 @@ def vp_rational(p: int, h: int, k: int) -> Fraction:
         raise ValueError("vp_rational is only exact for k in {1, 2}")
     den, buckets = _vp_buckets(p, k)
     s = buckets[0] if k == 1 else buckets[0] - buckets[1]  # h = 1: (-1)^j
-    return _vp_prefactor(p, k) * Fraction(s, den)
+    num, q = _vp_prefactor(p, k)
+    return Fraction(num * s, q * den)
 
 
 def vp_hk(p: int, h: int, k: int, ctx: PrecisionContext):
@@ -143,19 +155,21 @@ def vp_hk(p: int, h: int, k: int, ctx: PrecisionContext):
     U_j cos(2 pi j h / k) (+ U_{k/2} cos(pi h)) for even p, a real number,
     and 2i sum_{0<j<k/2} U_j sin(2 pi j h / k) for odd p, an imaginary one
     (U_0 = U_{k/2} = 0).  The integer numerators of U_j meet the cos or sin
-    row in one dot product, scaled once by the prefactor over their
+    row, in integers ROOTS_GUARD bits above the working precision, in one
+    integer dot product, scaled once by the prefactor over their
     denominator."""
     if p < 1:
         raise ValueError("vp_hk requires p >= 1")
     _check_coprime(h, k)
     with ctx.workdps():
         den, buckets = _vp_buckets(p, k)
-        roots = _roots_row(k, mp.prec)
-        part = "imag" if p % 2 else "real"
-        s = _mpf_frac(_vp_prefactor(p, k) / den) * mp.fdot(
-            ((1 if 2 * j % k == 0 else 2) * u, getattr(roots[(j * h) % k], part))
-            for j, u in enumerate(buckets))
-        return mpmath.mpc(0, s) if p % 2 else mpmath.mpc(s)
+        row = _trig_fixed_row(k, mp.prec)[p % 2]
+        dot = sum((1 if 2 * j % k == 0 else 2) * u * row[j * h % k]
+                  for j, u in enumerate(buckets))
+        num, q = _vp_prefactor(p, k)
+        s = mpf_shift(mpf_div(from_int(num * dot), from_int(q * den), mp.prec, "n"),
+                      -(mp.prec + ROOTS_GUARD))
+        return mp.make_mpc((fzero, s) if p % 2 else (s, fzero))
 
 
 class CoeffGenerator:

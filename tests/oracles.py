@@ -25,8 +25,10 @@ uses, so agreement is evidence rather than tautology:
 - the saddle root g(lam) via its closed radical form (the package uses
   Newton's method);
 - sigma2(n) by enumerating divisors (the package uses a divisor sieve);
-- A(x|gamma) by summing its power series term by term (the package sums
-  its even and odd halves as two 0F2 series with mpmath's hyper).
+- A(x|gamma) by summing its power series term by term in mpf, and
+  A(x|gamma), A(x|gamma-1), A(x|gamma-2) as six 0F2 series that mpmath's
+  hyper sums (the package sums one term sequence, in two chains of even and
+  odd terms, in Python integers).
 
 Only public names are imported from planepart (test_dedekind checks this), so
 no oracle shares a private helper with the code it checks.
@@ -306,6 +308,23 @@ def almkvist_power_series(x, gamma, ctx):
                 break
     with ctx.workdps():
         return total / 2
+
+
+def almkvist_hyper(x, gamma, ctx):
+    """(A(x|gamma), A(x|gamma-1), A(x|gamma-2)) for x >= 0 and gamma < 3 from
+    0F2 series: by (2j)! = 4^j j! (1/2)_j and (2j+1)! = 4^j j! (3/2)_j,
+    A(x|gamma) = (rgamma(u) 0F2(; 1/2, u; x^2/4)
+    + x rgamma(u') 0F2(; 3/2, u'; x^2/4)) / 2 with u = (3 - gamma)/2 and
+    u' = u + 1/2."""
+    with ctx.workdps():
+        xv, gv = mpmath.mpf(x), mpmath.mpf(gamma)
+        z = xv * xv / 4
+        u = (3 - gv) / 2
+        us = (u, u + 0.5, u + 1, u + 1.5)
+        rg = [mp.rgamma(s) for s in us]
+        return tuple((rg[j] * mp.hyper([], [0.5, us[j]], z)
+                      + xv * rg[j + 1] * mp.hyper([], [1.5, us[j + 1]], z)) / 2
+                     for j in range(3))
 
 
 def lambda_of(x, gamma, ctx):

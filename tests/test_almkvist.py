@@ -4,7 +4,7 @@ from mpmath import mp
 
 import oracles
 import planepart as pp
-from planepart import circle
+from planepart import almkvist, circle
 
 
 class TestSeries:
@@ -45,6 +45,42 @@ class TestSeries:
                     for got, shift in ((ev.value, 0), (ev.value_m1, 1), (ev.value_m2, 2)):
                         want = oracles.almkvist_power_series(x, gamma - shift, ctx)
                         assert abs(got / want - 1) <= ctx.eps, (x, gamma, shift)
+
+    @pytest.mark.parametrize("digits", [50, 150, 400])
+    def test_three_values_match_hyper_oracle(self, digits):
+        ctx = pp.PrecisionContext(digits)
+        with ctx.workdps():
+            for x in ("0", "0.5", "50", "1100", "3300"):
+                for gamma in (-mpmath.mpf(1) / 12, -mpmath.mpf(13) / 12 - 32, mpmath.mpf(5) / 2):
+                    ev = pp.almkvist_series(mpmath.mpf(x), gamma, ctx)
+                    want = oracles.almkvist_hyper(mpmath.mpf(x), gamma, ctx)
+                    for got, w in zip((ev.value, ev.value_m1, ev.value_m2), want):
+                        assert abs(got / w - 1) <= ctx.eps, (x, gamma)
+
+    def test_terms_used_counts_the_summed_terms(self, ctx50):
+        # each parity chain of T_j = x^j / (j! Gamma(u + j/2)) is summed in
+        # integers SERIES_GUARD bits above the working precision, scaled to
+        # its largest term within 33 bits, and ends at the first term that
+        # rounds to 0 there
+        wp = mpmath.libmp.dps_to_prec(ctx50.decimal_digits) + almkvist.SERIES_GUARD
+        for x, gamma in ((0.5, -mpmath.mpf(1) / 12), (50, -mpmath.mpf(1) / 12),
+                         (1100, -mpmath.mpf(13) / 12 - 32)):
+            u = (3 - gamma) / 2
+            counts = []
+            for drop in (wp, wp + 33):
+                n = 0
+                for parity in (0, 1):
+                    peak = mpmath.mpf("-inf")
+                    for j in range(parity, 4000, 2):
+                        lt = (j * mp.log(x) - mp.loggamma(j + 1)
+                              - mp.loggamma(u + mpmath.mpf(j) / 2)) / mp.log(2)
+                        peak = max(peak, lt)
+                        if lt < peak - drop:
+                            break
+                        n += 1
+                counts.append(n)
+            assert counts[0] <= pp.almkvist_series(x, gamma, ctx50).terms_used <= counts[1], x
+        assert pp.almkvist_series(0, -1, ctx50).terms_used == 0
 
     def test_derivative_identity_by_central_differences(self, ctx50):
         # d/dx A(x|gamma) = A(x|gamma-1); central differences converge at

@@ -117,6 +117,17 @@ class TestPsiPhi:
                     series = pp.almkvist_series(arc.x, -mpmath.mpf(k) / 12 - m, ctx).value
                     assert abs(arc.almkvist(m) / series - 1) <= ctx.eps, (k, m)
 
+    def test_almkvist_ladder_matches_series_past_first_block(self):
+        # m <= 70 runs the first block (seeded at LADDER_SEED) and a second
+        # one seeded at m = 70
+        ctx = pp.precision_for(750)
+        for k in (1, 2, 13):
+            arc = circle.Arc(750, k, ctx)
+            with ctx.workdps():
+                for m in range(71):
+                    series = pp.almkvist_series(arc.x, -mpmath.mpf(k) / 12 - m, ctx).value
+                    assert abs(arc.almkvist(m) / series - 1) <= ctx.eps, (k, m)
+
     def test_phi_odd_m_zero_small_k(self, ctx50):
         ctx = pp.precision_for(50)
         assert circle.Arc(50, 1, ctx).term(3) == 0

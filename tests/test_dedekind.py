@@ -101,8 +101,25 @@ class TestRowCaches:
         for prec in range(100, 400):
             dedekind._logsin_row(3, prec)
             dedekind._roots_row(3, prec)
-        for row in (dedekind._logsin_row, dedekind._roots_row):
+            dedekind._trig_fixed_row(3, prec)
+        for row in (dedekind._logsin_row, dedekind._roots_row, dedekind._trig_fixed_row):
             assert row.cache_info().currsize <= 256
+
+
+class TestRootsRow:
+    @pytest.mark.parametrize("prec", [170, 1300])
+    def test_entries_match_expjpi(self, prec):
+        # j > k/2 is mirrored by conjugation; every entry keeps the row's
+        # ROOTS_GUARD bits above prec (a conjugate rounded to 53 bits or to
+        # prec fails)
+        bits = prec + dedekind.ROOTS_GUARD
+        for k in (1, 2, 3, 12, 13, 100):
+            row = dedekind._roots_row(k, prec)
+            assert len(row) == k
+            with mp.workprec(bits + 20):
+                for j, z in enumerate(row):
+                    want = mp.expjpi(mpmath.mpf(2 * j) / k)
+                    assert abs(z - want) <= mpmath.mpf(2) ** (2 - bits), (k, j)
 
 
 class TestV1:
