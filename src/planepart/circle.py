@@ -18,7 +18,7 @@ from mpmath import mp
 from .arith import (PrecisionContext, PrecisionError, constants,
                     derived_constants, precision_for)
 from .almkvist import SaddleData, almkvist_series, saddle_data
-from .dedekind import CoeffGenerator, _roots_row, c_hk
+from .dedekind import ROOTS_GUARD, CoeffGenerator, _trig_fixed_row, c_hk
 from .exact import p2_exact_table
 
 # The numeric cutoff ends at the first arc whose nonzero probe is below
@@ -149,16 +149,20 @@ class Arc:
             # h <= k/2: [0] for k = 1, [1] for k = 2, h < k/2 for k >= 3
             hs = [h for h in range(k // 2 + 1) if math.gcd(h, k) == 1]
             self.gens = [CoeffGenerator(h, k, ctx) for h in hs]
-            roots = _roots_row(k, mp.prec)
+            cos, sin = _trig_fixed_row(k, mp.prec)
+            e = -(mp.prec + ROOTS_GUARD)  # the rows are integers over 2^-e
             self.weights = ([], [], [], [])  # per m mod 4, one per h
             for h in hs:
-                c = base * roots[(-n * h) % k] * mp.exp(c_hk(h, k, ctx))
+                j = (-n * h) % k
+                c = base * mpmath.mpc((cos[j], e), (sin[j], e)) * mp.exp(c_hk(h, k, ctx))
                 re, im = (c.real, c.imag) if 2 * h % k == 0 else (2 * c.real, 2 * c.imag)
                 for w, v in zip(self.weights, (re, -im, -re, im)):
                     w.append(v)
 
     def almkvist(self, m: int):
         """A(x | -k/12 - m) at the working precision, from the ladder."""
+        if m < 0:
+            raise ValueError("Arc.almkvist requires m >= 0")
         ladder = self._ladder
         if m >= len(ladder):
             top = max(m, 2 * len(ladder), LADDER_SEED)
@@ -182,6 +186,8 @@ class Arc:
     def term(self, m: int):
         """phi^(m)_k(n) as a real mpf; terms may be requested in any order but
         increasing m reuses all coefficient work."""
+        if m < 0:
+            raise ValueError("Arc.term requires m >= 0")
         if m in self._terms:
             return self._terms[m]
         with self.ctx.workdps():
@@ -207,76 +213,66 @@ def mstar_theory(n: int, k: int, ctx: PrecisionContext):
 
 
 def mstar_numeric(arc: Arc, floor=M_FLOOR) -> PhiBreakdown:
-    """Sum the arc's phi^(m)_k in increasing m, truncating at the
-    superasymptotic minimum term (declared after two consecutive increases of
-    |phi^(m)| on the structurally-nonzero subsequence) or earlier when
-    |phi^(m)| < floor."""
+    """Sum the arc's phi^(m)_k in increasing m (even m for k <= 2) in one
+    pass, ending the kept terms at m_star_used on one of three exits:
+    below-floor (a sized term under floor), minimum-found (two consecutive
+    increases of |phi^(m)|, or a term over 8x the running minimum, among the
+    sized terms at m >= min_gate; the terms end at that minimum) or exhausted
+    (m reached 3 M*(n,k) + 60).  trunc_error_est is the last kept term's
+    size, or on minimum-found the next sized term's."""
     n, k, ctx = arc.n, arc.k, arc.ctx
-    step = 2 if k <= 2 else 1
     with ctx.workdps():
         floor_v = mpmath.mpf(floor)
         eps = ctx.eps
         theory = mstar_theory(n, k, MSTAR_CTX)
-        cap = int(3 * theory) + 60
         # Near-cancellation dips in the head of the series (before the
         # asymptotic decay regime) can mimic the superasymptotic minimum;
         # the minimum rules stay disarmed until m reaches half the
         # theoretical minimum location.
         min_gate = int(theory / 2)
-        records: list[TermRecord] = []
-        abs_seq: list = []
-        stop_reason = "exhausted"
-        m_star = None
-        trunc = None
+        terms: list[TermRecord] = []
+        sized: list[int] = []  # indices in terms of the sized terms at m >= min_gate
+        low = None  # index in sized of the running minimum
         max_ab = mpmath.mpf(0)
-        min_pos = None  # index in abs_seq of the running minimum
-        m = 0
-        while m <= cap:
+        stop_reason = "exhausted"
+        for m in range(0, int(3 * theory) + 61, 2 if k <= 2 else 1):
             val = arc.term(m)
             ab = abs(val)
-            records.append(TermRecord(k=k, m=m, value=val, abs_value=ab))
+            terms.append(TermRecord(k=k, m=m, value=val, abs_value=ab))
             # Structural zeros (exact h-sum cancellation) carry no size
             # information: they are kept in the sum but ignored by the
             # floor and minimum rules.  A value at the roundoff floor of
             # the largest term seen so far is such a zero contaminated by
             # cancellation error, not a genuinely small term.
             max_ab = max(max_ab, ab)
-            if ab != 0 and ab > max_ab * eps:
-                if ab < floor_v:
-                    stop_reason = "below-floor"
-                    m_star = m
-                    trunc = ab
-                    break
-                if m < min_gate:
-                    m += step
-                    continue
-                abs_seq.append((m, ab, len(records) - 1))
-                if min_pos is None or ab < abs_seq[min_pos][1]:
-                    min_pos = len(abs_seq) - 1
-                # The minimum term is declared either after two consecutive
-                # increases of |phi^(m)| or once a term exceeds 8x the
-                # running minimum (the divergent tail can zig-zag between
-                # parities, which defeats the consecutive-increase test).
-                two_incr = (len(abs_seq) >= 3
-                            and abs_seq[-1][1] > abs_seq[-2][1] > abs_seq[-3][1])
-                blowup = ab > 8 * abs_seq[min_pos][1]
-                if two_incr or blowup:
-                    stop_reason = "minimum-found"
-                    m_star, _, last = abs_seq[min_pos]
-                    # the first neglected term after the minimum that is
-                    # not a structural zero: the next entry of abs_seq
-                    # (the current term at the latest)
-                    trunc = abs_seq[min_pos + 1][1]
-                    records = records[:last + 1]
-                    break
-            m += step
-        if m_star is None:
-            m_star = records[-1].m
-            trunc = records[-1].abs_value
-        phi_value = mp.fsum(r.value for r in records)
-        return PhiBreakdown(k=k, m_star_used=m_star, terms=records,
-                            phi_value=phi_value, trunc_error_est=trunc,
-                            stop_reason=stop_reason)
+            if not ab > max_ab * eps:
+                continue
+            if ab < floor_v:
+                stop_reason = "below-floor"
+                break
+            if m < min_gate:
+                continue
+            sized.append(len(terms) - 1)
+            if low is None or ab < terms[sized[low]].abs_value:
+                low = len(sized) - 1
+            # The minimum term is declared either after two consecutive
+            # increases of |phi^(m)| or once a term exceeds 8x the
+            # running minimum (the divergent tail can zig-zag between
+            # parities, which defeats the consecutive-increase test).
+            two_incr = (len(sized) >= 3 and ab > terms[sized[-2]].abs_value
+                        > terms[sized[-3]].abs_value)
+            if two_incr or ab > 8 * terms[sized[low]].abs_value:
+                stop_reason = "minimum-found"
+                break
+        trunc = terms[-1].abs_value
+        if stop_reason == "minimum-found":
+            # the first neglected term after the minimum that is not a
+            # structural zero (the current term at the latest)
+            trunc = terms[sized[low + 1]].abs_value
+            del terms[sized[low] + 1:]
+        return PhiBreakdown(k=k, m_star_used=terms[-1].m, terms=terms,
+                            phi_value=mp.fsum(r.value for r in terms),
+                            trunc_error_est=trunc, stop_reason=stop_reason)
 
 
 def n_cutoff_theory(n: int, kappa2, ctx: PrecisionContext):

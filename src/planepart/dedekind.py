@@ -12,14 +12,13 @@ sign (-1)^p, so the double sum runs over d <= k/2.  And U_{k-j} = (-1)^p U_j,
 so v^(p) is a sum of U_j cos(2 pi j h / k) over 0 <= j <= k/2 (real) for
 even p and of U_j sin(2 pi j h / k) (imaginary) for odd p: one integer dot
 product with a fixed-point cos or sin row, ROOTS_GUARD bits above the
-working precision, from the same roots of unity that give circle.Arc its
-phases (_roots_row).  At k = 1 and 2 only U_0 and U_{k/2} remain, and the
-roots are +-1; vp_rational gives those arcs' v^(p) as exact rationals for
-reference.  The b^(m) recurrence therefore runs on real numbers
-(CoeffGenerator), and b_{k-h} follows from b_h, so an arc needs one
-generator per pair h, k - h (circle.Arc).  v1_hk, which the `dedekind` CLI
-command prints, is vp_hk at p = 1; the cot form of v^(p) is a test oracle
-(tests/oracles.py).
+working precision, the same row (_trig_fixed_row) that gives circle.Arc its
+phases.  At k = 1 and 2 only U_0 and U_{k/2} remain, and the roots are
++-1; vp_rational gives those arcs' v^(p) as exact rationals for reference.
+The b^(m) recurrence therefore runs on real numbers (CoeffGenerator), and
+b_{k-h} follows from b_h, so an arc needs one generator per pair h, k - h
+(circle.Arc).  v1_hk, which the `dedekind` CLI command prints, is vp_hk at
+p = 1; the cot form of v^(p) is a test oracle (tests/oracles.py).
 """
 
 from __future__ import annotations
@@ -57,21 +56,17 @@ ROOTS_GUARD = 32  # bits the roots of unity carry above the precision they serve
 
 
 @lru_cache(maxsize=ROW_CACHE_SIZE)
-def _roots_row(k: int, prec: int) -> tuple:
-    """e^{2 pi i j / k} for j = 0..k-1 at binary precision prec + ROOTS_GUARD
-    (j > k/2 mirrors k - j by conjugation)."""
-    with mp.workprec(prec + ROOTS_GUARD):
-        half = [mp.expjpi(mpmath.mpf(2 * j) / k) for j in range(k // 2 + 1)]
-        return tuple(half + [z.conjugate() for z in reversed(half[1:(k + 1) // 2])])
-
-
-@lru_cache(maxsize=ROW_CACHE_SIZE)
 def _trig_fixed_row(k: int, prec: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """cos and sin of 2 pi j / k, j = 0..k-1, as integers over
-    2^(prec + ROOTS_GUARD), from _roots_row."""
-    roots = _roots_row(k, prec)
-    return tuple(tuple(to_fixed(getattr(z, part)._mpf_, prec + ROOTS_GUARD) for z in roots)
-                 for part in ("real", "imag"))
+    2^(prec + ROOTS_GUARD): mp.expjpi for j <= k/2, mirrored past it in
+    integers (cos[k - j] = cos[j], sin[k - j] = -sin[j])."""
+    bits = prec + ROOTS_GUARD
+    with mp.workprec(bits):
+        half = [mp.expjpi(mpmath.mpf(2 * j) / k) for j in range(k // 2 + 1)]
+    cos = [to_fixed(z.real._mpf_, bits) for z in half]
+    sin = [to_fixed(z.imag._mpf_, bits) for z in half]
+    mirror = range((k - 1) // 2, 0, -1)
+    return tuple(cos + [cos[j] for j in mirror]), tuple(sin + [-sin[j] for j in mirror])
 
 
 def _check_coprime(h: int, k: int) -> None:
@@ -104,11 +99,12 @@ def v1_hk(h: int, k: int, ctx: PrecisionContext):
 
 
 @lru_cache(maxsize=None)
-def _vp_buckets(p: int, k: int) -> tuple[int, tuple[int, ...]]:
-    """(D, (N_0, ..., N_{k//2})) with U_j = N_j / D, where U_j is the sum over
-    d, d' in 1..k with d d' = j mod k of B_{p+2}(d'/k) B_p(d/k).
+def _vp_buckets(p: int, k: int) -> tuple[int, int, tuple[int, ...]]:
+    """(P, D, (N_0, ..., N_{k//2})) with v^(p)_{h,k} = (P / D) sum_j N_j
+    e^{2 pi i j h / k}, P = (-1)^p k^(2p) and D = p! p (p + 2) L: U_j = N_j / L
+    is the sum over d, d' in 1..k with d d' = j mod k of B_{p+2}(d'/k) B_p(d/k).
 
-    Sums integer rows (bernoulli_int_row) over their one common denominator.
+    Sums integer rows (bernoulli_int_row) over their one common denominator L.
     The d and k - d terms land in buckets j and k - j with the sign (-1)^p,
     so only d <= k/2 and d = k are summed, and U_{k-j} = (-1)^p U_j gives
     the buckets past k/2."""
@@ -127,14 +123,8 @@ def _vp_buckets(p: int, k: int) -> tuple[int, tuple[int, ...]]:
         for dq, b2 in enumerate(row_p2, 1):
             if b2:
                 acc[(d * dq) % k] += b2 * bp
-    return den_p * den_p2, tuple(mirrored[j] + sign * mirrored[-j] + own[j]
-                                 for j in range(k // 2 + 1))
-
-
-def _vp_prefactor(p: int, k: int) -> tuple[int, int]:
-    """(-1)^p k^(2p) and p! p (p + 2), the numerator and denominator of the
-    prefactor of v^(p)."""
-    return (-1) ** p * k ** (2 * p), math.factorial(p) * p * (p + 2)
+    return (sign * k ** (2 * p), math.factorial(p) * p * (p + 2) * den_p * den_p2,
+            tuple(mirrored[j] + sign * mirrored[-j] + own[j] for j in range(k // 2 + 1)))
 
 
 def vp_rational(p: int, h: int, k: int) -> Fraction:
@@ -142,10 +132,9 @@ def vp_rational(p: int, h: int, k: int) -> Fraction:
     (a reference for vp_hk; the pipeline does not call it)."""
     if k not in (1, 2):
         raise ValueError("vp_rational is only exact for k in {1, 2}")
-    den, buckets = _vp_buckets(p, k)
+    num, den, buckets = _vp_buckets(p, k)
     s = buckets[0] if k == 1 else buckets[0] - buckets[1]  # h = 1: (-1)^j
-    num, q = _vp_prefactor(p, k)
-    return Fraction(num * s, q * den)
+    return Fraction(num * s, den)
 
 
 def vp_hk(p: int, h: int, k: int, ctx: PrecisionContext):
@@ -156,18 +145,17 @@ def vp_hk(p: int, h: int, k: int, ctx: PrecisionContext):
     and 2i sum_{0<j<k/2} U_j sin(2 pi j h / k) for odd p, an imaginary one
     (U_0 = U_{k/2} = 0).  The integer numerators of U_j meet the cos or sin
     row, in integers ROOTS_GUARD bits above the working precision, in one
-    integer dot product, scaled once by the prefactor over their
-    denominator."""
+    integer dot product, scaled once by P / D from _vp_buckets, which
+    caches the prefactor with the buckets."""
     if p < 1:
         raise ValueError("vp_hk requires p >= 1")
     _check_coprime(h, k)
     with ctx.workdps():
-        den, buckets = _vp_buckets(p, k)
+        num, den, buckets = _vp_buckets(p, k)
         row = _trig_fixed_row(k, mp.prec)[p % 2]
         dot = sum((1 if 2 * j % k == 0 else 2) * u * row[j * h % k]
                   for j, u in enumerate(buckets))
-        num, q = _vp_prefactor(p, k)
-        s = mpf_shift(mpf_div(from_int(num * dot), from_int(q * den), mp.prec, "n"),
+        s = mpf_shift(mpf_div(from_int(num * dot), from_int(den), mp.prec, "n"),
                       -(mp.prec + ROOTS_GUARD))
         return mp.make_mpc((fzero, s) if p % 2 else (s, fzero))
 

@@ -3,8 +3,15 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 sys.path.insert(0, str(Path(__file__).parent))
+
+# Property tests draw the same examples on every run and take no time limit,
+# so a result does not depend on the seed or on how busy the machine is.
+settings.register_profile("planepart", derandomize=True, deadline=None,
+                          max_examples=100, database=None)
+settings.load_profile("planepart")
 
 import planepart as pp  # noqa: E402
 

@@ -4,6 +4,8 @@ import types
 
 import mpmath
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from mpmath import mp
 
 import oracles
@@ -133,6 +135,15 @@ class TestPsiPhi:
         assert circle.Arc(50, 1, ctx).term(3) == 0
         assert circle.Arc(50, 2, ctx).term(5) == 0
 
+    def test_negative_m_rejected(self):
+        # on a warm arc a negative m would index the cached rows from the end
+        arc = circle.Arc(750, 5, pp.precision_for(750))
+        arc.term(3)
+        for method in (arc.term, arc.almkvist):
+            for m in (-1, -2):
+                with pytest.raises(ValueError):
+                    method(m)
+
 
 class TestMstar:
     def test_theory_7000(self):
@@ -198,6 +209,149 @@ class TestMstar:
         assert breakdown.m_star_used == gate + 1
         assert [r.m for r in breakdown.terms] == list(range(gate + 2))
         assert breakdown.trunc_error_est == mpmath.mpf(0.3)
+
+
+STUB_CTX = pp.precision_for(100)
+
+
+def stub_truncation(sizes, k=3, default="100"):
+    """mstar_numeric over a stub arc at n = 100 whose term m is sizes[m]
+    (default elsewhere), with the m the stub was asked for and the
+    theoretical minimum M*."""
+    asked = []
+
+    def term(m):
+        asked.append(m)
+        return mpmath.mpf(sizes.get(m, default))
+
+    arc = types.SimpleNamespace(n=100, k=k, ctx=STUB_CTX, term=term)
+    with STUB_CTX.workdps():
+        return circle.mstar_numeric(arc), asked, circle.mstar_theory(100, k, circle.MSTAR_CTX)
+
+
+class TestMstarExits:
+    """One stub arc per exit of mstar_numeric and per rule it applies."""
+
+    GATE = int(circle.mstar_theory(100, 3, circle.MSTAR_CTX) / 2)
+
+    @pytest.fixture(autouse=True)
+    def _stub_precision(self):
+        # the expected sizes are parsed at the stub's precision
+        with STUB_CTX.workdps():
+            yield
+
+    def test_below_floor(self):
+        b, asked, _ = stub_truncation({0: "1", 1: "0.5", 2: "0.1", 3: "0.01", 4: "0.0005"})
+        assert b.stop_reason == "below-floor"
+        assert b.m_star_used == 4 and asked == list(range(5))
+        assert [r.m for r in b.terms] == list(range(5))
+        assert b.trunc_error_est == mpmath.mpf("0.0005")
+        assert b.phi_value == mpmath.mpf("1.6105")
+
+    def test_minimum_by_two_increases(self):
+        g = self.GATE
+        b, asked, _ = stub_truncation({g: "0.5", g + 1: "0.2", g + 2: "0.3", g + 3: "0.4"})
+        assert b.stop_reason == "minimum-found"
+        assert asked[-1] == g + 3
+        assert b.m_star_used == g + 1
+        assert [r.m for r in b.terms] == list(range(g + 2))
+        assert b.trunc_error_est == mpmath.mpf("0.3")
+
+    def test_minimum_by_blowup_on_zigzag(self):
+        # the tail never rises twice in a row; g + 4 exceeds 8x the minimum
+        g = self.GATE
+        b, asked, _ = stub_truncation({g: "0.5", g + 1: "0.1", g + 2: "0.4",
+                                       g + 3: "0.3", g + 4: "0.9"})
+        assert b.stop_reason == "minimum-found"
+        assert asked[-1] == g + 4
+        assert b.m_star_used == g + 1
+        assert b.trunc_error_est == mpmath.mpf("0.4")
+
+    def test_exhausted_at_cap(self):
+        b, asked, theory = stub_truncation({})
+        assert b.stop_reason == "exhausted"
+        assert len(b.terms) == len(asked) == int(3 * theory) + 61
+        assert b.m_star_used == int(3 * theory) + 60
+        assert b.trunc_error_est == 100
+
+    def test_dip_before_gate_is_not_the_minimum(self):
+        # g - 3 is smaller than the later minimum and is followed by two
+        # increases, but the minimum rules are not armed before the gate
+        g = self.GATE
+        b, _, _ = stub_truncation({g - 3: "0.2", g - 2: "0.5", g - 1: "0.9",
+                                   g: "0.5", g + 1: "0.3", g + 2: "0.4", g + 3: "0.6"})
+        assert b.stop_reason == "minimum-found"
+        assert b.m_star_used == g + 1
+        assert b.trunc_error_est == mpmath.mpf("0.4")
+
+    def test_exact_zeros_kept_but_skipped(self):
+        # zeros are below the floor and below every term, yet end nothing
+        g = self.GATE
+        b, _, _ = stub_truncation({0: "0", g - 1: "0", g: "0.5", g + 1: "0", g + 2: "0.2",
+                                   g + 3: "0", g + 4: "0.3", g + 5: "0.4"})
+        assert b.stop_reason == "minimum-found"
+        assert b.m_star_used == g + 2
+        assert [r.m for r in b.terms] == list(range(g + 3))
+        assert all(b.terms[m].value == 0 for m in (0, g - 1, g + 1))
+        assert b.trunc_error_est == mpmath.mpf("0.3")
+
+    def test_small_k_steps_by_two(self):
+        # k <= 2 has no odd terms: only even m are asked for and kept
+        _, _, theory = stub_truncation({}, k=2)
+        g = int(theory / 2)
+        g += g % 2
+        b, asked, _ = stub_truncation({g: "0.5", g + 2: "0.2", g + 4: "0.3", g + 6: "0.4"},
+                                      k=2)
+        assert b.stop_reason == "minimum-found"
+        assert asked == list(range(0, g + 7, 2))
+        assert [r.m for r in b.terms] == list(range(0, g + 3, 2))
+        assert b.m_star_used == g + 2
+        assert b.trunc_error_est == mpmath.mpf("0.3")
+
+
+# sizes a stub term takes: zeros, a roundoff residue of the larger sizes,
+# terms below and above M_FLOOR, and a large head
+STUB_SIZES = ("0", "1e-70", "0.0002", "0.002", "0.1", "0.2", "0.3", "0.5", "1", "5", "100")
+
+
+@given(k=st.sampled_from([2, 3]), head=st.sampled_from(STUB_SIZES),
+       window=st.lists(st.tuples(st.sampled_from(STUB_SIZES), st.booleans()), max_size=16),
+       tail=st.sampled_from(("0", "0.002", "1", "100")))
+def test_truncation_invariants(k, head, window, tail):
+    # head up to 4 steps before the minimum gate, then the signed window,
+    # then tail to the cap
+    step = 2 if k <= 2 else 1
+    gate = int(circle.mstar_theory(100, k, circle.MSTAR_CTX) / 2)
+    start = gate - 4 * step
+    sizes = {m: head for m in range(start)}
+    sizes.update((start + i * step, ("-" if neg else "") + v)
+                 for i, (v, neg) in enumerate(window))
+    b, asked, theory = stub_truncation(sizes, k=k, default=tail)
+    ms = [r.m for r in b.terms]
+    with STUB_CTX.workdps():
+        assert ms == list(range(0, step * len(ms), step)) == asked[:len(ms)]
+        assert b.m_star_used == ms[-1]
+        assert b.phi_value == mp.fsum(r.value for r in b.terms)
+        # the sized terms: above the roundoff floor of the largest term so far
+        sized, top = [], 0
+        for m in asked:
+            ab = abs(mpmath.mpf(sizes.get(m, tail)))
+            top = max(top, ab)
+            if ab > top * STUB_CTX.eps:
+                sized.append((m, ab))
+        last = b.terms[-1].abs_value
+        if b.stop_reason == "below-floor":
+            assert 0 < last < mpmath.mpf(circle.M_FLOOR)
+            assert sized[-1] == (ms[-1], last) and b.trunc_error_est == last
+        elif b.stop_reason == "minimum-found":
+            armed = [(m, ab) for m, ab in sized if m >= gate]
+            i = [m for m, _ in armed].index(ms[-1])
+            assert last == min(ab for _, ab in armed)
+            assert b.trunc_error_est == armed[i + 1][1]
+        else:
+            assert b.stop_reason == "exhausted"
+            assert ms[-1] + step > int(3 * theory) + 60
+            assert b.trunc_error_est == last
 
 
 class TestCutoff:

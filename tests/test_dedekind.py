@@ -100,26 +100,33 @@ class TestRowCaches:
         # a long-lived process may run estimates at many precisions
         for prec in range(100, 400):
             dedekind._logsin_row(3, prec)
-            dedekind._roots_row(3, prec)
             dedekind._trig_fixed_row(3, prec)
-        for row in (dedekind._logsin_row, dedekind._roots_row, dedekind._trig_fixed_row):
+        for row in (dedekind._logsin_row, dedekind._trig_fixed_row):
             assert row.cache_info().currsize <= 256
 
 
 class TestRootsRow:
     @pytest.mark.parametrize("prec", [170, 1300])
     def test_entries_match_expjpi(self, prec):
-        # j > k/2 is mirrored by conjugation; every entry keeps the row's
-        # ROOTS_GUARD bits above prec (a conjugate rounded to 53 bits or to
-        # prec fails)
+        # every cos and sin entry, the mirrored j > k/2 included, lies within
+        # 4 units of 2^-(prec + ROOTS_GUARD) of e^{2 pi i j / k}
         bits = prec + dedekind.ROOTS_GUARD
         for k in (1, 2, 3, 12, 13, 100):
-            row = dedekind._roots_row(k, prec)
-            assert len(row) == k
+            cos, sin = dedekind._trig_fixed_row(k, prec)
+            assert len(cos) == len(sin) == k
             with mp.workprec(bits + 20):
-                for j, z in enumerate(row):
+                tol = mpmath.mpf(2) ** (2 - bits)
+                for j in range(k):
                     want = mp.expjpi(mpmath.mpf(2 * j) / k)
-                    assert abs(z - want) <= mpmath.mpf(2) ** (2 - bits), (k, j)
+                    for got, part in ((cos[j], want.real), (sin[j], want.imag)):
+                        assert abs(mpmath.mpf((got, -bits)) - part) <= tol, (k, j)
+
+    def test_mirror_is_exact(self):
+        # cos[k - j] = cos[j] and sin[k - j] = -sin[j], in integers
+        for k in (3, 12, 13, 100):
+            cos, sin = dedekind._trig_fixed_row(k, 170)
+            for j in range(1, (k + 1) // 2):
+                assert cos[k - j] == cos[j] and sin[k - j] == -sin[j], (k, j)
 
 
 class TestV1:
