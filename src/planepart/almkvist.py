@@ -109,7 +109,8 @@ class SaddleData:
 
 
 def _g_of_lambda(lam):
-    """Positive root of g^3 + 3 lam g^2 = 1 (the g(0) = 1 branch), by Newton."""
+    """Positive root of g^3 + 3 lam g^2 = 1 (the g(0) = 1 branch), by Newton
+    at the working precision until the step is below 10^-dps of g."""
     g = mpmath.mpf(1)  # G(1) = 3 lam >= 0 and G is increasing/convex for g > 0
     tol = mpmath.mpf(10) ** (-mp.dps)
     for _ in range(200):
@@ -119,10 +120,6 @@ def _g_of_lambda(lam):
         g -= step
         if abs(step) < tol * g:
             break
-    # two polishing steps at full precision
-    for _ in range(2):
-        f = g * g * (g + 3 * lam) - 1
-        g -= f / (3 * g * (g + 2 * lam))
     return g
 
 

@@ -76,7 +76,6 @@ def lambda_c(ctx: PrecisionContext):
 
 @dataclass(frozen=True)
 class TermRecord:
-    k: int
     m: int
     value: mpmath.mpf
     abs_value: mpmath.mpf
@@ -108,9 +107,9 @@ class EstimateReport:
 class Arc:
     """The k-th Farey arc of the estimate for p2(n): its terms phi^(m)_k(n).
 
-    Holds the arc prefactor, the C_{h,k} phases and one CoeffGenerator per
-    coprime h <= k/2, and remembers every term it has computed, so probing
-    the arc and then truncating it evaluates each term once.
+    Holds the arc prefactor, the C_{h,k} phases, one CoeffGenerator per
+    coprime h <= k/2 and the Almkvist ladder.  A term is one dot product of
+    those cached inputs, so it is recomputed, not stored.
 
     For k >= 3, h pairs with k - h: C_{k-h,k} = C_{h,k} and the phase
     e^{-2 pi i n h / k} is conjugated, so coef_{k-h} = conj(coef_h), and the
@@ -137,7 +136,6 @@ class Arc:
 
     def __init__(self, n: int, k: int, ctx: PrecisionContext):
         self.n, self.k, self.ctx = n, k, ctx
-        self._terms: dict[int, mpmath.mpf] = {}
         self._ladder: list[mpmath.mpf] = []  # A_0, A_1, ...
         cst = constants(ctx)
         with ctx.workdps():
@@ -149,7 +147,7 @@ class Arc:
             # h <= k/2: [0] for k = 1, [1] for k = 2, h < k/2 for k >= 3
             hs = [h for h in range(k // 2 + 1) if math.gcd(h, k) == 1]
             self.gens = [CoeffGenerator(h, k, ctx) for h in hs]
-            cos, sin = _trig_fixed_row(k, mp.prec)
+            cos, sin, _ = _trig_fixed_row(k, mp.prec)
             e = -(mp.prec + ROOTS_GUARD)  # the rows are integers over 2^-e
             self.weights = ([], [], [], [])  # per m mod 4, one per h
             for h in hs:
@@ -184,19 +182,16 @@ class Arc:
         return ladder[m]
 
     def term(self, m: int):
-        """phi^(m)_k(n) as a real mpf; terms may be requested in any order but
-        increasing m reuses all coefficient work."""
+        """phi^(m)_k(n) as a real mpf: (a/k^3)^(m/2) A_m times one dot product
+        of the weights with the generators' b[m].  Terms may be requested in
+        any order, but increasing m reuses all coefficient work."""
         if m < 0:
             raise ValueError("Arc.term requires m >= 0")
-        if m in self._terms:
-            return self._terms[m]
         with self.ctx.workdps():
             for gen in self.gens:
                 gen.extend_to(m)
-            A = self.almkvist(m)
             acc = mp.fdot(self.weights[m % 4], [g.b[m] for g in self.gens])
-            self._terms[m] = self.sqrt_ak3 ** m * A * acc
-            return self._terms[m]
+            return self.sqrt_ak3 ** m * self.almkvist(m) * acc
 
 
 def mstar_theory(n: int, k: int, ctx: PrecisionContext):
@@ -212,17 +207,17 @@ def mstar_theory(n: int, k: int, ctx: PrecisionContext):
         return (c / k) * n13 - (c * c / (4 * der.c2 * k)) * sd.f1pp
 
 
-def mstar_numeric(arc: Arc, floor=M_FLOOR) -> PhiBreakdown:
+def mstar_numeric(arc: Arc) -> PhiBreakdown:
     """Sum the arc's phi^(m)_k in increasing m (even m for k <= 2) in one
     pass, ending the kept terms at m_star_used on one of three exits:
-    below-floor (a sized term under floor), minimum-found (two consecutive
+    below-floor (a sized term under M_FLOOR), minimum-found (two consecutive
     increases of |phi^(m)|, or a term over 8x the running minimum, among the
     sized terms at m >= min_gate; the terms end at that minimum) or exhausted
     (m reached 3 M*(n,k) + 60).  trunc_error_est is the last kept term's
     size, or on minimum-found the next sized term's."""
     n, k, ctx = arc.n, arc.k, arc.ctx
     with ctx.workdps():
-        floor_v = mpmath.mpf(floor)
+        floor_v = mpmath.mpf(M_FLOOR)
         eps = ctx.eps
         theory = mstar_theory(n, k, MSTAR_CTX)
         # Near-cancellation dips in the head of the series (before the
@@ -238,7 +233,7 @@ def mstar_numeric(arc: Arc, floor=M_FLOOR) -> PhiBreakdown:
         for m in range(0, int(3 * theory) + 61, 2 if k <= 2 else 1):
             val = arc.term(m)
             ab = abs(val)
-            terms.append(TermRecord(k=k, m=m, value=val, abs_value=ab))
+            terms.append(TermRecord(m=m, value=val, abs_value=ab))
             # Structural zeros (exact h-sum cancellation) carry no size
             # information: they are kept in the sum but ignored by the
             # floor and minimum rules.  A value at the roundoff floor of

@@ -115,7 +115,7 @@ def cmd_phi(args) -> tuple[dict, list | None]:
     rows = None
     if args.per_m:
         rows = (["k", "m", "value", "abs_value"],
-                [[str(t.k), str(t.m), _nstr(t.value, 40), _nstr(t.abs_value, 40)]
+                [[str(breakdown.k), str(t.m), _nstr(t.value, 40), _nstr(t.abs_value, 40)]
                  for t in breakdown.terms])
     return out, rows
 

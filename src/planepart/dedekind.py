@@ -12,9 +12,11 @@ sign (-1)^p, so the double sum runs over d <= k/2.  And U_{k-j} = (-1)^p U_j,
 so v^(p) is a sum of U_j cos(2 pi j h / k) over 0 <= j <= k/2 (real) for
 even p and of U_j sin(2 pi j h / k) (imaginary) for odd p: one integer dot
 product with a fixed-point cos or sin row, ROOTS_GUARD bits above the
-working precision, the same row (_trig_fixed_row) that gives circle.Arc its
-phases.  At k = 1 and 2 only U_0 and U_{k/2} remain, and the roots are
-+-1; vp_rational gives those arcs' v^(p) as exact rationals for reference.
+working precision.  One row per (k, precision), _trig_fixed_row, gives
+circle.Arc its phases, v^(p) its cos and sin, and C_{h,k} and b_{h,k} their
+log-sines, log|2 sin(pi j / k)| taken from the cos row.  At k = 1 and 2
+only U_0 and U_{k/2} remain, and the roots are +-1; vp_rational gives those
+arcs' v^(p) as exact rationals for reference.
 The b^(m) recurrence therefore runs on real numbers (CoeffGenerator), and
 b_{k-h} follows from b_h, so an arc needs one generator per pair h, k - h
 (circle.Arc).  v1_hk, which the `dedekind` CLI command prints, is vp_hk at
@@ -29,7 +31,7 @@ from functools import lru_cache
 
 import mpmath
 from mpmath import mp
-from mpmath.libmp import from_int, fzero, mpf_div, mpf_shift, to_fixed
+from mpmath.libmp import from_int, from_man_exp, fzero, mpf_div, mpf_shift, to_fixed
 
 from .arith import PrecisionContext, bernoulli_int_row, constants
 
@@ -41,32 +43,34 @@ B1K_GAMMA = "0.024529"
 # bounded cache keeps every row it needs while a long-lived process that
 # runs many estimates does not grow without limit.
 ROW_CACHE_SIZE = 256
-
-
-@lru_cache(maxsize=ROW_CACHE_SIZE)
-def _logsin_row(k: int, prec: int) -> tuple:
-    """log|2 sin(pi j / k)|, j = 1..k-1, at binary precision prec (k - j mirrors j)."""
-    with mp.workprec(prec):
-        pi_over_k = mp.pi / k
-        half = [mp.log(2 * mp.sin(pi_over_k * j)) for j in range(1, k // 2 + 1)]
-    return tuple(half + half[:(k - 1) // 2][::-1])
-
-
 ROOTS_GUARD = 32  # bits the roots of unity carry above the precision they serve
 
 
 @lru_cache(maxsize=ROW_CACHE_SIZE)
-def _trig_fixed_row(k: int, prec: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """cos and sin of 2 pi j / k, j = 0..k-1, as integers over
-    2^(prec + ROOTS_GUARD): mp.expjpi for j <= k/2, mirrored past it in
-    integers (cos[k - j] = cos[j], sin[k - j] = -sin[j])."""
+def _trig_fixed_row(k: int, prec: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple]:
+    """(cos, sin, logsin): cos and sin of 2 pi j / k, j = 0..k-1, as integers
+    over 2^(prec + ROOTS_GUARD), and log|2 sin(pi j / k)|, j = 1..k-1, as
+    mpf at binary precision prec.
+
+    cos and sin are mp.expjpi for j <= k/2, mirrored past it in integers
+    (cos[k - j] = cos[j], sin[k - j] = -sin[j]).  For j <= k/2 the log-sine
+    is half of one mp.log of the exact number ((1 << bits) - cos[j]) 2^(1 - bits)
+    = 2 - 2 cos(2 pi j / k), mirrored past k/2.  The log's absolute error is
+    the relative error of 2 - 2 cos: a few units of 2^-bits over
+    2 - 2 cos >= 4 sin^2(pi / k) >= 16 / k^2.  With bits = prec + ROOTS_GUARD
+    (32 bits) that stays below 2^-prec for k up to 2^16, so the guard
+    absorbs the cancellation."""
     bits = prec + ROOTS_GUARD
     with mp.workprec(bits):
         half = [mp.expjpi(mpmath.mpf(2 * j) / k) for j in range(k // 2 + 1)]
     cos = [to_fixed(z.real._mpf_, bits) for z in half]
     sin = [to_fixed(z.imag._mpf_, bits) for z in half]
+    with mp.workprec(prec):
+        logsin = [mp.log(mp.make_mpf(from_man_exp((1 << bits) - c, 1 - bits))) / 2
+                  for c in cos[1:]]
     mirror = range((k - 1) // 2, 0, -1)
-    return tuple(cos + [cos[j] for j in mirror]), tuple(sin + [-sin[j] for j in mirror])
+    return (tuple(cos + [cos[j] for j in mirror]), tuple(sin + [-sin[j] for j in mirror]),
+            tuple(logsin + logsin[:(k - 1) // 2][::-1]))
 
 
 def _check_coprime(h: int, k: int) -> None:
@@ -75,20 +79,22 @@ def _check_coprime(h: int, k: int) -> None:
 
 
 def c_hk(h: int, k: int, ctx: PrecisionContext):
-    """C_{h,k} = (k/2) sum_j B_2(j/k) log|2 sin(pi j h / k)|; 0 for k = 1."""
+    """C_{h,k} = (k/2) sum_j B_2(j/k) log|2 sin(pi j h / k)|; 0 for k = 1.
+    The log-sines are the row of _trig_fixed_row at the working precision."""
     _check_coprime(h, k)
     with ctx.workdps():
-        logsin = _logsin_row(k, mp.prec)
+        logsin = _trig_fixed_row(k, mp.prec)[2]
         # 6 j^2 - 6 j k + k^2 = 6k^2 B_2(j/k)
         return mp.fdot((6 * j * j - 6 * j * k + k * k, logsin[(j * h) % k - 1])
                        for j in range(1, k)) / (12 * k)
 
 
 def b_hk(h: int, k: int, ctx: PrecisionContext):
-    """b_{h,k} = sum_j {hj/k}(1 - {hj/k}) log|2 sin(pi j / k)|; 0 for k = 1."""
+    """b_{h,k} = sum_j {hj/k}(1 - {hj/k}) log|2 sin(pi j / k)|; 0 for k = 1.
+    The log-sines are the row of _trig_fixed_row at the working precision."""
     _check_coprime(h, k)
     with ctx.workdps():
-        logsin = _logsin_row(k, mp.prec)
+        logsin = _trig_fixed_row(k, mp.prec)[2]
         return mp.fdot(((h * j) % k * (k - (h * j) % k), logsin[j - 1])
                        for j in range(1, k)) / (k * k)
 

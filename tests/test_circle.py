@@ -178,12 +178,13 @@ class TestMstar:
             ratio = b.trunc_error_est / mpmath.mpf("6438.01")
             assert mpmath.mpf("0.5") < ratio < 20
 
-    def test_theory_numeric_consistency(self, mstar_7000_k1):
+    def test_theory_numeric_consistency(self, mstar_7000_k1, monkeypatch):
         # for n < ~6400 the superasymptotic minimum lies below both the
         # default m-floor and the default precision's noise floor, so the
-        # minimum is probed with floor=0 at boosted precision
+        # minimum is probed with M_FLOOR = 0 at boosted precision
+        monkeypatch.setattr(circle, "M_FLOOR", "0")
         hi = pp.PrecisionContext(decimal_digits=500)
-        cases = [(n, hi, circle.mstar_numeric(circle.Arc(n, 1, hi), floor=0))
+        cases = [(n, hi, circle.mstar_numeric(circle.Arc(n, 1, hi)))
                  for n in (3000, 5000)]
         cases.append((7000, pp.precision_for(7000), mstar_7000_k1))
         for n, ctx, breakdown in cases:

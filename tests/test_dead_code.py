@@ -1,0 +1,68 @@
+"""No module of the package keeps an unused import or an unused private helper.
+
+No linter runs on the package, so these checks stand in for the two rules
+that catch what deletions leave behind.
+"""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+import pytest
+
+import planepart
+
+SRC = Path(planepart.__file__).parent
+MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+TREES = {p: ast.parse(p.read_text(), str(p)) for p in sorted(SRC.glob("*.py"))}
+
+
+def references(node) -> Counter:
+    """Names read under node: loaded names, attributes and imported names."""
+    found = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and not isinstance(sub.ctx, ast.Store):
+            found[sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            found[sub.attr] += 1
+        elif isinstance(sub, ast.ImportFrom):
+            found.update(alias.name for alias in sub.names)
+    return found
+
+
+READ = sum((references(tree) for tree in TREES.values()), Counter())
+
+
+def is_private(name: str) -> bool:
+    return name.startswith("_") and not name.endswith("__")
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_import_is_used(path):
+    tree = TREES[path]
+    loaded = {sub.id for sub in ast.walk(tree)
+              if isinstance(sub, ast.Name) and not isinstance(sub.ctx, ast.Store)}
+    bound = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound += [a.asname or a.name.split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [a.asname or a.name for a in node.names]
+    assert [name for name in bound if name not in loaded] == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_private_helper_is_used(path):
+    unused = []
+    for node in TREES[path].body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        own = references(node)  # a helper that only calls itself is unused
+        unused += [name for name in names
+                   if is_private(name) and READ[name] <= own[name]]
+    assert unused == []

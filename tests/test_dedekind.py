@@ -69,11 +69,11 @@ class TestBhk:
 
 class TestRademacherGrosswaldIdentity:
     def test_logsin_sum_is_log_k(self):
-        # sum_{j=1}^{k-1} log|2 sin(j pi / k)| = log k
+        # sum_{j=1}^{k-1} log|2 sin(j pi / k)| = log k, over the library's row
         ctx = pp.PrecisionContext(decimal_digits=60)
         with ctx.workdps():
             for k in range(2, 201):
-                s = mp.fsum(mp.log(2 * mp.sin(mp.pi * j / k)) for j in range(1, k))
+                s = mp.fsum(dedekind._trig_fixed_row(k, mp.prec)[2])
                 assert abs(s - mp.log(k)) < mpmath.mpf(10) ** -40, k
 
 
@@ -99,10 +99,8 @@ class TestRowCaches:
     def test_bounded_across_precisions(self):
         # a long-lived process may run estimates at many precisions
         for prec in range(100, 400):
-            dedekind._logsin_row(3, prec)
             dedekind._trig_fixed_row(3, prec)
-        for row in (dedekind._logsin_row, dedekind._trig_fixed_row):
-            assert row.cache_info().currsize <= 256
+        assert dedekind._trig_fixed_row.cache_info().currsize <= 256
 
 
 class TestRootsRow:
@@ -112,7 +110,7 @@ class TestRootsRow:
         # 4 units of 2^-(prec + ROOTS_GUARD) of e^{2 pi i j / k}
         bits = prec + dedekind.ROOTS_GUARD
         for k in (1, 2, 3, 12, 13, 100):
-            cos, sin = dedekind._trig_fixed_row(k, prec)
+            cos, sin, _ = dedekind._trig_fixed_row(k, prec)
             assert len(cos) == len(sin) == k
             with mp.workprec(bits + 20):
                 tol = mpmath.mpf(2) ** (2 - bits)
@@ -124,9 +122,23 @@ class TestRootsRow:
     def test_mirror_is_exact(self):
         # cos[k - j] = cos[j] and sin[k - j] = -sin[j], in integers
         for k in (3, 12, 13, 100):
-            cos, sin = dedekind._trig_fixed_row(k, 170)
+            cos, sin, _ = dedekind._trig_fixed_row(k, 170)
             for j in range(1, (k + 1) // 2):
                 assert cos[k - j] == cos[j] and sin[k - j] == -sin[j], (k, j)
+
+    @pytest.mark.parametrize("prec", [170, 1300])
+    def test_logsin_entries_match_log_sin(self, prec):
+        # every log|2 sin(pi j / k)| entry, taken from the cos row and
+        # mirrored past k/2, lies within 8 units of 2^-prec of mpmath's
+        # log and sin at prec + 64 bits
+        for k in (2, 3, 13, 100, 499, 5000):
+            logsin = dedekind._trig_fixed_row(k, prec)[2]
+            assert len(logsin) == k - 1
+            with mp.workprec(prec + 64):
+                tol = mpmath.mpf(2) ** (3 - prec)
+                for j, got in enumerate(logsin, 1):
+                    want = mp.log(2 * mp.sin(mp.pi * j / k))
+                    assert abs(got - want) <= tol, (k, j)
 
 
 class TestV1:
