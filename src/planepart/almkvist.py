@@ -100,7 +100,6 @@ def almkvist_series(x, gamma, ctx: PrecisionContext) -> AlmkvistEval:
 
 @dataclass(frozen=True)
 class SaddleData:
-    lam: mpmath.mpf
     g: mpmath.mpf
     f1: mpmath.mpf
     f1p: mpmath.mpf
@@ -135,4 +134,4 @@ def saddle_data(lam, ctx: PrecisionContext) -> SaddleData:
         f1p = 2 * logg
         f1pp = -2 / (g + 2 * lv)
         f2 = g * g / mp.sqrt(1 - lv * g * g) - 1
-        return SaddleData(lam=lv, g=g, f1=f1, f1p=f1p, f1pp=f1pp, f2=f2)
+        return SaddleData(g=g, f1=f1, f1p=f1p, f1pp=f1pp, f2=f2)

@@ -160,7 +160,7 @@ def precision_for(n: int, digits: int | None = None) -> PrecisionContext:
     if digits is not None:
         return PrecisionContext(decimal_digits=digits)
     with mp.workdps(30):
-        a = mp.zeta(3)
+        a = +mp.apery
         lead = 3 * a ** (mp.mpf(1) / 3) * (mp.mpf(n) / 2) ** (mp.mpf(2) / 3)
         digits = int(mp.ceil(lead / mp.log(10))) + 1 + 60
     return PrecisionContext(decimal_digits=digits)

@@ -135,6 +135,8 @@ class Arc:
     """
 
     def __init__(self, n: int, k: int, ctx: PrecisionContext):
+        if n < 1 or k < 1:
+            raise ValueError("Arc requires n, k >= 1")
         self.n, self.k, self.ctx = n, k, ctx
         self._ladder: list[mpmath.mpf] = []  # A_0, A_1, ...
         cst = constants(ctx)
@@ -152,8 +154,8 @@ class Arc:
             self.weights = ([], [], [], [])  # per m mod 4, one per h
             for h in hs:
                 j = (-n * h) % k
-                c = base * mpmath.mpc((cos[j], e), (sin[j], e)) * mp.exp(c_hk(h, k, ctx))
-                re, im = (c.real, c.imag) if 2 * h % k == 0 else (2 * c.real, 2 * c.imag)
+                scale = mp.exp(c_hk(h, k, ctx)) * (1 if 2 * h % k == 0 else 2)
+                re, im = (base * mpmath.mpf((row[j], e)) * scale for row in (cos, sin))
                 for w, v in zip(self.weights, (re, -im, -re, im)):
                     w.append(v)
 
@@ -360,11 +362,8 @@ def phi0_bound(n: int, k: int, ctx: PrecisionContext):
             # h = 0 term with C_{0,1} = 0, so the 2^{-1/4} factor must be
             # undone.
             bound1 *= 2 ** (mpmath.mpf(1) / 4)
-        bound2 = None
-        if lam > 0:
-            d0 = d_of_lambda(lam, ctx)
-            bound2 = mp.sqrt(72 * cst.a / (cst.pi * kf**3)) * d0 ** (kf / 24)
-        return bound1 if bound2 is None else min(bound1, bound2)
+        bound2 = mp.sqrt(72 * cst.a / (cst.pi * kf**3)) * d_of_lambda(lam, ctx) ** (kf / 24)
+        return min(bound1, bound2)
 
 
 def p2_estimate(n: int, kappa2=None, digits: int | None = None,

@@ -60,9 +60,8 @@ def cmd_constants(args) -> tuple[dict, None]:
     dps, ctx = _printed_digits(args, 50)
     cst = arith.constants(ctx)
     der = arith.derived_constants(ctx)
-    with ctx.workdps():
-        c0 = circle.c_of_lambda(0, ctx)
-        lam_c = circle.lambda_c(ctx)
+    c0 = circle.c_of_lambda(0, ctx)
+    lam_c = circle.lambda_c(ctx)
     out = {
         "pi": _nstr(cst.pi, dps),
         "a": _nstr(cst.a, dps),

@@ -136,6 +136,9 @@ def _vp_buckets(p: int, k: int) -> tuple[int, int, tuple[int, ...]]:
 def vp_rational(p: int, h: int, k: int) -> Fraction:
     """Exact v^(p)_{h,k} for k in {1, 2}, where the roots of unity are +-1
     (a reference for vp_hk; the pipeline does not call it)."""
+    if p < 1:
+        raise ValueError("vp_rational requires p >= 1")
+    _check_coprime(h, k)
     if k not in (1, 2):
         raise ValueError("vp_rational is only exact for k in {1, 2}")
     num, den, buckets = _vp_buckets(p, k)
@@ -173,16 +176,15 @@ class CoeffGenerator:
     imaginary for odd p.  So v[m] = i^-m v^(m) and b[m] = i^-m b^(m) are real:
     exp(sum_p v^(p) z^p) = exp(sum_p v[p] (iz)^p).  The recurrence
     m b[m] = sum_j j v[j] b[m - j] is one mpf dot product per order (jv holds
-    j v[j]; every odd order is 0 for k <= 2).  The same symmetry gives
+    j v[j], j >= 1; every odd order is 0 for k <= 2).  The same symmetry gives
     b_{k-h}[m] = (-1)^m b_h[m], which circle.Arc uses to pair h with k - h.
     """
 
     def __init__(self, h: int, k: int, ctx: PrecisionContext):
         _check_coprime(h, k)
         self.h, self.k, self.ctx = h, k, ctx
-        with ctx.workdps():
-            self.jv: list = [mpmath.mpf(0)]
-            self.b: list = [mpmath.mpf(1)]
+        self.jv: list = []
+        self.b: list = [mpmath.mpf(1)]
 
     def extend_to(self, M: int) -> None:
         with self.ctx.workdps():
@@ -190,7 +192,7 @@ class CoeffGenerator:
                 m = len(self.b)
                 v = vp_hk(m, self.h, self.k, self.ctx)
                 self.jv.append((m, m, -m, -m)[m % 4] * (v.imag if m % 2 else v.real))
-                self.b.append(mp.fdot(self.jv[1:], reversed(self.b)) / m)
+                self.b.append(mp.fdot(self.jv, reversed(self.b)) / m)
 
 
 def reciprocity_residual(h: int, k: int, ctx: PrecisionContext):

@@ -23,9 +23,6 @@ class PlanePartitionTable:
     def __getitem__(self, n: int) -> int:
         return self.values[n]
 
-    def __len__(self) -> int:
-        return len(self.values)
-
 
 def p2_exact_table(N: int) -> PlanePartitionTable:
     """Exact p2(0..N) via the sigma2 recurrence; O(N^2) big-integer work."""

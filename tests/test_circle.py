@@ -135,6 +135,11 @@ class TestPsiPhi:
         assert circle.Arc(50, 1, ctx).term(3) == 0
         assert circle.Arc(50, 2, ctx).term(5) == 0
 
+    @pytest.mark.parametrize("n, k", [(5, 0), (-4, 2), (0, 3)])
+    def test_arc_domain(self, n, k):
+        with pytest.raises(ValueError):
+            circle.Arc(n, k, pp.PrecisionContext(30))
+
     def test_negative_m_rejected(self):
         # on a warm arc a negative m would index the cached rows from the end
         arc = circle.Arc(750, 5, pp.precision_for(750))
@@ -394,6 +399,16 @@ class TestBounds:
         with ctx50.workdps():
             bound = circle.minor_arc_bound(400, mpmath.mpf("0.5"), ctx50)
             assert abs(bound.type1 - mpmath.mpf(400) ** mpmath.mpf("-0.5")) < mpmath.mpf(10) ** -30
+
+    def test_minor_arc_type2_kappa_half(self, ctx50):
+        def type2(n):
+            return circle.minor_arc_bound(n, "0.5", ctx50).type2
+
+        assert mp.nstr(type2(750), 8) == "0.34602971"
+        assert mp.nstr(type2(6999), 8) == "0.023232484"
+        values = [type2(n) for n in (1, 10, 100, 400, 750, 2000, 6491, 6999, 14000)]
+        assert values[-1] > 0
+        assert all(a > b for a, b in zip(values, values[1:]))
 
     def test_lambda0_exceeds_lambda_c(self):
         # the Type II minor-arc bound needs its lam above lam_c

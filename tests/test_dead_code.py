@@ -1,7 +1,8 @@
-"""No module of the package keeps an unused import or an unused private helper.
+"""No module of the package keeps an unused import, an unused private helper
+or a record field that nothing reads.
 
-No linter runs on the package, so these checks stand in for the two rules
-that catch what deletions leave behind.
+No linter runs on the package, so these checks stand in for the rules that
+catch what deletions leave behind.
 """
 
 import ast
@@ -15,6 +16,8 @@ import planepart
 SRC = Path(planepart.__file__).parent
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 TREES = {p: ast.parse(p.read_text(), str(p)) for p in sorted(SRC.glob("*.py"))}
+TEST_TREES = [ast.parse(p.read_text(), str(p))
+              for p in sorted(Path(__file__).parent.glob("*.py"))]
 
 
 def references(node) -> Counter:
@@ -66,3 +69,25 @@ def test_every_private_helper_is_used(path):
         unused += [name for name in names
                    if is_private(name) and READ[name] <= own[name]]
     assert unused == []
+
+
+def is_dataclass(node) -> bool:
+    return isinstance(node, ast.ClassDef) and any(
+        getattr(d.func if isinstance(d, ast.Call) else d, "id", None) == "dataclass"
+        for d in node.decorator_list)
+
+
+# attributes loaded anywhere in the package or its tests
+ATTRIBUTES_READ = {sub.attr for tree in [*TREES.values(), *TEST_TREES]
+                   for sub in ast.walk(tree)
+                   if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load)}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_record_field_is_read(path):
+    # a field that is only ever set is state nothing needs
+    unread = [f"{node.name}.{item.target.id}"
+              for node in TREES[path].body if is_dataclass(node)
+              for item in node.body if isinstance(item, ast.AnnAssign)
+              and item.target.id not in ATTRIBUTES_READ]
+    assert unread == []

@@ -216,6 +216,13 @@ class TestVp:
                     exact = mpmath.mpf(q.numerator) / q.denominator
                     assert abs(v - exact) <= abs(exact) * ctx50.eps, (p, h, k)
 
+    def test_rational_route_rejects_non_coprime(self, ctx50):
+        for p, h, k in [(1, 0, 2), (2, 4, 2)]:
+            with pytest.raises(ValueError):
+                pp.vp_hk(p, h, k, ctx50)
+            with pytest.raises(ValueError):
+                dedekind.vp_rational(p, h, k)
+
     def test_oracles_import_no_private_names(self):
         # an oracle that shares a private helper with the code it checks
         # is no independent check
