@@ -14,9 +14,8 @@ from .dedekind import (b_hk, b_min, bound_suite, c_hk, reciprocity_residual,
                        v1_hk, vp_hk)
 from .almkvist import AlmkvistEval, SaddleData, almkvist_series, saddle_data
 from .circle import (Arc, EstimateReport, MinorArcBound, PhiBreakdown,
-                     TermRecord, c_of_lambda, cutoff_probe, d_of_lambda,
-                     lambda_c, lambda_param, minor_arc_bound, mstar_numeric,
-                     mstar_theory, n_cutoff_theory, p2_estimate, phi0_bound,
-                     sa_error_bound)
+                     TermRecord, cutoff_probe, d_of_lambda, lambda_c,
+                     lambda_param, minor_arc_bound, mstar_numeric, mstar_theory,
+                     n_cutoff_theory, p2_estimate, phi0_bound, sa_error_bound)
 
 __version__ = "0.1.0"

@@ -9,8 +9,9 @@ term sequence, in Python integers above the working precision, and returns
 all three.  An arc of the estimate (circle.Arc) needs A(x | -k/12 - m) for
 m = 0, 1, 2, ...: it seeds its ladder with almkvist_series, three
 consecutive values at once, and runs the ODE's three-term recurrence
-downward for the rest.  The saddle-point data g, f1, f2 drive all
-truncation-point formulas downstream (the large-x estimate itself is in
+downward for the rest.  saddle_data solves the saddle cubic for g once and
+returns everything the truncation-point formulas downstream read from it:
+f1, f1', f1'', f2 and c (the large-x estimate itself is in
 tests/oracles.py).
 """
 
@@ -22,7 +23,7 @@ import mpmath
 from mpmath import mp
 from mpmath.libmp import to_fixed
 
-from .arith import PrecisionContext
+from .arith import PrecisionContext, constants
 
 
 SERIES_GUARD = 20  # bits almkvist_series's fixed-point sums carry above the working precision
@@ -105,6 +106,7 @@ class SaddleData:
     f1p: mpmath.mpf
     f1pp: mpmath.mpf
     f2: mpmath.mpf
+    c: mpmath.mpf
 
 
 def _g_of_lambda(lam):
@@ -123,7 +125,12 @@ def _g_of_lambda(lam):
 
 
 def saddle_data(lam, ctx: PrecisionContext) -> SaddleData:
-    """g, f1, f1', f1'', f2 at the saddle parameter lam >= 0."""
+    """g, f1, f1', f1'', f2 and c at the saddle parameter lam >= 0.
+
+    g is the positive root of g^3 + 3 lam g^2 = 1, and f1' = 2 log g, so the
+    truncation scale c(lam) = 4 pi^2 e^(-f1'/2) / (2a)^(1/3) is
+    4 pi^2 / (g (2a)^(1/3))."""
+    cst = constants(ctx)
     with ctx.workdps():
         lv = mpmath.mpf(lam)
         if lv < 0:
@@ -134,4 +141,5 @@ def saddle_data(lam, ctx: PrecisionContext) -> SaddleData:
         f1p = 2 * logg
         f1pp = -2 / (g + 2 * lv)
         f2 = g * g / mp.sqrt(1 - lv * g * g) - 1
-        return SaddleData(g=g, f1=f1, f1p=f1p, f1pp=f1pp, f2=f2)
+        c = 4 * cst.pi**2 / (g * mp.cbrt(2 * cst.a))
+        return SaddleData(g=g, f1=f1, f1p=f1p, f1pp=f1pp, f2=f2, c=c)

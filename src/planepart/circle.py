@@ -17,7 +17,7 @@ from mpmath import mp
 
 from .arith import (PrecisionContext, PrecisionError, constants,
                     derived_constants, precision_for)
-from .almkvist import SaddleData, almkvist_series, saddle_data
+from .almkvist import almkvist_series, saddle_data
 from .dedekind import ROOTS_GUARD, CoeffGenerator, _trig_fixed_row, c_hk
 from .exact import p2_exact_table
 
@@ -39,16 +39,6 @@ def lambda_param(n: int, k: int, ctx: PrecisionContext):
     der = derived_constants(ctx)
     with ctx.workdps():
         return mpmath.mpf(k * k) / (24 * der.c2 * mpmath.mpf(n) ** (mpmath.mpf(2) / 3))
-
-
-def c_of_lambda(lam, ctx: PrecisionContext, sd: SaddleData | None = None):
-    """c(lam) = 4 pi^2 e^{-f1'(lam)/2} / (2a)^(1/3); sd, when given, is
-    saddle_data(lam, ctx), already computed by the caller."""
-    cst = constants(ctx)
-    with ctx.workdps():
-        if sd is None:
-            sd = saddle_data(lam, ctx)
-        return 4 * cst.pi**2 * mp.exp(-sd.f1p / 2) / mp.cbrt(2 * cst.a)
 
 
 def d_of_lambda(lam, ctx: PrecisionContext):
@@ -204,9 +194,8 @@ def mstar_theory(n: int, k: int, ctx: PrecisionContext):
     with ctx.workdps():
         lam = lambda_param(n, k, ctx)
         sd = saddle_data(lam, ctx)
-        c = c_of_lambda(lam, ctx, sd)
         n13 = mpmath.mpf(n) ** (mpmath.mpf(1) / 3)
-        return (c / k) * n13 - (c * c / (4 * der.c2 * k)) * sd.f1pp
+        return (sd.c / k) * n13 - (sd.c * sd.c / (4 * der.c2 * k)) * sd.f1pp
 
 
 def mstar_numeric(arc: Arc) -> PhiBreakdown:
@@ -307,7 +296,7 @@ def sa_error_bound(n: int, k: int, ctx: PrecisionContext):
         lam = lambda_param(n, k, ctx)
         if lam > lambda_c(ctx):
             raise ValueError("sa_error_bound is only claimed for lam <= lam_c")
-        c = c_of_lambda(lam, ctx)
+        c = saddle_data(lam, ctx).c
         mstar = mstar_theory(n, k, ctx)
         nf = mpmath.mpf(n)
         n13 = nf ** (mpmath.mpf(1) / 3)

@@ -19,6 +19,7 @@ import time
 
 import mpmath
 from mpmath import mp
+from mpmath.libmp import isprime
 
 from . import arith, circle, dedekind, exact
 
@@ -60,7 +61,7 @@ def cmd_constants(args) -> tuple[dict, None]:
     dps, ctx = _printed_digits(args, 50)
     cst = arith.constants(ctx)
     der = arith.derived_constants(ctx)
-    c0 = circle.c_of_lambda(0, ctx)
+    c0 = circle.saddle_data(0, ctx).c
     lam_c = circle.lambda_c(ctx)
     out = {
         "pi": _nstr(cst.pi, dps),
@@ -120,14 +121,6 @@ def cmd_phi(args) -> tuple[dict, list | None]:
 
 
 def _parse_k_list(spec: str) -> list[int]:
-    def is_prime(x: int) -> bool:
-        if x < 2:
-            return False
-        for p in range(2, int(math.isqrt(x)) + 1):
-            if x % p == 0:
-                return False
-        return True
-
     ks: list[int] = []
     for token in spec.split(","):
         token = token.strip()
@@ -139,7 +132,7 @@ def _parse_k_list(spec: str) -> list[int]:
             rng = range(int(lo), int(hi) + 1)
         else:
             rng = [int(token)]
-        ks.extend(k for k in rng if not primes_only or is_prime(k))
+        ks.extend(k for k in rng if not primes_only or isprime(k))
     ks = sorted(set(ks))
     if not ks or ks[0] < 2:
         raise ValueError("k list must contain integers >= 2")

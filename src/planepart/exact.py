@@ -21,6 +21,8 @@ class PlanePartitionTable:
             raise ValueError("table must start with p2(0) = 1")
 
     def __getitem__(self, n: int) -> int:
+        if n < 0:
+            raise ValueError("PlanePartitionTable index requires n >= 0")
         return self.values[n]
 
 

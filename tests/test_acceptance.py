@@ -151,7 +151,7 @@ def test_criterion_06_truncation_calibration(mstar_7000_k1):
 def test_criterion_07_constants(ctx50):
     der = pp.derived_constants(ctx50)
     with ctx50.workdps():
-        c0 = circle.c_of_lambda(0, ctx50)
+        c0 = pp.saddle_data(0, ctx50).c
         lam_c = circle.lambda_c(ctx50)
         d_at = circle.d_of_lambda(lam_c, ctx50)
         sd18 = pp.saddle_data(mpmath.mpf("0.180"), ctx50)

@@ -35,17 +35,23 @@ class TestLambda:
 class TestCAndD:
     def test_c_at_zero(self, ctx50):
         with ctx50.workdps():
-            assert mp.nstr(circle.c_of_lambda(0, ctx50), 6) == "29.4696"
+            assert mp.nstr(pp.saddle_data(0, ctx50).c, 6) == "29.4696"
 
-    def test_c_identity_via_g(self, ctx50):
+    def test_c_matches_definition_via_numeric_f1p(self, ctx50):
+        # c(lam) = 4 pi^2 e^(-f1'(lam)/2) / (2a)^(1/3), with f1' the
+        # numerical derivative of f1, not the saddle layer's closed form.
+        # mp.diff at 50 digits steps by 2^-179 and works at 378 bits, so f1
+        # is taken at 120 digits (at 50 both steps give the same f1).
         cst = pp.constants(ctx50)
+        ctx120 = pp.PrecisionContext(120)
         with ctx50.workdps():
             for lam_s in ("0.01", "0.1", "0.18"):
                 lam = mpmath.mpf(lam_s)
-                c = circle.c_of_lambda(lam, ctx50)
-                g = pp.saddle_data(lam, ctx50).g
-                ident = 4 * cst.pi**2 / ((2 * cst.a) ** (mpmath.mpf(1) / 3) * g)
-                assert abs(c - ident) < mpmath.mpf(10) ** -40
+                sd = pp.saddle_data(lam, ctx50)
+                f1p = mp.diff(lambda l: pp.saddle_data(l, ctx120).f1, lam)
+                c = 4 * cst.pi**2 * mp.exp(-f1p / 2) / mp.cbrt(2 * cst.a)
+                assert abs(sd.f1p - f1p) < mpmath.mpf(10) ** -40
+                assert abs(sd.c - c) < mpmath.mpf(10) ** -40
 
     def test_lambda_c_and_d(self):
         # lambda_c's root finder converges at every precision the CLI and

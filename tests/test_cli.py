@@ -142,6 +142,11 @@ class TestScanBmin:
         assert code == 0
         ks = [int(line.split(",")[0]) for line in path.read_text().splitlines()[1:]]
         assert ks == [37, 41, 43, 47, 53, 59]
+        sieve = [False, False] + [True] * 4999
+        for p in range(2, 71):
+            if sieve[p]:
+                sieve[p * p::p] = [False] * len(sieve[p * p::p])
+        assert cli._parse_k_list("p:2-5000") == [k for k in range(5001) if sieve[k]]
 
     def test_bad_list_exits_2(self, capsys):
         code, _, _ = run(capsys, "scan-bmin", "--k-list", "1")

@@ -22,6 +22,7 @@ REJECTED = {
     "reciprocity_residual(4, 3)": lambda: pp.reciprocity_residual(4, 3, CTX),
     "b_min(1)": lambda: pp.b_min(1, CTX),
     "PlanePartitionTable((2,))": lambda: pp.PlanePartitionTable((2,)),
+    "p2_exact_table(10)[-1]": lambda: pp.p2_exact_table(10)[-1],
 }
 
 
