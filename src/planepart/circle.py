@@ -76,6 +76,7 @@ class PhiBreakdown:
     k: int
     m_star_used: int
     terms: list[TermRecord]
+    terms_computed: int  # the terms evaluated, those past the minimum included
     phi_value: mpmath.mpf
     trunc_error_est: mpmath.mpf
     stop_reason: str  # minimum-found | below-floor | exhausted
@@ -250,13 +251,13 @@ def mstar_numeric(arc: Arc) -> PhiBreakdown:
             if two_incr or ab > 8 * terms[sized[low]].abs_value:
                 stop_reason = "minimum-found"
                 break
-        trunc = terms[-1].abs_value
+        trunc, computed = terms[-1].abs_value, len(terms)
         if stop_reason == "minimum-found":
             # the first neglected term after the minimum that is not a
             # structural zero (the current term at the latest)
             trunc = terms[sized[low + 1]].abs_value
             del terms[sized[low] + 1:]
-        return PhiBreakdown(k=k, m_star_used=terms[-1].m, terms=terms,
+        return PhiBreakdown(k=k, m_star_used=terms[-1].m, terms=terms, terms_computed=computed,
                             phi_value=mp.fsum(r.value for r in terms),
                             trunc_error_est=trunc, stop_reason=stop_reason)
 

@@ -5,7 +5,9 @@ Every command emits a ReportDocument: {schema_version, command, inputs,
 outputs, timings} with all big numbers serialized as decimal strings.  Output
 is deterministic for fixed inputs and --digits (timings aside).  Every command
 prints only the digits its working precision certifies (decimal_digits -
-GUARD_DIGITS); error estimates print 10 digits.
+GUARD_DIGITS); per-arc and per-term values print at most 40 of them, error
+estimates 10.  exact, phi and scan-bmin also return a table (header, rows),
+which --csv PATH writes: p2(0..n), the arc's per-m terms, the b_min(k) scan.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import json
 import math
 import sys
 import time
+from collections.abc import Iterable
 
 import mpmath
 from mpmath import mp
@@ -40,7 +43,7 @@ def _breakdown_dict(b: circle.PhiBreakdown, dps: int) -> dict:
         "stop_reason": b.stop_reason,
         "phi_value": _nstr(b.phi_value, dps),
         "trunc_error_est": _nstr(b.trunc_error_est, 10),
-        "terms_computed": len(b.terms),
+        "terms_computed": b.terms_computed,
     }
 
 
@@ -50,7 +53,7 @@ def _printed_digits(args, default: int) -> tuple[int, arith.PrecisionContext]:
     return dps, arith.PrecisionContext(max(dps + arith.GUARD_DIGITS, 30))
 
 
-def _write_csv(path: str, header: list[str], rows: list[list[str]]) -> None:
+def _write_csv(path: str, header: list[str], rows: Iterable[list[str]]) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
@@ -76,28 +79,25 @@ def cmd_constants(args) -> tuple[dict, None]:
     return out, None
 
 
-def cmd_exact(args) -> tuple[dict, list | None]:
+def cmd_exact(args) -> tuple[dict, tuple]:
     if args.n < 0:
         raise ValueError("n must be >= 0")
     table = exact.p2_exact_table(args.n)
     out = {"n": args.n, "p2": str(table[args.n]), "digits": len(str(table[args.n]))}
-    rows = None
-    if args.table:
-        rows = (["n", "p2"], [[str(i), str(v)] for i, v in enumerate(table.values)])
-    return out, rows
+    return out, (["n", "p2"], ([str(i), str(v)] for i, v in enumerate(table.values)))
 
 
 def cmd_estimate(args) -> tuple[dict, None]:
     report = circle.p2_estimate(args.n, kappa2=args.kappa2, digits=args.digits,
                                 with_exact=args.with_exact)
+    dps = report.decimal_digits - arith.GUARD_DIGITS
     out = {
         "n": report.n,
         "N_used": report.N_used,
-        "estimate": _nstr(report.estimate,
-                          report.decimal_digits - arith.GUARD_DIGITS),
+        "estimate": _nstr(report.estimate, dps),
         "rounded": str(report.rounded),
         "estimated_error": _nstr(report.estimated_error, 10),
-        "per_k": [_breakdown_dict(b, 40) for b in report.per_k],
+        "per_k": [_breakdown_dict(b, min(40, dps)) for b in report.per_k],
     }
     if report.exact is not None:
         out["exact"] = str(report.exact)
@@ -105,19 +105,18 @@ def cmd_estimate(args) -> tuple[dict, None]:
     return out, None
 
 
-def cmd_phi(args) -> tuple[dict, list | None]:
+def cmd_phi(args) -> tuple[dict, tuple]:
     if args.n < 1 or args.k < 1:
         raise ValueError("n and k must be >= 1")
     ctx = arith.precision_for(args.n, args.digits)
     breakdown = circle.mstar_numeric(circle.Arc(args.n, args.k, ctx))
-    out = _breakdown_dict(breakdown, ctx.decimal_digits - arith.GUARD_DIGITS)
+    dps = ctx.decimal_digits - arith.GUARD_DIGITS
+    out = _breakdown_dict(breakdown, dps)
     out["n"] = args.n
-    rows = None
-    if args.per_m:
-        rows = (["k", "m", "value", "abs_value"],
-                [[str(breakdown.k), str(t.m), _nstr(t.value, 40), _nstr(t.abs_value, 40)]
-                 for t in breakdown.terms])
-    return out, rows
+    row_dps = min(40, dps)
+    return out, (["k", "m", "value", "abs_value"],
+                 ([str(breakdown.k), str(t.m), _nstr(t.value, row_dps),
+                   _nstr(t.abs_value, row_dps)] for t in breakdown.terms))
 
 
 def _parse_k_list(spec: str) -> list[int]:
@@ -139,7 +138,7 @@ def _parse_k_list(spec: str) -> list[int]:
     return ks
 
 
-def cmd_scan_bmin(args) -> tuple[dict, list]:
+def cmd_scan_bmin(args) -> tuple[dict, tuple]:
     ks = _parse_k_list(args.k_list)
     dps, ctx = _printed_digits(args, 30)
     rows, values = [], []
@@ -188,7 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--json", metavar="PATH", default=None,
                         help="write the report document to PATH")
     parser.add_argument("--csv", metavar="PATH", default=None,
-                        help="write tabular payload (if any) to PATH")
+                        help="write the table of exact, phi or scan-bmin to PATH")
     parser.add_argument("--quiet", action="store_true",
                         help="suppress stdout report")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -198,8 +197,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("exact", help="exact p2(n)")
     p.add_argument("n", type=int)
-    p.add_argument("--table", action="store_true",
-                   help="tabulate p2(0..n) (use with --csv)")
     p.set_defaults(func=cmd_exact)
 
     p = sub.add_parser("estimate", help="superasymptotic estimate of p2(n)")
@@ -212,8 +209,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("phi", help="phi_k(n) with truncation metadata")
     p.add_argument("n", type=int)
     p.add_argument("k", type=int)
-    p.add_argument("--per-m", action="store_true",
-                   help="emit the per-m term records (use with --csv)")
     p.set_defaults(func=cmd_phi)
 
     p = sub.add_parser("scan-bmin", help="b_min(k) scan data")
@@ -244,8 +239,7 @@ def main(argv=None) -> int:
         "schema_version": SCHEMA_VERSION,
         "command": args.command,
         "inputs": {key: value for key, value in sorted(vars(args).items())
-                   if key not in ("func", "json", "csv", "quiet")
-                   and not callable(value)},
+                   if key not in ("func", "json", "csv", "quiet")},
         "outputs": outputs,
         "timings": {"total_s": round(time.monotonic() - start, 6)},
     }

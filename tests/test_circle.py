@@ -264,7 +264,7 @@ class TestMstarExits:
         g = self.GATE
         b, asked, _ = stub_truncation({g: "0.5", g + 1: "0.2", g + 2: "0.3", g + 3: "0.4"})
         assert b.stop_reason == "minimum-found"
-        assert asked[-1] == g + 3
+        assert asked[-1] == g + 3 and b.terms_computed == len(asked)
         assert b.m_star_used == g + 1
         assert [r.m for r in b.terms] == list(range(g + 2))
         assert b.trunc_error_est == mpmath.mpf("0.3")
@@ -275,7 +275,7 @@ class TestMstarExits:
         b, asked, _ = stub_truncation({g: "0.5", g + 1: "0.1", g + 2: "0.4",
                                        g + 3: "0.3", g + 4: "0.9"})
         assert b.stop_reason == "minimum-found"
-        assert asked[-1] == g + 4
+        assert asked[-1] == g + 4 and b.terms_computed == len(asked)
         assert b.m_star_used == g + 1
         assert b.trunc_error_est == mpmath.mpf("0.4")
 
@@ -342,6 +342,7 @@ def test_truncation_invariants(k, head, window, tail):
     ms = [r.m for r in b.terms]
     with STUB_CTX.workdps():
         assert ms == list(range(0, step * len(ms), step)) == asked[:len(ms)]
+        assert b.terms_computed == len(asked)
         assert b.m_star_used == ms[-1]
         assert b.phi_value == mp.fsum(r.value for r in b.terms)
         # the sized terms: above the roundoff floor of the largest term so far

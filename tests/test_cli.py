@@ -41,13 +41,22 @@ class TestExact:
 
     def test_table_csv(self, capsys, tmp_path):
         path = tmp_path / "table.csv"
-        code, _, _ = run(capsys, "--csv", str(path), "exact", "6", "--table")
+        code, _, _ = run(capsys, "--csv", str(path), "exact", "6")
         assert code == 0
         raw = path.read_bytes()
         assert b"\r" not in raw
         lines = raw.decode().splitlines()
         assert lines[0] == "n,p2"
         assert lines[-1] == "6,48"
+
+    def test_csv_alone_writes_every_row(self, capsys, tmp_path):
+        # --csv needs no other switch: the header and p2(0..n), n + 2 lines
+        path = tmp_path / "table.csv"
+        code, _, _ = run(capsys, "--quiet", "--csv", str(path), "exact", "30")
+        assert code == 0
+        lines = path.read_text().splitlines()
+        assert len(lines) == 32
+        assert lines[1:] == [f"{i},{v}" for i, v in enumerate(pp.p2_exact_table(30).values)]
 
 
 class TestEstimate:
@@ -115,12 +124,24 @@ class TestPhi:
 
     def test_per_m_csv(self, capsys, tmp_path):
         path = tmp_path / "terms.csv"
-        code, _, _ = run(capsys, "--csv", str(path), "--quiet",
-                         "phi", "200", "3", "--per-m")
+        code, _, _ = run(capsys, "--csv", str(path), "--quiet", "phi", "200", "3")
         assert code == 0
         lines = path.read_text().splitlines()
         assert lines[0] == "k,m,value,abs_value"
         assert len(lines) >= 2
+
+    def test_csv_alone_writes_the_kept_terms(self, capsys, tmp_path):
+        # one row per kept term, m = 0 .. m_star_used, each at 40 digits
+        path = tmp_path / "terms.csv"
+        code, out, _ = run(capsys, "--csv", str(path), "phi", "200", "3")
+        assert code == 0
+        o = outputs(out)
+        ctx = pp.precision_for(200)
+        terms = pp.mstar_numeric(pp.Arc(200, 3, ctx)).terms
+        rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+        assert [int(m) for _, m, _, _ in rows] == list(range(o["m_star_used"] + 1))
+        assert rows == [["3", str(t.m), cli._nstr(t.value, 40), cli._nstr(t.abs_value, 40)]
+                        for t in terms]
 
 
 class TestScanBmin:
@@ -236,3 +257,28 @@ class TestDigits:
         o = outputs(out)
         assert o["a"] == "1.202056903"
         assert o["c2"] == "2.009445661"
+
+
+class TestCertifiedDigits:
+    """Per-arc and per-term values print at most 40 digits, and no more than
+    the working precision certifies (decimal_digits - GUARD_DIGITS)."""
+
+    def test_estimate_per_arc_values(self, capsys):
+        # 31 working digits certify 11; a 120-digit run gives the reference
+        reference = {b.k: b.phi_value for b in pp.p2_estimate(50, digits=120).per_k}
+        code, out, _ = run(capsys, "--digits", "31", "estimate", "50")
+        assert code == 0
+        per_k = outputs(out)["per_k"]
+        assert len(per_k) == len(reference)
+        for arc in per_k:
+            assert arc["phi_value"] == cli._nstr(reference[arc["k"]], 11), arc["k"]
+
+    def test_phi_csv_values(self, capsys, tmp_path):
+        path = tmp_path / "terms.csv"
+        code, _, _ = run(capsys, "--quiet", "--digits", "31", "--csv", str(path),
+                         "phi", "200", "3")
+        assert code == 0
+        rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+        terms = pp.mstar_numeric(pp.Arc(200, 3, pp.PrecisionContext(120))).terms
+        assert rows == [["3", str(t.m), cli._nstr(t.value, 11), cli._nstr(t.abs_value, 11)]
+                        for t in terms]

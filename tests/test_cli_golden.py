@@ -21,9 +21,9 @@ CASES = [
     ["estimate", "50", "--with-exact"],
     ["estimate", "107", "--with-exact"],
     ["estimate", "300", "--kappa2", "0"],
-    ["phi", "500", "1", "--per-m"],
-    ["phi", "500", "2", "--per-m"],
-    ["phi", "500", "3", "--per-m"],
+    ["phi", "500", "1"],
+    ["phi", "500", "2"],
+    ["phi", "500", "3"],
     ["dedekind", "7", "100"],
     ["dedekind", "0", "1"],
     ["dedekind", "1", "2"],
