@@ -111,8 +111,17 @@ class SaddleData:
 
 def _g_of_lambda(lam):
     """Positive root of g^3 + 3 lam g^2 = 1 (the g(0) = 1 branch), by Newton
-    at the working precision until the step is below 10^-dps of g."""
-    g = mpmath.mpf(1)  # G(1) = 3 lam >= 0 and G is increasing/convex for g > 0
+    in floats from g = 1, then at the working precision from the float root
+    until the step is below 10^-dps of g."""
+    # G(1) = 3 lam >= 0 and G is increasing/convex for g > 0, so Newton from
+    # g = 1 falls monotonically onto the root
+    g, lf = 1.0, float(lam)
+    for _ in range(200):
+        step = (g * g * (g + 3 * lf) - 1) / (3 * g * (g + 2 * lf))
+        if not step > 1e-15 * g:
+            break
+        g -= step
+    g = mpmath.mpf(g)
     tol = mpmath.mpf(10) ** (-mp.dps)
     for _ in range(200):
         f = g * g * (g + 3 * lam) - 1

@@ -14,11 +14,13 @@ from functools import lru_cache
 
 import mpmath
 from mpmath import mp
+from mpmath.libmp import from_man_exp
 
 from .arith import (PrecisionContext, PrecisionError, constants,
                     derived_constants, precision_for)
 from .almkvist import almkvist_series, saddle_data
-from .dedekind import ROOTS_GUARD, CoeffGenerator, _trig_fixed_row, c_hk
+from .dedekind import (COEFF_GUARD, ROOTS_GUARD, CoeffGenerator, _dot, _from_mpf,
+                       _normalize, _trig_fixed_row, c_hk)
 from .exact import p2_exact_table
 
 # The numeric cutoff ends at the first arc whose nonzero probe is below
@@ -43,14 +45,17 @@ def lambda_param(n: int, k: int, ctx: PrecisionContext):
 
 def d_of_lambda(lam, ctx: PrecisionContext):
     """d(lam) = 72 a lam 4^-3 exp(24 zeta'(-1) + (1 + f1(lam))/lam)."""
-    cst = constants(ctx)
     with ctx.workdps():
         lv = mpmath.mpf(lam)
         if lv <= 0:
             raise ValueError("d_of_lambda requires lam > 0")
-        sd = saddle_data(lv, ctx)
-        return (72 * cst.a * lv / 64
-                * mp.exp(24 * cst.zeta_prime_m1 + (1 + sd.f1) / lv))
+        return _d_of_saddle(lv, saddle_data(lv, ctx), ctx)
+
+
+def _d_of_saddle(lam, sd, ctx: PrecisionContext):
+    """d(lam) from lam > 0 and its SaddleData, at the current precision."""
+    cst = constants(ctx)
+    return 72 * cst.a * lam / 64 * mp.exp(24 * cst.zeta_prime_m1 + (1 + sd.f1) / lam)
 
 
 @lru_cache(maxsize=None)
@@ -98,17 +103,22 @@ class EstimateReport:
 class Arc:
     """The k-th Farey arc of the estimate for p2(n): its terms phi^(m)_k(n).
 
-    Holds the arc prefactor, the C_{h,k} phases, one CoeffGenerator per
-    coprime h <= k/2 and the Almkvist ladder.  A term is one dot product of
-    those cached inputs, so it is recomputed, not stored.
+    Holds the h-weights (the arc prefactor times the C_{h,k} phases), one
+    CoeffGenerator per coprime h <= k/2, the Almkvist ladder and the powers
+    (a/k^3)^(m/2), all as floating integers: mantissas of exactly
+    COEFF_GUARD bits above the working precision, each with its exponent.
+    A term is one _dot of cached weights with the generators' b[m] and two
+    integer products, rounded once to an mpf; it is recomputed, not stored.
 
     For k >= 3, h pairs with k - h: C_{k-h,k} = C_{h,k} and the phase
     e^{-2 pi i n h / k} is conjugated, so coef_{k-h} = conj(coef_h), and the
     real rotated coefficients obey b_{k-h}[m] = (-1)^m b_h[m].  The pair adds
     i^m c b_h[m] to the h-sum, with c = c_e = 2 Re coef_h for even m and
     c = c_o = 2i Im coef_h for odd m (for k <= 2, c = coef_h, real, its own
-    partner).  So the h-sum is real, one mpf dot product of b_h[m] with the
-    weights Re c_e, -Im c_o, -Re c_e, Im c_o, the one for m mod 4.
+    partner).  So the h-sum is real, one dot product of b_h[m] with the
+    weights Re c_e, -Im c_o, -Re c_e, Im c_o, the one for m mod 4.  Each
+    factor of a term is accurate to a few units of its last bit, so the
+    term is accurate to the working precision before its one rounding.
 
     The Almkvist values A_m = A(x | -k/12 - m) come from a ladder.  A
     request past its end seeds one series at top = max(m, 2 * len,
@@ -129,29 +139,36 @@ class Arc:
         if n < 1 or k < 1:
             raise ValueError("Arc requires n, k >= 1")
         self.n, self.k, self.ctx = n, k, ctx
-        self._ladder: list[mpmath.mpf] = []  # A_0, A_1, ...
+        self._ladder: list[tuple[int, int]] = []  # A_0, A_1, ...
         cst = constants(ctx)
         with ctx.workdps():
+            self._prec = prec = mp.prec
+            self._bits = bits = prec + COEFF_GUARD
             kf = mpmath.mpf(k)
-            self.sqrt_ak3 = mp.sqrt(cst.a / kf**3)
-            self.x = self.sqrt_ak3 * n
+            self.x = mp.sqrt(cst.a / kf**3) * n
+            with mp.workprec(bits):
+                self._sqrt_ak3 = _from_mpf(mp.sqrt(cst.a / kf**3), bits)
+            self._powers = [(1 << (bits - 1), 1 - bits)]  # (a/k^3)^(m/2), m = 0, 1, ...
             base = mp.exp(k * cst.zeta_prime_m1) * (cst.a / kf) ** (
                 mpmath.mpf(1) / 2 + kf / 24) / kf
             # h <= k/2: [0] for k = 1, [1] for k = 2, h < k/2 for k >= 3
             hs = [h for h in range(k // 2 + 1) if math.gcd(h, k) == 1]
             self.gens = [CoeffGenerator(h, k, ctx) for h in hs]
-            cos, sin, _ = _trig_fixed_row(k, mp.prec)
-            e = -(mp.prec + ROOTS_GUARD)  # the rows are integers over 2^-e
-            self.weights = ([], [], [], [])  # per m mod 4, one per h
+            cos, sin, _ = _trig_fixed_row(k, prec)
+            e = -(prec + ROOTS_GUARD)  # the rows are integers over 2^-e
+            # per m mod 4, the mantissas and the exponents of the weights, one per h
+            self._weights = tuple(([], []) for _ in range(4))
             for h in hs:
                 j = (-n * h) % k
                 scale = mp.exp(c_hk(h, k, ctx)) * (1 if 2 * h % k == 0 else 2)
                 re, im = (base * mpmath.mpf((row[j], e)) * scale for row in (cos, sin))
-                for w, v in zip(self.weights, (re, -im, -re, im)):
-                    w.append(v)
+                for (mans, exps), v in zip(self._weights, (re, -im, -re, im)):
+                    man, exp = _from_mpf(v, bits)
+                    mans.append(man)
+                    exps.append(exp)
 
-    def almkvist(self, m: int):
-        """A(x | -k/12 - m) at the working precision, from the ladder."""
+    def _almkvist_fixed(self, m: int) -> tuple[int, int]:
+        """A_m as a floating integer, extending the ladder past its end."""
         if m < 0:
             raise ValueError("Arc.almkvist requires m >= 0")
         ladder = self._ladder
@@ -170,9 +187,12 @@ class Arc:
                 xa = block[-3] * xm
                 xa = xa << xe if xe >= 0 else xa >> -xe
                 block.append((12 * xa + (12 * j + 36 + self.k) * block[-2]) // 24)
-            with self.ctx.workdps():
-                ladder += [mpmath.mpf((a, e)) for a in reversed(block)]
+            ladder += [_normalize(a, e, self._bits) for a in reversed(block)]
         return ladder[m]
+
+    def almkvist(self, m: int):
+        """A(x | -k/12 - m) at the working precision, from the ladder."""
+        return mp.make_mpf(from_man_exp(*self._almkvist_fixed(m), self._prec, "n"))
 
     def term(self, m: int):
         """phi^(m)_k(n) as a real mpf: (a/k^3)^(m/2) A_m times one dot product
@@ -180,11 +200,17 @@ class Arc:
         any order, but increasing m reuses all coefficient work."""
         if m < 0:
             raise ValueError("Arc.term requires m >= 0")
-        with self.ctx.workdps():
-            for gen in self.gens:
-                gen.extend_to(m)
-            acc = mp.fdot(self.weights[m % 4], [g.b[m] for g in self.gens])
-            return self.sqrt_ak3 ** m * self.almkvist(m) * acc
+        for gen in self.gens:
+            gen.extend_to(m)
+        powers, (s, se) = self._powers, self._sqrt_ak3
+        while len(powers) <= m:
+            man, exp = powers[-1]
+            powers.append(_normalize(man * s, exp + se, self._bits))
+        acc, e = _dot(*self._weights[m % 4], [g.b[m] for g in self.gens],
+                      [g.b_exp[m] for g in self.gens])
+        a, ae = self._almkvist_fixed(m)
+        p, pe = powers[m]
+        return mp.make_mpf(from_man_exp(acc * a * p, e + ae + pe, self._prec, "n"))
 
 
 def mstar_theory(n: int, k: int, ctx: PrecisionContext):
@@ -352,7 +378,7 @@ def phi0_bound(n: int, k: int, ctx: PrecisionContext):
             # h = 0 term with C_{0,1} = 0, so the 2^{-1/4} factor must be
             # undone.
             bound1 *= 2 ** (mpmath.mpf(1) / 4)
-        bound2 = mp.sqrt(72 * cst.a / (cst.pi * kf**3)) * d_of_lambda(lam, ctx) ** (kf / 24)
+        bound2 = mp.sqrt(72 * cst.a / (cst.pi * kf**3)) * _d_of_saddle(lam, sd, ctx) ** (kf / 24)
         return min(bound1, bound2)
 
 

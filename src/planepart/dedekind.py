@@ -17,10 +17,14 @@ circle.Arc its phases, v^(p) its cos and sin, and C_{h,k} and b_{h,k} their
 log-sines, log|2 sin(pi j / k)| taken from the cos row.  At k = 1 and 2
 only U_0 and U_{k/2} remain, and the roots are +-1; vp_rational gives those
 arcs' v^(p) as exact rationals for reference.
-The b^(m) recurrence therefore runs on real numbers (CoeffGenerator), and
-b_{k-h} follows from b_h, so an arc needs one generator per pair h, k - h
-(circle.Arc).  v1_hk, which the `dedekind` CLI command prints, is vp_hk at
-p = 1; the cot form of v^(p) is a test oracle (tests/oracles.py).
+The b^(m) recurrence therefore runs on real numbers, and b_{k-h} follows
+from b_h, so an arc needs one generator per pair h, k - h (circle.Arc).
+CoeffGenerator holds each real as a floating integer: a mantissa of exactly
+COEFF_GUARD bits above the working precision and its own exponent, so an
+order is one C-level integer dot product (_dot) whatever the size of
+b^(m) (b^(900) of arc 1 is about 2^2765).  v1_hk, which the `dedekind`
+CLI command prints, is vp_hk at p = 1; the cot form of v^(p) is a test
+oracle (tests/oracles.py).
 """
 
 from __future__ import annotations
@@ -28,10 +32,12 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from operator import add, mul, rshift
 
 import mpmath
 from mpmath import mp
-from mpmath.libmp import from_int, from_man_exp, fzero, mpf_div, mpf_shift, to_fixed
+from mpmath.libmp import (dps_to_prec, from_int, from_man_exp, fzero, mpf_div, mpf_shift,
+                          to_fixed)
 
 from .arith import PrecisionContext, bernoulli_int_row, constants
 
@@ -44,6 +50,8 @@ B1K_GAMMA = "0.024529"
 # runs many estimates does not grow without limit.
 ROW_CACHE_SIZE = 256
 ROOTS_GUARD = 32  # bits the roots of unity carry above the precision they serve
+COEFF_GUARD = 32  # bits the floating-integer mantissas carry above the working precision
+ZERO_EXP = -(1 << 62)  # a zero mantissa's exponent: below all others, so no zero leads a _dot
 
 
 @lru_cache(maxsize=ROW_CACHE_SIZE)
@@ -52,19 +60,39 @@ def _trig_fixed_row(k: int, prec: int) -> tuple[tuple[int, ...], tuple[int, ...]
     over 2^(prec + ROOTS_GUARD), and log|2 sin(pi j / k)|, j = 1..k-1, as
     mpf at binary precision prec.
 
-    cos and sin are mp.expjpi for j <= k/2, mirrored past it in integers
-    (cos[k - j] = cos[j], sin[k - j] = -sin[j]).  For j <= k/2 the log-sine
-    is half of one mp.log of the exact number ((1 << bits) - cos[j]) 2^(1 - bits)
+    For j <= k/2, cos and sin come from one mp.expjpi(2/k), w, and the
+    rotation z_(j+1) = z_j w in integers carrying 16 + k.bit_length() bits
+    more, rounded to nearest; past k/2 they are mirrored in integers
+    (cos[k - j] = cos[j], sin[k - j] = -sin[j]).  In units of the last
+    extra bit, a rotation step adds under 4 (its two floors and w's own
+    rounding), and |w| = 1 carries the earlier error over unchanged, so at
+    j <= k/2 the error is under 2k units, under 2^-15 units once rounded:
+    each entry is within 1 unit of 2^-(prec + ROOTS_GUARD).  The points the sum of an
+    arc relies on being exact are set exactly: cos = 0 at j = k/4 and
+    e^(i pi) = -1 at j = k/2.  For j <= k/2 the log-sine is half of one
+    mp.log of the exact number ((1 << bits) - cos[j]) 2^(1 - bits)
     = 2 - 2 cos(2 pi j / k), mirrored past k/2.  The log's absolute error is
     the relative error of 2 - 2 cos: a few units of 2^-bits over
     2 - 2 cos >= 4 sin^2(pi / k) >= 16 / k^2.  With bits = prec + ROOTS_GUARD
     (32 bits) that stays below 2^-prec for k up to 2^16, so the guard
     absorbs the cancellation."""
     bits = prec + ROOTS_GUARD
-    with mp.workprec(bits):
-        half = [mp.expjpi(mpmath.mpf(2 * j) / k) for j in range(k // 2 + 1)]
-    cos = [to_fixed(z.real._mpf_, bits) for z in half]
-    sin = [to_fixed(z.imag._mpf_, bits) for z in half]
+    extra = 16 + k.bit_length()
+    wp = bits + extra
+    with mp.workprec(wp):
+        w = mp.expjpi(mpmath.mpf(2) / k)
+    wc, ws = to_fixed(w.real._mpf_, wp), to_fixed(w.imag._mpf_, wp)
+    half = 1 << (extra - 1)
+    c, s = 1 << wp, 0
+    cos, sin = [], []
+    for _ in range(k // 2 + 1):
+        cos.append((c + half) >> extra)
+        sin.append((s + half) >> extra)
+        c, s = (c * wc - s * ws) >> wp, (c * ws + s * wc) >> wp
+    if k % 2 == 0:
+        cos[k // 2], sin[k // 2] = -1 << bits, 0
+    if k % 4 == 0:
+        cos[k // 4], sin[k // 4] = 0, 1 << bits
     with mp.workprec(prec):
         logsin = [mp.log(mp.make_mpf(from_man_exp((1 << bits) - c, 1 - bits))) / 2
                   for c in cos[1:]]
@@ -107,8 +135,10 @@ def v1_hk(h: int, k: int, ctx: PrecisionContext):
 @lru_cache(maxsize=None)
 def _vp_buckets(p: int, k: int) -> tuple[int, int, tuple[int, ...]]:
     """(P, D, (N_0, ..., N_{k//2})) with v^(p)_{h,k} = (P / D) sum_j N_j
-    e^{2 pi i j h / k}, P = (-1)^p k^(2p) and D = p! p (p + 2) L: U_j = N_j / L
-    is the sum over d, d' in 1..k with d d' = j mod k of B_{p+2}(d'/k) B_p(d/k).
+    cos(2 pi j h / k) for even p and i (P / D) sum_j N_j sin(2 pi j h / k)
+    for odd p, P = (-1)^p k^(2p) and D = p! p (p + 2) L: N_j / L is U_j, the
+    sum over d, d' in 1..k with d d' = j mod k of B_{p+2}(d'/k) B_p(d/k),
+    doubled for 0 < j < k/2, where bucket k - j joins it.
 
     Sums integer rows (bernoulli_int_row) over their one common denominator L.
     The d and k - d terms land in buckets j and k - j with the sign (-1)^p,
@@ -130,7 +160,8 @@ def _vp_buckets(p: int, k: int) -> tuple[int, int, tuple[int, ...]]:
             if b2:
                 acc[(d * dq) % k] += b2 * bp
     return (sign * k ** (2 * p), math.factorial(p) * p * (p + 2) * den_p * den_p2,
-            tuple(mirrored[j] + sign * mirrored[-j] + own[j] for j in range(k // 2 + 1)))
+            tuple((1 if 2 * j % k == 0 else 2) * (mirrored[j] + sign * mirrored[-j] + own[j])
+                  for j in range(k // 2 + 1)))
 
 
 def vp_rational(p: int, h: int, k: int) -> Fraction:
@@ -152,21 +183,53 @@ def vp_hk(p: int, h: int, k: int, ctx: PrecisionContext):
     U_{k-j} = (-1)^p U_j pairs the buckets: the sum is U_0 + 2 sum_{0<j<k/2}
     U_j cos(2 pi j h / k) (+ U_{k/2} cos(pi h)) for even p, a real number,
     and 2i sum_{0<j<k/2} U_j sin(2 pi j h / k) for odd p, an imaginary one
-    (U_0 = U_{k/2} = 0).  The integer numerators of U_j meet the cos or sin
-    row, in integers ROOTS_GUARD bits above the working precision, in one
-    integer dot product, scaled once by P / D from _vp_buckets, which
-    caches the prefactor with the buckets."""
+    (U_0 = U_{k/2} = 0).  The integer numerators of the (doubled) U_j meet
+    the cos or sin row, in integers ROOTS_GUARD bits above ctx's binary
+    precision, in one integer dot product, scaled once by P / D from
+    _vp_buckets, which caches the prefactor with the buckets."""
     if p < 1:
         raise ValueError("vp_hk requires p >= 1")
     _check_coprime(h, k)
-    with ctx.workdps():
-        num, den, buckets = _vp_buckets(p, k)
-        row = _trig_fixed_row(k, mp.prec)[p % 2]
-        dot = sum((1 if 2 * j % k == 0 else 2) * u * row[j * h % k]
-                  for j, u in enumerate(buckets))
-        s = mpf_shift(mpf_div(from_int(num * dot), from_int(den), mp.prec, "n"),
-                      -(mp.prec + ROOTS_GUARD))
-        return mp.make_mpc((fzero, s) if p % 2 else (s, fzero))
+    prec = dps_to_prec(ctx.decimal_digits)
+    num, den, buckets = _vp_buckets(p, k)
+    row = _trig_fixed_row(k, prec)[p % 2]
+    # bucket j meets row[j h mod k]
+    dot = sum(map(mul, buckets, map(row.__getitem__,
+                                    map(k.__rmod__, map(h.__mul__, range(len(buckets)))))))
+    s = mpf_shift(mpf_div(from_int(num * dot), from_int(den), prec, "n"),
+                  -(prec + ROOTS_GUARD))
+    return mp.make_mpc((fzero, s) if p % 2 else (s, fzero))
+
+
+def _normalize(man: int, exp: int, bits: int) -> tuple[int, int]:
+    """man 2^exp as (mantissa of exactly `bits` bits, floored, and its
+    exponent); zero is (0, ZERO_EXP)."""
+    if not man:
+        return 0, ZERO_EXP
+    shift = abs(man).bit_length() - bits
+    return (man >> shift if shift >= 0 else man << -shift), exp + shift
+
+
+def _from_mpf(x, bits: int) -> tuple[int, int]:
+    """The mpf x as a normalized mantissa of `bits` bits and its exponent."""
+    sign, man, exp, _ = x._mpf_
+    return _normalize(-man if sign else man, exp, bits)
+
+
+def _dot(xs, xe, ys, ye) -> tuple[int, int]:
+    """(S, top) with S 2^top = sum_j xs[j] 2^xe[j] ys[j] 2^ye[j], from
+    normalized mantissas: every xs of one bit length bx, every ys of one
+    bit length by (zeros carry ZERO_EXP).
+
+    Each ys[j] is floored onto the exponent top = max_j (xe[j] + ye[j])
+    before its product, so every product lands on 2^top, and one far below
+    the leading one costs a short multiplication.  The floor costs a product
+    under |xs[j]| 2^top <= 2^(bx + top), and the product with exponent sum
+    top is at least 2^(bx + by - 2 + top), so the sum of n products is
+    within n 2^(2 - by) of its largest one, whatever the spread of sizes."""
+    pe = list(map(add, xe, ye))
+    top = max(pe)
+    return sum(map(mul, xs, map(rshift, ys, map(top.__sub__, pe)))), top
 
 
 class CoeffGenerator:
@@ -175,24 +238,48 @@ class CoeffGenerator:
     B_p(1 - x) = (-1)^p B_p(x) makes v^(p) real for even p and purely
     imaginary for odd p.  So v[m] = i^-m v^(m) and b[m] = i^-m b^(m) are real:
     exp(sum_p v^(p) z^p) = exp(sum_p v[p] (iz)^p).  The recurrence
-    m b[m] = sum_j j v[j] b[m - j] is one mpf dot product per order (jv holds
-    j v[j], j >= 1; every odd order is 0 for k <= 2).  The same symmetry gives
-    b_{k-h}[m] = (-1)^m b_h[m], which circle.Arc uses to pair h with k - h.
+    m b[m] = sum_j j v[j] b[m - j] runs on floating integers: b[m] is
+    self.b[m] 2^self.b_exp[m] and j v[j] is jv[j - 1] 2^jv_exp[j - 1], every
+    nonzero mantissa exactly bits = working precision + COEFF_GUARD bits
+    long.  An order is one _dot, one floor division by m and one
+    normalization: the dot's error is a few units of 2^-bits of its largest
+    product and the division's one more, so each b[m] carries the relative
+    accuracy of the v[j] (2^-prec) of its largest product, as an mpf dot
+    product at the working precision would, at a fraction of the cost.  For
+    k <= 2 every odd order is 0 (v[j] is real): those orders are stored as
+    zeros and the dot products run over the even orders only.  The same
+    symmetry gives b_{k-h}[m] = (-1)^m b_h[m], which circle.Arc uses to pair
+    h with k - h.
     """
 
     def __init__(self, h: int, k: int, ctx: PrecisionContext):
         _check_coprime(h, k)
         self.h, self.k, self.ctx = h, k, ctx
-        self.jv: list = []
-        self.b: list = [mpmath.mpf(1)]
+        self.bits = dps_to_prec(ctx.decimal_digits) + COEFF_GUARD
+        self.jv: list[int] = []
+        self.jv_exp: list[int] = []
+        self.b: list[int] = [1 << (self.bits - 1)]
+        self.b_exp: list[int] = [1 - self.bits]
 
     def extend_to(self, M: int) -> None:
-        with self.ctx.workdps():
-            while len(self.b) <= M:
-                m = len(self.b)
-                v = vp_hk(m, self.h, self.k, self.ctx)
-                self.jv.append((m, m, -m, -m)[m % 4] * (v.imag if m % 2 else v.real))
-                self.b.append(mp.fdot(self.jv, reversed(self.b)) / m)
+        jv, jv_exp, b, b_exp = self.jv, self.jv_exp, self.b, self.b_exp
+        step = 2 if self.k <= 2 else 1
+        while len(b) <= M:
+            m = len(b)
+            v = vp_hk(m, self.h, self.k, self.ctx)
+            j_man, j_exp = _from_mpf(v.imag if m % 2 else v.real, self.bits)
+            j_man, j_exp = _normalize((m, m, -m, -m)[m % 4] * j_man, j_exp, self.bits)
+            jv.append(j_man)
+            jv_exp.append(j_exp)
+            if m % step:
+                b.append(0)
+                b_exp.append(ZERO_EXP)
+                continue
+            acc, top = _dot(jv[step - 1::step], jv_exp[step - 1::step],
+                            b[m - step::-step], b_exp[m - step::-step])
+            b_man, b_e = _normalize(acc // m, top, self.bits)
+            b.append(b_man)
+            b_exp.append(b_e)
 
 
 def reciprocity_residual(h: int, k: int, ctx: PrecisionContext):

@@ -14,6 +14,9 @@ uses, so agreement is evidence rather than tautology:
   sigma2 recurrence);
 - b^(m) coefficients via the exponential partition-sum formula (the package
   uses the m*b^(m) convolution recurrence);
+- b^(m) coefficients via the same convolution recurrence in mpf, one mp.fdot
+  per order (the package runs it on integer mantissas with per-order
+  exponents);
 - v^(p)_{h,k} via derivatives of cot (the package uses the double Bernoulli
   sum over roots of unity);
 - v^(p)_{h,k} via the full complex sum over all k buckets, built from
@@ -34,7 +37,8 @@ Only public names are imported from planepart (test_dedekind checks this), so
 no oracle shares a private helper with the code it checks.
 
 psi_m, b1k_estimate, lambda_of with almkvist_saddle, and wright_leading are
-not alternative routes: they are paper formulas that only the tests evaluate.
+not alternative routes: they are paper formulas that only the tests evaluate
+(psi_m takes its b^(m) from the mpf recurrence here, not from the package).
 """
 
 from __future__ import annotations
@@ -47,7 +51,7 @@ from mpmath import mp
 
 from planepart.almkvist import almkvist_series, saddle_data
 from planepart.arith import bernoulli_number, constants
-from planepart.dedekind import B1K_GAMMA, CoeffGenerator, c_hk, vp_hk
+from planepart.dedekind import B1K_GAMMA, c_hk, vp_hk
 
 
 def _frac_mpf(q: Fraction):
@@ -198,6 +202,20 @@ def b_coeff_partition_sum(h: int, k: int, m: int, ctx):
         return total
 
 
+def b_coeffs_mpf(h: int, k: int, M: int, ctx):
+    """The real rotated b[m] = i^-m b^(m)_{h,k}, m = 0..M, from
+    m b[m] = sum_j j v[j] b[m - j] with v[j] = i^-j v^(j)_{h,k} (vp_hk),
+    one mp.fdot of mpf values per order at ctx's precision."""
+    _require_coprime(h, k)
+    with ctx.workdps():
+        jv, b = [], [mpmath.mpf(1)]
+        for m in range(1, M + 1):
+            v = vp_hk(m, h, k, ctx)
+            jv.append((m, m, -m, -m)[m % 4] * (v.imag if m % 2 else v.real))
+            b.append(mp.fdot(jv, reversed(b)) / m)
+        return b
+
+
 def _cot_derivative_polys(order: int) -> list[list[int]]:
     """P_1..P_order with P_1(c) = c and P_{j+1} = -(1 + c^2) P_j'(c)."""
     polys = [[0, 1]]
@@ -267,9 +285,7 @@ def psi_m(n: int, h: int, k: int, m: int, ctx):
     with ctx.workdps():
         a = cst.a
         kf = mpmath.mpf(k)
-        gen = CoeffGenerator(h, k, ctx)
-        gen.extend_to(m)
-        bm = (1, 1j, -1, -1j)[m % 4] * gen.b[m]  # b^(m) = i^m b[m]
+        bm = (1, 1j, -1, -1j)[m % 4] * b_coeffs_mpf(h, k, m, ctx)[m]  # b^(m) = i^m b[m]
         A = almkvist_series(mp.sqrt(a / kf**3) * n, -kf / 12 - m, ctx).value
         phase = _root(-n * h, k)
         pref = mp.exp(k * cst.zeta_prime_m1 + c_hk(h, k, ctx)) \

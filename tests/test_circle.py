@@ -423,6 +423,19 @@ class TestBounds:
             with ctx.workdps():
                 assert mpmath.mpf(circle.LAMBDA0) > circle.lambda_c(ctx), ctx
 
+    def test_phi0_bound_solves_the_saddle_cubic_once(self, monkeypatch):
+        # both published forms read the one SaddleData of lam(n, k)
+        calls = []
+        saddle = circle.saddle_data
+
+        def counted(lam, ctx):
+            calls.append(lam)
+            return saddle(lam, ctx)
+
+        monkeypatch.setattr(circle, "saddle_data", counted)
+        circle.phi0_bound(6000, 37, pp.precision_for(6000))
+        assert len(calls) == 1
+
     def test_phi0_bound_contains_probe_750(self):
         ctx = pp.precision_for(750)
         with ctx.workdps():

@@ -1,4 +1,5 @@
 import ast
+import collections
 import math
 import random
 from fractions import Fraction
@@ -109,7 +110,7 @@ class TestRootsRow:
         # every cos and sin entry, the mirrored j > k/2 included, lies within
         # 4 units of 2^-(prec + ROOTS_GUARD) of e^{2 pi i j / k}
         bits = prec + dedekind.ROOTS_GUARD
-        for k in (1, 2, 3, 12, 13, 100):
+        for k in (1, 2, 3, 12, 13, 100, 499, 5000):
             cos, sin, _ = dedekind._trig_fixed_row(k, prec)
             assert len(cos) == len(sin) == k
             with mp.workprec(bits + 20):
@@ -234,24 +235,53 @@ class TestVp:
         assert private == []
 
 
+def engine_b(gen, m):
+    """The generator's b[m], mantissa times 2^exponent, at the current precision."""
+    return mpmath.mpf((gen.b[m], gen.b_exp[m]))
+
+
 class TestBCoeffs:
     def test_b0_is_one(self, ctx50):
         for h, k in [(0, 1), (1, 2), (2, 5)]:
             gen = dedekind.CoeffGenerator(h, k, ctx50)
             gen.extend_to(0)
-            assert gen.b == [1]
+            assert len(gen.b) == len(gen.b_exp) == 1
+            assert gen.b[0] == 1 << -gen.b_exp[0]
+            assert gen.b[0].bit_length() == gen.bits
 
     def test_recurrence_vs_partition_sum_oracle(self, ctx50):
-        # gen.b holds the real rotated b[m] = i^-m b^(m)
+        # b[m] = i^-m b^(m) is gen.b[m] 2^gen.b_exp[m], every nonzero
+        # mantissa gen.bits bits long
         with ctx50.workdps():
             for h, k in [(0, 1), (1, 2), (1, 3), (2, 5), (1, 7), (3, 10), (5, 12)]:
                 gen = dedekind.CoeffGenerator(h, k, ctx50)
                 gen.extend_to(8)
-                assert all(isinstance(b, mpmath.mpf) for b in gen.b), (h, k)
+                assert all(isinstance(b, int) and (b == 0 or abs(b).bit_length() == gen.bits)
+                           for b in gen.b), (h, k)
                 for m in range(9):
                     oracle = oracles.b_coeff_partition_sum(h, k, m, ctx50)
-                    got = (1, 1j, -1, -1j)[m % 4] * gen.b[m]
+                    got = (1, 1j, -1, -1j)[m % 4] * engine_b(gen, m)
                     assert abs(got - oracle) < mpmath.mpf(10) ** -35, (h, k, m)
+
+    @pytest.mark.parametrize("h, k, M, n", [(0, 1, 60, None), (1, 2, 60, None),
+                                            (1, 3, 60, None), (2, 5, 60, None),
+                                            (5, 12, 60, None), (0, 1, 900, 6999)])
+    def test_matches_mpf_recurrence_oracle(self, ctx50, h, k, M, n):
+        # every b[m] within ctx.eps of the mpf recurrence, relative; at the
+        # precision of n = 6999, b[900] of arc 1 is about 2^2765
+        ctx = ctx50 if n is None else pp.precision_for(n)
+        gen = dedekind.CoeffGenerator(h, k, ctx)
+        gen.extend_to(M)
+        oracle = oracles.b_coeffs_mpf(h, k, M, ctx)
+        with ctx.workdps():
+            for m, want in enumerate(oracle):
+                got = engine_b(gen, m)
+                if want == 0:
+                    assert got == 0, (h, k, m)
+                else:
+                    assert abs(got - want) <= ctx.eps * abs(want), (h, k, m)
+        if n is not None:
+            assert 2760 < mp.log(abs(oracle[900]), 2) < 2770
 
     def test_odd_orders_vanish_for_k_le_2(self, ctx50):
         for h, k in [(0, 1), (1, 2)]:
@@ -259,6 +289,25 @@ class TestBCoeffs:
             gen.extend_to(9)
             for m in range(1, 10, 2):
                 assert gen.b[m] == 0
+
+    def test_extend_to_one_entry_and_one_vp_per_order(self, ctx50, monkeypatch):
+        # the benchmark's tracer counts orders as the growth of len(gen.b)
+        # and the v^(p) layer through dedekind.vp_hk, at most once per order
+        calls = collections.Counter()
+        vp = dedekind.vp_hk
+
+        def counted(p, h, k, ctx):
+            calls[(p, h, k)] += 1
+            return vp(p, h, k, ctx)
+
+        monkeypatch.setattr(dedekind, "vp_hk", counted)
+        for h, k in [(0, 1), (1, 2), (2, 5)]:
+            gen = dedekind.CoeffGenerator(h, k, ctx50)
+            for M in (0, 3, 3, 10, 7, 25):
+                before = len(gen.b)
+                gen.extend_to(M)
+                assert len(gen.b) == max(before, M + 1), (h, k, M)
+            assert all(c == 1 for c in calls.values()), calls
 
 
 class TestB1kEstimate:
