@@ -9,24 +9,36 @@ term sequence, in Python integers above the working precision, and returns
 all three.  An arc of the estimate (circle.Arc) needs A(x | -k/12 - m) for
 m = 0, 1, 2, ...: it seeds its ladder with almkvist_series, three
 consecutive values at once, and runs the ODE's three-term recurrence
-downward for the rest.  saddle_data solves the saddle cubic for g once and
-returns everything the truncation-point formulas downstream read from it:
-f1, f1', f1'', f2 and c (the large-x estimate itself is in
-tests/oracles.py).
+downward for the rest.  The arc passes gamma as the exact rational
+-k/12 - top, so each step of the sum divides by a machine-sized integer,
+and the series' two 1/Gamma seeds, which depend on (k, top) and not on x,
+are cached per precision band (arith.precision_band) across arcs and n.
+saddle_data solves the saddle cubic for g once and returns everything the
+truncation-point formulas downstream read from it: f1, f1', f1'', f2 and c
+(the large-x estimate itself is in tests/oracles.py).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import lru_cache
 
 import mpmath
 from mpmath import mp
-from mpmath.libmp import to_fixed
+from mpmath.libmp import from_int, mpf_div, mpf_mul
 
-from .arith import PrecisionContext, constants
+from .arith import PrecisionContext, constants, precision_band
 
 
 SERIES_GUARD = 20  # bits almkvist_series's fixed-point sums carry above the working precision
+# 1/Gamma values kept for the Almkvist seeds and their fractional parts.  An
+# arc's u = (3 + k/12 + top)/2 depends on (k, top), not on n, and u + 1/2 of
+# arc k is u of arc k + 12 at the same top: the 12 estimates at n <= 1000 of
+# one roundtrip_batch pass keep 229 values.  The bound keeps a long sweep
+# over many bands finite.
+GAMMA_CACHE_SIZE = 1024
 
 
 @dataclass(frozen=True)
@@ -37,20 +49,52 @@ class AlmkvistEval:
     terms_used: int       # terms T_j the two chains summed (0 at x = 0)
 
 
-def _chain(t, e, j, num, den_shift, w, one, wp):
+def _exact(gamma) -> Fraction:
+    """gamma as an exact rational: an int or a Fraction as it is, anything
+    else as the dyadic rational its mpf at the current precision is."""
+    if isinstance(gamma, (int, Fraction)):
+        return Fraction(gamma)
+    sign, man, exp, _ = mpmath.mpf(gamma)._mpf_
+    q = Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
+    return -q if sign else q
+
+
+@lru_cache(maxsize=GAMMA_CACHE_SIZE)
+def _rgamma(v: Fraction, band: int) -> mpmath.mpf:
+    """1/Gamma(v) for v > 0 at `band` bits.
+
+    With v = f + n, 0 < f <= 1 and f = p/q, 1/Gamma(v) = 1/Gamma(f) q^n /
+    prod_{i<n} (p + i q): one exact integer ratio and one rounding on top of
+    the cached 1/Gamma(f).  So mpmath evaluates 1/Gamma only at the few
+    fractional parts f an estimate meets (an arc's u is a multiple of 1/24),
+    each from f rounded to 64 bits more than `band`, which its gamma reads
+    in full."""
+    n = math.ceil(v) - 1
+    if n:
+        p, q = v.numerator - n * v.denominator, v.denominator
+        base = _rgamma(Fraction(p, q), band)._mpf_
+        num = mpf_mul(base, from_int(q ** n))
+        return mp.make_mpf(mpf_div(num, from_int(math.prod(range(p, p + n * q, q))), band, "n"))
+    with mp.workprec(band + 64):
+        arg = mpmath.mpf(v.numerator) / v.denominator
+    with mp.workprec(band):
+        return mp.rgamma(arg)
+
+
+def _chain(t, e, j, num, shift, P, Q, wp):
     """Sums of T_j, j T_j and j (j - 1) T_j over one parity class of j,
-    from T_j = t 2^e on: T_{j+2} = T_j num / ((j + 1)(j + 2) w_j 2^den_shift)
-    with w_j = w + j one.  Every T is positive, so the sums are plain
-    integers over the common exponent e, which rises whenever t outgrows
-    wp bits; the chain ends when T drops below 2^e.  Returns the three
-    sums, e and the number of terms."""
+    from T_j = t 2^e on: T_{j+2} = T_j num 2^-shift / ((j + 1)(j + 2)(P + jQ)),
+    one floor of the exact quotient.  Every T is positive, so the sums are
+    plain integers over the common exponent e, which rises whenever t
+    outgrows wp bits; the chain ends when T drops below 2^e.  Returns the
+    three sums, e and the number of terms."""
     s0 = s1 = s2 = terms = 0
     while t:
         s0 += t
         s1 += j * t
         s2 += j * (j - 1) * t
         terms += 1
-        t = t * num // (((j + 1) * (j + 2) * (w + j * one)) << den_shift)
+        t = (t * num >> shift) // ((j + 1) * (j + 2) * (P + j * Q))
         j += 2
         excess = t.bit_length() - wp
         if excess > 32:
@@ -61,38 +105,40 @@ def _chain(t, e, j, num, den_shift, w, one, wp):
 def almkvist_series(x, gamma, ctx: PrecisionContext) -> AlmkvistEval:
     """A(x|gamma), A(x|gamma-1) and A(x|gamma-2) from one term sequence.
 
+    gamma is taken as an exact rational: an int, a Fraction (circle.Arc
+    passes -k/12 - top) or an mpf, which is the dyadic rational it holds.
     With u = (3 - gamma)/2 and T_j = x^j / (j! Gamma(u + j/2)),
     A(x|gamma) = (1/2) sum T_j, A(x|gamma-1) = (1/2x) sum j T_j and
     A(x|gamma-2) = (1/2x^2) sum j (j-1) T_j.  The even and odd j run as two
-    chains, T_{j+2} = T_j 2x^2 / ((j+1)(j+2)(2u + j)), from rgamma(u) and
-    x rgamma(u + 1/2), in Python integers SERIES_GUARD bits above the working
-    precision.  For gamma < 3 every term is positive, so nothing cancels."""
+    chains from 1/Gamma(u) and x/Gamma(u + 1/2), in Python integers
+    SERIES_GUARD bits above the working precision.  With 2u = P/Q in lowest
+    terms, T_{j+2} = T_j 2x^2 Q / ((j+1)(j+2)(P + jQ)): the divisor is exact,
+    and for an arc's Q = 12 it is machine-sized.  The two 1/Gamma values
+    depend on u alone, so they are cached by (exact argument, precision
+    band), at the band of the chains' precision.  For gamma < 3 every term
+    is positive, so nothing cancels."""
     with ctx.workdps():
         xv = mpmath.mpf(x)
-        gv = mpmath.mpf(gamma)
         if xv < 0:
             raise ValueError("almkvist_series requires x >= 0")
-        if gv >= 3:
+        w = 3 - _exact(gamma)  # 2u = P/Q
+        if w <= 0:
             raise ValueError("almkvist_series requires gamma < 3")
-        u = (3 - gv) / 2
-        if not xv:
-            r0 = mp.rgamma(u)
-            return AlmkvistEval(r0 / 2, mp.rgamma(u + 0.5) / 2, r0 / (2 * u), terms_used=0)
+        P, Q = w.numerator, w.denominator
         wp = mp.prec + SERIES_GUARD
+        band = precision_band(wp)
+        r0, r1 = _rgamma(w / 2, band), _rgamma((w + 1) / 2, band)
+        if not xv:
+            return AlmkvistEval(r0 / 2, r1 / 2, r0 * Q / P, terms_used=0)
         with mp.workprec(wp):
             x2 = 2 * xv * xv
-            w = 3 - gv  # 2u
-            starts = (mp.rgamma(u), xv * mp.rgamma(u + 0.5))
-        # w_j = w + j over 2^g, with wp bits at j = 0; x2 = man 2^exp, so
-        # x2 / w_j = man 2^(exp + g) / (w_j 2^g), shifted onto num or den_shift
-        g = wp + max(0, -mp.mag(w))
-        shift = x2.exp + g
-        num = x2.man << max(shift, 0)
+            starts = (+r0, xv * r1)
+        # x2 = man 2^exp: num 2^-shift
+        num, shift = x2.man * Q << max(x2.exp, 0), max(-x2.exp, 0)
         sums = []
         for j, start in enumerate(starts):
             lead = wp - start.bc  # the first term gets wp bits
-            sums.append(_chain(start.man << lead, start.exp - lead, j, num, max(-shift, 0),
-                               to_fixed(w._mpf_, g), 1 << g, wp))
+            sums.append(_chain(start.man << lead, start.exp - lead, j, num, shift, P, Q, wp))
         e = min(sums[0][3], sums[1][3])
         s0, s1, s2 = (sum(c[i] << (c[3] - e) for c in sums) for i in range(3))
         return AlmkvistEval(mpmath.mpf((s0, e - 1)), mpmath.mpf((s1, e - 1)) / xv,

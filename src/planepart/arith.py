@@ -65,14 +65,34 @@ class DerivedConstants:
     c2: mpmath.mpf
 
 
+def precision_band(prec: int) -> int:
+    """The precision band of `prec` bits: the smallest multiple of 64 bits
+    that is at least 8 bits above prec.
+
+    Every table kept across calls at a precision (the Almkvist seeds'
+    1/Gamma values, dedekind's trig and log-sine rows, Glaisher's constant)
+    is computed at the band of the precision it serves and read from there,
+    so the nearby precisions of many estimates share one table, and which
+    table a value comes from is set by the precision asked for, not by what
+    ran before."""
+    return (prec + 8 + 63) // 64 * 64
+
+
 @lru_cache(maxsize=None)
 def constants(ctx: PrecisionContext) -> Constants:
     """pi, a = zeta(3) (Apery's constant), zeta'(-1) = 1/12 - log A (A is
-    Glaisher's constant) and log 2 at context precision."""
+    Glaisher's constant) and log 2 at context precision + 10 digits.
+
+    A is taken at the band of that precision (precision_band): mpmath keeps
+    a constant at the highest precision it has computed and recomputes it
+    for any higher one, which for A is costly, so the estimates of one band
+    share one evaluation."""
     with mp.workdps(ctx.decimal_digits + 10):
         pi = +mp.pi
         a = +mp.apery
-        zpm1 = mp.mpf(1) / 12 - mp.log(mp.glaisher)
+        with mp.workprec(precision_band(mp.prec)):
+            glaisher = +mp.glaisher
+        zpm1 = mp.mpf(1) / 12 - mp.log(glaisher)
         log2 = mp.log(2)
     return Constants(pi=pi, a=a, zeta_prime_m1=zpm1, log2=log2)
 

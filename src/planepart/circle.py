@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 
 import mpmath
@@ -17,7 +18,7 @@ from mpmath import mp
 from mpmath.libmp import from_man_exp
 
 from .arith import (PrecisionContext, PrecisionError, constants,
-                    derived_constants, precision_for)
+                    derived_constants, precision_band, precision_for)
 from .almkvist import almkvist_series, saddle_data
 from .dedekind import (COEFF_GUARD, ROOTS_GUARD, CoeffGenerator, _dot, _from_mpf,
                        _normalize, _trig_fixed_row, c_hk)
@@ -145,17 +146,19 @@ class Arc:
             self._prec = prec = mp.prec
             self._bits = bits = prec + COEFF_GUARD
             kf = mpmath.mpf(k)
-            self.x = mp.sqrt(cst.a / kf**3) * n
             with mp.workprec(bits):
-                self._sqrt_ak3 = _from_mpf(mp.sqrt(cst.a / kf**3), bits)
+                sqrt_ak3 = mp.sqrt(cst.a / kf**3)
+            self._sqrt_ak3 = _from_mpf(sqrt_ak3, bits)
+            self.x = sqrt_ak3 * n
             self._powers = [(1 << (bits - 1), 1 - bits)]  # (a/k^3)^(m/2), m = 0, 1, ...
             base = mp.exp(k * cst.zeta_prime_m1) * (cst.a / kf) ** (
                 mpmath.mpf(1) / 2 + kf / 24) / kf
             # h <= k/2: [0] for k = 1, [1] for k = 2, h < k/2 for k >= 3
             hs = [h for h in range(k // 2 + 1) if math.gcd(h, k) == 1]
             self.gens = [CoeffGenerator(h, k, ctx) for h in hs]
-            cos, sin, _ = _trig_fixed_row(k, prec)
-            e = -(prec + ROOTS_GUARD)  # the rows are integers over 2^-e
+            band = precision_band(prec)
+            cos, sin, _ = _trig_fixed_row(k, band)
+            e = -(band + ROOTS_GUARD)  # the rows are integers over 2^-e
             # per m mod 4, the mantissas and the exponents of the weights, one per h
             self._weights = tuple(([], []) for _ in range(4))
             for h in hs:
@@ -176,7 +179,7 @@ class Arc:
             top = max(m, 2 * len(ladder), LADDER_SEED)
             hi = PrecisionContext(self.ctx.decimal_digits + LADDER_GUARD)
             with hi.workdps():
-                ev = almkvist_series(self.x, -mpmath.mpf(self.k) / 12 - top, hi)
+                ev = almkvist_series(self.x, Fraction(-self.k, 12) - top, hi)
                 seeds = (ev.value_m2, ev.value_m1, ev.value)  # top+2, top+1, top
                 # integers over 2^e: the smallest seed gets hi's precision,
                 # and every value down the ladder is larger

@@ -11,10 +11,14 @@ the work twice.  The d and k - d terms fall into buckets j and k - j with the
 sign (-1)^p, so the double sum runs over d <= k/2.  And U_{k-j} = (-1)^p U_j,
 so v^(p) is a sum of U_j cos(2 pi j h / k) over 0 <= j <= k/2 (real) for
 even p and of U_j sin(2 pi j h / k) (imaginary) for odd p: one integer dot
-product with a fixed-point cos or sin row, ROOTS_GUARD bits above the
-working precision.  One row per (k, precision), _trig_fixed_row, gives
-circle.Arc its phases, v^(p) its cos and sin, and C_{h,k} and b_{h,k} their
-log-sines, log|2 sin(pi j / k)| taken from the cos row.  At k = 1 and 2
+product with a fixed-point cos or sin row.  One row per (k, precision
+band), _trig_fixed_row, ROOTS_GUARD bits above the band
+(arith.precision_band) of the working precision, gives circle.Arc its
+phases, v^(p) its cos and sin, and C_{h,k} and b_{h,k} their log-sines,
+log|2 sin(pi j / k)| taken from the cos row as fixed-point integers too, so
+C_{h,k} and b_{h,k} are each one integer dot product with integer weights.
+The precisions of one band share the row, and each caller reads it at the
+row's own scale and rounds its result once to its precision.  At k = 1 and 2
 only U_0 and U_{k/2} remain, and the roots are +-1; vp_rational gives those
 arcs' v^(p) as exact rationals for reference.
 The b^(m) recurrence therefore runs on real numbers, and b_{k-h} follows
@@ -36,29 +40,33 @@ from operator import add, mul, rshift
 
 import mpmath
 from mpmath import mp
-from mpmath.libmp import (dps_to_prec, from_int, from_man_exp, fzero, mpf_div, mpf_shift,
-                          to_fixed)
+from mpmath.libmp import (dps_to_prec, from_int, from_man_exp, fzero, mpf_div, mpf_log,
+                          mpf_shift, to_fixed)
 
-from .arith import PrecisionContext, bernoulli_int_row, constants
+from .arith import PrecisionContext, bernoulli_int_row, constants, precision_band
 
 # published correction constant in the b_{1,k} estimate
 B1K_GAMMA = "0.024529"
 
 
-# One estimate uses about N(n) + 7 rows, all at its own precision, so a
-# bounded cache keeps every row it needs while a long-lived process that
-# runs many estimates does not grow without limit.
+# One estimate uses about N(n) + 7 rows, all in the band of its precision,
+# and the estimates of a band share them, so a bounded cache keeps every row
+# a run of estimates needs while a long-lived process that sweeps many bands
+# does not grow without limit.
 ROW_CACHE_SIZE = 256
-ROOTS_GUARD = 32  # bits the roots of unity carry above the precision they serve
+ROOTS_GUARD = 32  # bits the trig and log-sine rows carry above their band
 COEFF_GUARD = 32  # bits the floating-integer mantissas carry above the working precision
 ZERO_EXP = -(1 << 62)  # a zero mantissa's exponent: below all others, so no zero leads a _dot
 
 
 @lru_cache(maxsize=ROW_CACHE_SIZE)
-def _trig_fixed_row(k: int, prec: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple]:
-    """(cos, sin, logsin): cos and sin of 2 pi j / k, j = 0..k-1, as integers
-    over 2^(prec + ROOTS_GUARD), and log|2 sin(pi j / k)|, j = 1..k-1, as
-    mpf at binary precision prec.
+def _trig_fixed_row(k: int, band: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """(cos, sin, logsin), all integers over 2^(band + ROOTS_GUARD): cos and
+    sin of 2 pi j / k, j = 0..k-1, and log|2 sin(pi j / k)|, j = 1..k-1.
+
+    The callers pass the band of their precision (arith.precision_band), so
+    the precisions of one band share a row, and each caller reads it at the
+    row's own scale, 2^-(band + ROOTS_GUARD).
 
     For j <= k/2, cos and sin come from one mp.expjpi(2/k), w, and the
     rotation z_(j+1) = z_j w in integers carrying 16 + k.bit_length() bits
@@ -67,16 +75,16 @@ def _trig_fixed_row(k: int, prec: int) -> tuple[tuple[int, ...], tuple[int, ...]
     extra bit, a rotation step adds under 4 (its two floors and w's own
     rounding), and |w| = 1 carries the earlier error over unchanged, so at
     j <= k/2 the error is under 2k units, under 2^-15 units once rounded:
-    each entry is within 1 unit of 2^-(prec + ROOTS_GUARD).  The points the sum of an
-    arc relies on being exact are set exactly: cos = 0 at j = k/4 and
-    e^(i pi) = -1 at j = k/2.  For j <= k/2 the log-sine is half of one
-    mp.log of the exact number ((1 << bits) - cos[j]) 2^(1 - bits)
-    = 2 - 2 cos(2 pi j / k), mirrored past k/2.  The log's absolute error is
-    the relative error of 2 - 2 cos: a few units of 2^-bits over
-    2 - 2 cos >= 4 sin^2(pi / k) >= 16 / k^2.  With bits = prec + ROOTS_GUARD
-    (32 bits) that stays below 2^-prec for k up to 2^16, so the guard
-    absorbs the cancellation."""
-    bits = prec + ROOTS_GUARD
+    each entry is within 1 unit of 2^-(band + ROOTS_GUARD).  The points the
+    sum of an arc relies on being exact are set exactly: cos = 0 at j = k/4
+    and e^(i pi) = -1 at j = k/2.  For j <= k/2 the log-sine is half of one
+    log of the exact number ((1 << bits) - cos[j]) 2^(1 - bits)
+    = 2 - 2 cos(2 pi j / k), floored onto the row's scale and mirrored past
+    k/2.  The log's absolute error is the relative error of 2 - 2 cos: a few
+    units of 2^-bits over 2 - 2 cos >= 4 sin^2(pi / k) >= 16 / k^2.  With
+    bits = band + ROOTS_GUARD (32 bits) that stays below 2^-band for k up to
+    2^16, so the guard absorbs the cancellation."""
+    bits = band + ROOTS_GUARD
     extra = 16 + k.bit_length()
     wp = bits + extra
     with mp.workprec(wp):
@@ -93,12 +101,28 @@ def _trig_fixed_row(k: int, prec: int) -> tuple[tuple[int, ...], tuple[int, ...]
         cos[k // 2], sin[k // 2] = -1 << bits, 0
     if k % 4 == 0:
         cos[k // 4], sin[k // 4] = 0, 1 << bits
-    with mp.workprec(prec):
-        logsin = [mp.log(mp.make_mpf(from_man_exp((1 << bits) - c, 1 - bits))) / 2
-                  for c in cos[1:]]
+    # log(2 - 2 cos) at bits + 8 bits, floored onto 2^-(bits - 1): its half on 2^-bits
+    logsin = [to_fixed(mpf_log(from_man_exp((1 << bits) - c, 1 - bits), bits + 8), bits - 1)
+              for c in cos[1:]]
     mirror = range((k - 1) // 2, 0, -1)
     return (tuple(cos + [cos[j] for j in mirror]), tuple(sin + [-sin[j] for j in mirror]),
             tuple(logsin + logsin[:(k - 1) // 2][::-1]))
+
+
+def _row_value(dot: int, den: int, band: int, prec: int) -> tuple:
+    """dot / den over the rows' scale 2^(band + ROOTS_GUARD), as a raw mpf
+    rounded once to prec bits."""
+    return mpf_shift(mpf_div(from_int(dot), from_int(den), prec, "n"), -(band + ROOTS_GUARD))
+
+
+def _logsin_sum(k: int, terms, den: int, ctx: PrecisionContext):
+    """(1/den) sum of w log|2 sin(pi i / k)| over the integer pairs (w, i),
+    0 < i < k: one integer dot product with the fixed-point log-sine row in
+    the band of ctx's precision, rounded once to it."""
+    prec = dps_to_prec(ctx.decimal_digits)
+    band = precision_band(prec)
+    logsin = _trig_fixed_row(k, band)[2]
+    return mp.make_mpf(_row_value(sum(w * logsin[i - 1] for w, i in terms), den, band, prec))
 
 
 def _check_coprime(h: int, k: int) -> None:
@@ -108,23 +132,19 @@ def _check_coprime(h: int, k: int) -> None:
 
 def c_hk(h: int, k: int, ctx: PrecisionContext):
     """C_{h,k} = (k/2) sum_j B_2(j/k) log|2 sin(pi j h / k)|; 0 for k = 1.
-    The log-sines are the row of _trig_fixed_row at the working precision."""
+    One integer dot product (_logsin_sum) with the integer weights
+    6 j^2 - 6 j k + k^2 = 6 k^2 B_2(j/k), over 12 k."""
     _check_coprime(h, k)
-    with ctx.workdps():
-        logsin = _trig_fixed_row(k, mp.prec)[2]
-        # 6 j^2 - 6 j k + k^2 = 6k^2 B_2(j/k)
-        return mp.fdot((6 * j * j - 6 * j * k + k * k, logsin[(j * h) % k - 1])
-                       for j in range(1, k)) / (12 * k)
+    return _logsin_sum(k, ((6 * j * j - 6 * j * k + k * k, j * h % k) for j in range(1, k)),
+                       12 * k, ctx)
 
 
 def b_hk(h: int, k: int, ctx: PrecisionContext):
     """b_{h,k} = sum_j {hj/k}(1 - {hj/k}) log|2 sin(pi j / k)|; 0 for k = 1.
-    The log-sines are the row of _trig_fixed_row at the working precision."""
+    One integer dot product (_logsin_sum) with the integer weights
+    (hj mod k)(k - hj mod k) = k^2 {hj/k}(1 - {hj/k}), over k^2."""
     _check_coprime(h, k)
-    with ctx.workdps():
-        logsin = _trig_fixed_row(k, mp.prec)[2]
-        return mp.fdot(((h * j) % k * (k - (h * j) % k), logsin[j - 1])
-                       for j in range(1, k)) / (k * k)
+    return _logsin_sum(k, ((h * j % k * (k - h * j % k), j) for j in range(1, k)), k * k, ctx)
 
 
 def v1_hk(h: int, k: int, ctx: PrecisionContext):
@@ -184,20 +204,20 @@ def vp_hk(p: int, h: int, k: int, ctx: PrecisionContext):
     U_j cos(2 pi j h / k) (+ U_{k/2} cos(pi h)) for even p, a real number,
     and 2i sum_{0<j<k/2} U_j sin(2 pi j h / k) for odd p, an imaginary one
     (U_0 = U_{k/2} = 0).  The integer numerators of the (doubled) U_j meet
-    the cos or sin row, in integers ROOTS_GUARD bits above ctx's binary
-    precision, in one integer dot product, scaled once by P / D from
-    _vp_buckets, which caches the prefactor with the buckets."""
+    the cos or sin row, in integers ROOTS_GUARD bits above the band of
+    ctx's binary precision, in one integer dot product, scaled once by P / D
+    from _vp_buckets, which caches the prefactor with the buckets."""
     if p < 1:
         raise ValueError("vp_hk requires p >= 1")
     _check_coprime(h, k)
     prec = dps_to_prec(ctx.decimal_digits)
+    band = precision_band(prec)
     num, den, buckets = _vp_buckets(p, k)
-    row = _trig_fixed_row(k, prec)[p % 2]
+    row = _trig_fixed_row(k, band)[p % 2]
     # bucket j meets row[j h mod k]
     dot = sum(map(mul, buckets, map(row.__getitem__,
                                     map(k.__rmod__, map(h.__mul__, range(len(buckets)))))))
-    s = mpf_shift(mpf_div(from_int(num * dot), from_int(den), prec, "n"),
-                  -(prec + ROOTS_GUARD))
+    s = _row_value(num * dot, den, band, prec)
     return mp.make_mpc((fzero, s) if p % 2 else (s, fzero))
 
 

@@ -25,6 +25,9 @@ uses, so agreement is evidence rather than tautology:
   or sines from its own tables);
 - B_p(x) by a Horner loop in Fractions (the package evaluates integer rows
   over one common denominator);
+- C_{h,k} and b_{h,k} as one mp.fdot of their integer weights with
+  log|2 sin(pi j / k)| from mp.sin and mp.log (the package takes one integer
+  dot product with a fixed-point log-sine row derived from its cos row);
 - the saddle root g(lam) via its closed radical form (the package uses
   Newton's method);
 - sigma2(n) by enumerating divisors (the package uses a divisor sieve);
@@ -45,6 +48,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 import mpmath
 from mpmath import mp
@@ -291,6 +295,33 @@ def psi_m(n: int, h: int, k: int, m: int, ctx):
         pref = mp.exp(k * cst.zeta_prime_m1 + c_hk(h, k, ctx)) \
             * (a / kf) ** (mpmath.mpf(1) / 2 + kf / 24) / kf
         return phase * pref * bm * mp.sqrt(a / kf**3) ** m * A
+
+
+@lru_cache(maxsize=None)
+def _logsin_mpf(k: int, dps: int) -> tuple:
+    """log|2 sin(pi j / k)|, j = 1..k-1, by mp.sin and mp.log at dps digits."""
+    with mp.workdps(dps):
+        return tuple(mp.log(abs(2 * mp.sin(mp.pi * j / k))) for j in range(1, k))
+
+
+def c_hk_fdot(h: int, k: int, ctx):
+    """C_{h,k} = (1/12k) sum_j (6 j^2 - 6 j k + k^2) log|2 sin(pi j h / k)|,
+    one mp.fdot at the working precision; 0 for k = 1."""
+    _require_coprime(h, k)
+    logsin = _logsin_mpf(k, ctx.decimal_digits)
+    with ctx.workdps():
+        return mp.fdot((6 * j * j - 6 * j * k + k * k, logsin[(j * h) % k - 1])
+                       for j in range(1, k)) / (12 * k)
+
+
+def b_hk_fdot(h: int, k: int, ctx):
+    """b_{h,k} = (1/k^2) sum_j (hj mod k)(k - hj mod k) log|2 sin(pi j / k)|,
+    one mp.fdot at the working precision; 0 for k = 1."""
+    _require_coprime(h, k)
+    logsin = _logsin_mpf(k, ctx.decimal_digits)
+    with ctx.workdps():
+        return mp.fdot(((h * j) % k * (k - (h * j) % k), logsin[j - 1])
+                       for j in range(1, k)) / (k * k)
 
 
 def b1k_estimate(k: int, ctx):

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import mpmath
 import pytest
 from mpmath import mp
@@ -45,6 +47,25 @@ class TestSeries:
                     for got, shift in ((ev.value, 0), (ev.value_m1, 1), (ev.value_m2, 2)):
                         want = oracles.almkvist_power_series(x, gamma - shift, ctx)
                         assert abs(got / want - 1) <= ctx.eps, (x, gamma, shift)
+
+    @pytest.mark.parametrize("n, k", [(750, 1), (750, 13), (6999, 1)])
+    def test_exact_gamma_chain(self, n, k):
+        # the arc's exact gamma = -k/12 - top against the power series
+        # oracle and against the same call with gamma rounded to an mpf
+        ctx = pp.precision_for(n)
+        x = circle.Arc(n, k, ctx).x
+        with ctx.workdps():
+            for top in (32, 64, 880):
+                gamma = -mpmath.mpf(k) / 12 - top
+                exact = pp.almkvist_series(x, Fraction(-k, 12) - top, ctx)
+                rounded = pp.almkvist_series(x, gamma, ctx)
+                assert exact.terms_used == rounded.terms_used, top
+                values = zip((exact.value, exact.value_m1, exact.value_m2),
+                             (rounded.value, rounded.value_m1, rounded.value_m2))
+                for shift, (got, other) in enumerate(values):
+                    want = oracles.almkvist_power_series(x, gamma - shift, ctx)
+                    assert abs(got / want - 1) <= ctx.eps, (top, shift)
+                    assert abs(got / other - 1) <= ctx.eps, (top, shift)
 
     @pytest.mark.parametrize("digits", [50, 150, 400])
     def test_three_values_match_hyper_oracle(self, digits):

@@ -1,6 +1,11 @@
 import collections
+import json
 import math
+import os
+import subprocess
+import sys
 import types
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -573,3 +578,47 @@ class TestEstimate:
         assert summed < set(calls)
         for k in calls:
             assert calls[k] <= doubling_blocks(m_max[k]), (k, calls[k], m_max[k])
+
+
+def run_in_fresh_process(script, *args):
+    """stdout of `python -c script args` in a fresh interpreter on this checkout."""
+    env = dict(os.environ, PYTHONPATH=str(Path(pp.__file__).parents[1]))
+    return subprocess.run([sys.executable, "-c", script, *map(str, args)], env=env,
+                          capture_output=True, text=True, check=True).stdout
+
+
+class TestOneProcess:
+    # every table kept across calls is computed at the precision band of the
+    # precision it serves, so an estimate depends on (n, digits) alone and
+    # the estimates of one process share the tables of their bands
+
+    def test_outputs_do_not_depend_on_earlier_estimates(self, tmp_path):
+        # `estimate 750 --with-exact` alone, and after 2000 and 992
+        script = ("import json, pathlib, sys\nfrom planepart import cli\n"
+                  "out = pathlib.Path(sys.argv[1])\n"
+                  "for n in sys.argv[2:]:\n"
+                  "    path = out / f'{n}.json'\n"
+                  "    code = cli.main(['--quiet', '--json', str(path), 'estimate', n,"
+                  " '--with-exact'])\n"
+                  "    assert code == 0, (n, code)\n"
+                  "print(json.dumps(json.loads(path.read_text())['outputs']))\n")
+        runs = []
+        for i, ns in enumerate(((750,), (2000, 992, 750))):
+            (tmp_path / str(i)).mkdir()
+            runs.append(json.loads(run_in_fresh_process(script, tmp_path / str(i), *ns)))
+        assert runs[0]["n"] == 750 and runs[0]["rounded"] == runs[0]["exact"]
+        assert runs[0] == runs[1]
+
+    def test_rgamma_evaluations_per_pass(self):
+        # the 12 n of the roundtrip_batch benchmark's seed-1 pass 0: the
+        # Almkvist seeds take 1/Gamma per (u, band), not per series (452
+        # evaluations when every series evaluated its own two)
+        ns = (107, 242, 257, 392, 407, 542, 557, 691, 707, 842, 857, 992)
+        script = ("import sys\nfrom mpmath import mp\nimport planepart as pp\n"
+                  "calls = 0\nrgamma = mp.rgamma\n"
+                  "def counted(*args, **kwargs):\n"
+                  "    global calls\n    calls += 1\n    return rgamma(*args, **kwargs)\n"
+                  "mp.rgamma = counted\n"
+                  "for n in map(int, sys.argv[1:]):\n    pp.p2_estimate(n)\n"
+                  "print(calls)\n")
+        assert 0 < int(run_in_fresh_process(script, *ns)) <= 150

@@ -12,6 +12,7 @@ from mpmath import mp
 import oracles
 import planepart as pp
 from planepart import dedekind
+from planepart.arith import precision_band
 
 
 def direct_c_hk(h, k, dps=50):
@@ -68,13 +69,30 @@ class TestBhk:
                 assert abs(pp.b_hk(h, k, ctx50) - pp.b_hk(k - h, k, ctx50)) < mpmath.mpf(10) ** -40
 
 
+class TestIntegerDots:
+    @pytest.mark.parametrize("n", [None, 6999])
+    def test_c_and_b_match_fdot_oracles(self, ctx50, n):
+        # None: 50 digits; 6999: p2(6999)'s precision
+        ctx = ctx50 if n is None else pp.precision_for(n)
+        with ctx.workdps():
+            for k in (1, 2, 3, 13, 100, 499):
+                for h in range(k):
+                    if math.gcd(h, k) != 1:
+                        continue
+                    assert abs(pp.c_hk(h, k, ctx) - oracles.c_hk_fdot(h, k, ctx)) < ctx.eps, (h, k)
+                    assert abs(pp.b_hk(h, k, ctx) - oracles.b_hk_fdot(h, k, ctx)) < ctx.eps, (h, k)
+
+
 class TestRademacherGrosswaldIdentity:
     def test_logsin_sum_is_log_k(self):
-        # sum_{j=1}^{k-1} log|2 sin(j pi / k)| = log k, over the library's row
+        # sum_{j=1}^{k-1} log|2 sin(j pi / k)| = log k, over the library's
+        # row: integers over 2^(band + ROOTS_GUARD)
         ctx = pp.PrecisionContext(decimal_digits=60)
         with ctx.workdps():
+            band = precision_band(mp.prec)
             for k in range(2, 201):
-                s = mp.fsum(dedekind._trig_fixed_row(k, mp.prec)[2])
+                s = mpmath.mpf((sum(dedekind._trig_fixed_row(k, band)[2]),
+                                -(band + dedekind.ROOTS_GUARD)))
                 assert abs(s - mp.log(k)) < mpmath.mpf(10) ** -40, k
 
 
@@ -108,10 +126,11 @@ class TestRootsRow:
     @pytest.mark.parametrize("prec", [170, 1300])
     def test_entries_match_expjpi(self, prec):
         # every cos and sin entry, the mirrored j > k/2 included, lies within
-        # 4 units of 2^-(prec + ROOTS_GUARD) of e^{2 pi i j / k}
-        bits = prec + dedekind.ROOTS_GUARD
+        # 4 units of the row's scale 2^-(band + ROOTS_GUARD) of e^{2 pi i j / k}
+        band = precision_band(prec)
+        bits = band + dedekind.ROOTS_GUARD
         for k in (1, 2, 3, 12, 13, 100, 499, 5000):
-            cos, sin, _ = dedekind._trig_fixed_row(k, prec)
+            cos, sin, _ = dedekind._trig_fixed_row(k, band)
             assert len(cos) == len(sin) == k
             with mp.workprec(bits + 20):
                 tol = mpmath.mpf(2) ** (2 - bits)
@@ -130,16 +149,19 @@ class TestRootsRow:
     @pytest.mark.parametrize("prec", [170, 1300])
     def test_logsin_entries_match_log_sin(self, prec):
         # every log|2 sin(pi j / k)| entry, taken from the cos row and
-        # mirrored past k/2, lies within 8 units of 2^-prec of mpmath's
-        # log and sin at prec + 64 bits
+        # mirrored past k/2, is an integer over the row's scale
+        # 2^(band + ROOTS_GUARD) and lies within 8 units of 2^-band of
+        # mpmath's log and sin at band + 64 bits
+        band = precision_band(prec)
         for k in (2, 3, 13, 100, 499, 5000):
-            logsin = dedekind._trig_fixed_row(k, prec)[2]
+            logsin = dedekind._trig_fixed_row(k, band)[2]
             assert len(logsin) == k - 1
-            with mp.workprec(prec + 64):
-                tol = mpmath.mpf(2) ** (3 - prec)
+            with mp.workprec(band + 64):
+                tol = mpmath.mpf(2) ** (3 - band)
                 for j, got in enumerate(logsin, 1):
                     want = mp.log(2 * mp.sin(mp.pi * j / k))
-                    assert abs(got - want) <= tol, (k, j)
+                    value = mpmath.mpf((got, -(band + dedekind.ROOTS_GUARD)))
+                    assert abs(value - want) <= tol, (k, j)
 
 
 class TestV1:
