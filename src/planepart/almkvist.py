@@ -36,8 +36,8 @@ SERIES_GUARD = 20  # bits almkvist_series's fixed-point sums carry above the wor
 # 1/Gamma values kept for the Almkvist seeds and their fractional parts.  An
 # arc's u = (3 + k/12 + top)/2 depends on (k, top), not on n, and u + 1/2 of
 # arc k is u of arc k + 12 at the same top: the 12 estimates at n <= 1000 of
-# one roundtrip_batch pass keep 229 values.  The bound keeps a long sweep
-# over many bands finite.
+# one seed-1 roundtrip_batch pass keep 223-232 values (passes 0-5).  The
+# bound keeps a long sweep over many bands finite.
 GAMMA_CACHE_SIZE = 1024
 
 
@@ -125,7 +125,7 @@ def almkvist_series(x, gamma, ctx: PrecisionContext) -> AlmkvistEval:
         if w <= 0:
             raise ValueError("almkvist_series requires gamma < 3")
         P, Q = w.numerator, w.denominator
-        wp = mp.prec + SERIES_GUARD
+        wp = ctx.prec + SERIES_GUARD
         band = precision_band(wp)
         r0, r1 = _rgamma(w / 2, band), _rgamma((w + 1) / 2, band)
         if not xv:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import mpmath
 from mpmath import mp
@@ -32,7 +32,11 @@ GUARD_DIGITS = 20
 
 @dataclass(frozen=True)
 class PrecisionContext:
-    """Working precision in decimal digits."""
+    """Working precision in decimal digits.
+
+    The binary precision, its band and eps are derived once per context, on
+    first read; they are not fields, so they stay out of equality and hash,
+    and a frozen context cannot have them set."""
 
     decimal_digits: int
 
@@ -44,7 +48,17 @@ class PrecisionContext:
         """Context manager setting mpmath's decimal precision."""
         return mp.workdps(self.decimal_digits)
 
-    @property
+    @cached_property
+    def prec(self) -> int:
+        """The binary working precision, mp.prec inside workdps()."""
+        return mpmath.libmp.dps_to_prec(self.decimal_digits)
+
+    @cached_property
+    def band(self) -> int:
+        """precision_band(prec): the precision of the tables prec reads."""
+        return precision_band(self.prec)
+
+    @cached_property
     def eps(self):
         """Certified relative accuracy after giving up the guard digits."""
         with self.workdps():

@@ -17,8 +17,7 @@ import mpmath
 from mpmath import mp
 from mpmath.libmp import from_man_exp
 
-from .arith import (PrecisionContext, PrecisionError, constants,
-                    derived_constants, precision_band, precision_for)
+from .arith import PrecisionContext, PrecisionError, constants, derived_constants, precision_for
 from .almkvist import almkvist_series, saddle_data
 from .dedekind import (COEFF_GUARD, ROOTS_GUARD, CoeffGenerator, _dot, _from_mpf,
                        _normalize, _trig_fixed_row, c_hk)
@@ -116,10 +115,19 @@ class Arc:
     real rotated coefficients obey b_{k-h}[m] = (-1)^m b_h[m].  The pair adds
     i^m c b_h[m] to the h-sum, with c = c_e = 2 Re coef_h for even m and
     c = c_o = 2i Im coef_h for odd m (for k <= 2, c = coef_h, real, its own
-    partner).  So the h-sum is real, one dot product of b_h[m] with the
-    weights Re c_e, -Im c_o, -Re c_e, Im c_o, the one for m mod 4.  Each
-    factor of a term is accurate to a few units of its last bit, so the
-    term is accurate to the working precision before its one rounding.
+    partner).  So the h-sum is real: i^m c is Re c_e, -Im c_o, -Re c_e and
+    Im c_o for m = 0, 1, 2, 3 mod 4.  The arc keeps two weight rows, Re c_e
+    and -Im c_o, one entry per h; the h-sum is the dot product of b_h[m]
+    with the row of m's parity, negated for m = 2, 3 mod 4.
+
+    Not every factor is accurate to its last bit.  The weights and the
+    j v[j] behind b[m] are working-precision mpfs padded with zero bits,
+    and the ladder multiplies by the mantissa of x rounded to the working
+    precision, so A_m is exact only for that rounded x: at n = 750
+    (prec 448) A(x | -1/12 - m) moves by 2^-442.5 relative, at n = 6999
+    (prec 1269) by 2^-1262.  The certified accuracy ctx.eps (2^-378.7 and
+    2^-1199.2 there) holds; a proved roundoff bound must start from what
+    each factor carries.
 
     The Almkvist values A_m = A(x | -k/12 - m) come from a ladder.  A
     request past its end seeds one series at top = max(m, 2 * len,
@@ -143,8 +151,7 @@ class Arc:
         self._ladder: list[tuple[int, int]] = []  # A_0, A_1, ...
         cst = constants(ctx)
         with ctx.workdps():
-            self._prec = prec = mp.prec
-            self._bits = bits = prec + COEFF_GUARD
+            self._bits = bits = ctx.prec + COEFF_GUARD
             kf = mpmath.mpf(k)
             with mp.workprec(bits):
                 sqrt_ak3 = mp.sqrt(cst.a / kf**3)
@@ -156,16 +163,15 @@ class Arc:
             # h <= k/2: [0] for k = 1, [1] for k = 2, h < k/2 for k >= 3
             hs = [h for h in range(k // 2 + 1) if math.gcd(h, k) == 1]
             self.gens = [CoeffGenerator(h, k, ctx) for h in hs]
-            band = precision_band(prec)
-            cos, sin, _ = _trig_fixed_row(k, band)
-            e = -(band + ROOTS_GUARD)  # the rows are integers over 2^-e
-            # per m mod 4, the mantissas and the exponents of the weights, one per h
-            self._weights = tuple(([], []) for _ in range(4))
+            cos, sin, _ = _trig_fixed_row(k, ctx.band)
+            e = -(ctx.band + ROOTS_GUARD)  # the rows are integers over 2^-e
+            # per parity of m, the mantissas and the exponents of the weights, one per h
+            self._weights = (([], []), ([], []))
             for h in hs:
                 j = (-n * h) % k
                 scale = mp.exp(c_hk(h, k, ctx)) * (1 if 2 * h % k == 0 else 2)
                 re, im = (base * mpmath.mpf((row[j], e)) * scale for row in (cos, sin))
-                for (mans, exps), v in zip(self._weights, (re, -im, -re, im)):
+                for (mans, exps), v in zip(self._weights, (re, -im)):
                     man, exp = _from_mpf(v, bits)
                     mans.append(man)
                     exps.append(exp)
@@ -183,7 +189,7 @@ class Arc:
                 seeds = (ev.value_m2, ev.value_m1, ev.value)  # top+2, top+1, top
                 # integers over 2^e: the smallest seed gets hi's precision,
                 # and every value down the ladder is larger
-                e = min(v.exp + v.bc for v in seeds) - mp.prec
+                e = min(v.exp + v.bc for v in seeds) - hi.prec
             block = [v.man << (v.exp - e) for v in seeds]
             xm, xe = self.x.man, self.x.exp
             for j in range(top - 1, len(ladder) - 1, -1):
@@ -195,7 +201,7 @@ class Arc:
 
     def almkvist(self, m: int):
         """A(x | -k/12 - m) at the working precision, from the ladder."""
-        return mp.make_mpf(from_man_exp(*self._almkvist_fixed(m), self._prec, "n"))
+        return mp.make_mpf(from_man_exp(*self._almkvist_fixed(m), self.ctx.prec, "n"))
 
     def term(self, m: int):
         """phi^(m)_k(n) as a real mpf: (a/k^3)^(m/2) A_m times one dot product
@@ -209,23 +215,27 @@ class Arc:
         while len(powers) <= m:
             man, exp = powers[-1]
             powers.append(_normalize(man * s, exp + se, self._bits))
-        acc, e = _dot(*self._weights[m % 4], [g.b[m] for g in self.gens],
+        acc, e = _dot(*self._weights[m % 2], [g.b[m] for g in self.gens],
                       [g.b_exp[m] for g in self.gens])
         a, ae = self._almkvist_fixed(m)
         p, pe = powers[m]
-        return mp.make_mpf(from_man_exp(acc * a * p, e + ae + pe, self._prec, "n"))
+        sign = -1 if m % 4 > 1 else 1
+        return mp.make_mpf(from_man_exp(sign * acc * a * p, e + ae + pe, self.ctx.prec, "n"))
 
 
 def mstar_theory(n: int, k: int, ctx: PrecisionContext):
     """Predicted truncation point M*(n,k) from the saddle-point analysis."""
     if n < 1 or k < 1:
         raise ValueError("mstar_theory requires n, k >= 1")
-    der = derived_constants(ctx)
     with ctx.workdps():
-        lam = lambda_param(n, k, ctx)
-        sd = saddle_data(lam, ctx)
-        n13 = mpmath.mpf(n) ** (mpmath.mpf(1) / 3)
-        return (sd.c / k) * n13 - (sd.c * sd.c / (4 * der.c2 * k)) * sd.f1pp
+        return _mstar_of_saddle(n, k, saddle_data(lambda_param(n, k, ctx), ctx), ctx)
+
+
+def _mstar_of_saddle(n: int, k: int, sd, ctx: PrecisionContext):
+    """M*(n,k) from the SaddleData of lam(n, k), at the current precision."""
+    der = derived_constants(ctx)
+    n13 = mpmath.mpf(n) ** (mpmath.mpf(1) / 3)
+    return (sd.c / k) * n13 - (sd.c * sd.c / (4 * der.c2 * k)) * sd.f1pp
 
 
 def mstar_numeric(arc: Arc) -> PhiBreakdown:
@@ -326,8 +336,8 @@ def sa_error_bound(n: int, k: int, ctx: PrecisionContext):
         lam = lambda_param(n, k, ctx)
         if lam > lambda_c(ctx):
             raise ValueError("sa_error_bound is only claimed for lam <= lam_c")
-        c = saddle_data(lam, ctx).c
-        mstar = mstar_theory(n, k, ctx)
+        sd = saddle_data(lam, ctx)
+        c, mstar = sd.c, _mstar_of_saddle(n, k, sd, ctx)
         nf = mpmath.mpf(n)
         n13 = nf ** (mpmath.mpf(1) / 3)
         n23 = n13 * n13

@@ -13,7 +13,7 @@ so v^(p) is a sum of U_j cos(2 pi j h / k) over 0 <= j <= k/2 (real) for
 even p and of U_j sin(2 pi j h / k) (imaginary) for odd p: one integer dot
 product with a fixed-point cos or sin row.  One row per (k, precision
 band), _trig_fixed_row, ROOTS_GUARD bits above the band
-(arith.precision_band) of the working precision, gives circle.Arc its
+(PrecisionContext.band) of the working precision, gives circle.Arc its
 phases, v^(p) its cos and sin, and C_{h,k} and b_{h,k} their log-sines,
 log|2 sin(pi j / k)| taken from the cos row as fixed-point integers too, so
 C_{h,k} and b_{h,k} are each one integer dot product with integer weights.
@@ -40,19 +40,21 @@ from operator import add, mul, rshift
 
 import mpmath
 from mpmath import mp
-from mpmath.libmp import (dps_to_prec, from_int, from_man_exp, fzero, mpf_div, mpf_log,
-                          mpf_shift, to_fixed)
+from mpmath.libmp import from_int, from_man_exp, fzero, mpf_div, mpf_log, mpf_shift, to_fixed
 
-from .arith import PrecisionContext, bernoulli_int_row, constants, precision_band
+from .arith import PrecisionContext, bernoulli_int_row, constants
 
 # published correction constant in the b_{1,k} estimate
 B1K_GAMMA = "0.024529"
 
 
-# One estimate uses about N(n) + 7 rows, all in the band of its precision,
-# and the estimates of a band share them, so a bounded cache keeps every row
-# a run of estimates needs while a long-lived process that sweeps many bands
-# does not grow without limit.
+# An estimate reads one row per arc it builds, all in the band of its
+# precision: N_used + 1 under the numeric cutoff (19 at n = 750, 45 at
+# n = 6999), and with kappa2 up to 7 past floor(N(n)).  The estimates of a
+# band share their rows: one seed-1 roundtrip_batch pass of 12 estimates
+# keeps 71-76 rows (passes 0-5).  So a bounded cache keeps every row a run of
+# estimates needs while a long-lived process that sweeps many bands does not
+# grow without limit.
 ROW_CACHE_SIZE = 256
 ROOTS_GUARD = 32  # bits the trig and log-sine rows carry above their band
 COEFF_GUARD = 32  # bits the floating-integer mantissas carry above the working precision
@@ -64,7 +66,7 @@ def _trig_fixed_row(k: int, band: int) -> tuple[tuple[int, ...], tuple[int, ...]
     """(cos, sin, logsin), all integers over 2^(band + ROOTS_GUARD): cos and
     sin of 2 pi j / k, j = 0..k-1, and log|2 sin(pi j / k)|, j = 1..k-1.
 
-    The callers pass the band of their precision (arith.precision_band), so
+    The callers pass the band of their precision (PrecisionContext.band), so
     the precisions of one band share a row, and each caller reads it at the
     row's own scale, 2^-(band + ROOTS_GUARD).
 
@@ -109,20 +111,19 @@ def _trig_fixed_row(k: int, band: int) -> tuple[tuple[int, ...], tuple[int, ...]
             tuple(logsin + logsin[:(k - 1) // 2][::-1]))
 
 
-def _row_value(dot: int, den: int, band: int, prec: int) -> tuple:
-    """dot / den over the rows' scale 2^(band + ROOTS_GUARD), as a raw mpf
-    rounded once to prec bits."""
-    return mpf_shift(mpf_div(from_int(dot), from_int(den), prec, "n"), -(band + ROOTS_GUARD))
+def _row_value(dot: int, den: int, ctx: PrecisionContext) -> tuple:
+    """dot / den over the scale 2^(ctx.band + ROOTS_GUARD) of ctx's rows, as
+    a raw mpf rounded once to ctx's binary precision."""
+    return mpf_shift(mpf_div(from_int(dot), from_int(den), ctx.prec, "n"),
+                     -(ctx.band + ROOTS_GUARD))
 
 
 def _logsin_sum(k: int, terms, den: int, ctx: PrecisionContext):
     """(1/den) sum of w log|2 sin(pi i / k)| over the integer pairs (w, i),
     0 < i < k: one integer dot product with the fixed-point log-sine row in
     the band of ctx's precision, rounded once to it."""
-    prec = dps_to_prec(ctx.decimal_digits)
-    band = precision_band(prec)
-    logsin = _trig_fixed_row(k, band)[2]
-    return mp.make_mpf(_row_value(sum(w * logsin[i - 1] for w, i in terms), den, band, prec))
+    logsin = _trig_fixed_row(k, ctx.band)[2]
+    return mp.make_mpf(_row_value(sum(w * logsin[i - 1] for w, i in terms), den, ctx))
 
 
 def _check_coprime(h: int, k: int) -> None:
@@ -210,14 +211,12 @@ def vp_hk(p: int, h: int, k: int, ctx: PrecisionContext):
     if p < 1:
         raise ValueError("vp_hk requires p >= 1")
     _check_coprime(h, k)
-    prec = dps_to_prec(ctx.decimal_digits)
-    band = precision_band(prec)
     num, den, buckets = _vp_buckets(p, k)
-    row = _trig_fixed_row(k, band)[p % 2]
+    row = _trig_fixed_row(k, ctx.band)[p % 2]
     # bucket j meets row[j h mod k]
     dot = sum(map(mul, buckets, map(row.__getitem__,
                                     map(k.__rmod__, map(h.__mul__, range(len(buckets)))))))
-    s = _row_value(num * dot, den, band, prec)
+    s = _row_value(num * dot, den, ctx)
     return mp.make_mpc((fzero, s) if p % 2 else (s, fzero))
 
 
@@ -230,10 +229,12 @@ def _normalize(man: int, exp: int, bits: int) -> tuple[int, int]:
     return (man >> shift if shift >= 0 else man << -shift), exp + shift
 
 
-def _from_mpf(x, bits: int) -> tuple[int, int]:
-    """The mpf x as a normalized mantissa of `bits` bits and its exponent."""
+def _from_mpf(x, bits: int, factor: int = 1) -> tuple[int, int]:
+    """The mpf x times the integer factor as a normalized mantissa of `bits`
+    bits and its exponent: one conversion, exact while x's mantissa times
+    factor has at most `bits` bits."""
     sign, man, exp, _ = x._mpf_
-    return _normalize(-man if sign else man, exp, bits)
+    return _normalize(factor * (-man if sign else man), exp, bits)
 
 
 def _dot(xs, xe, ys, ye) -> tuple[int, int]:
@@ -261,11 +262,13 @@ class CoeffGenerator:
     m b[m] = sum_j j v[j] b[m - j] runs on floating integers: b[m] is
     self.b[m] 2^self.b_exp[m] and j v[j] is jv[j - 1] 2^jv_exp[j - 1], every
     nonzero mantissa exactly bits = working precision + COEFF_GUARD bits
-    long.  An order is one _dot, one floor division by m and one
-    normalization: the dot's error is a few units of 2^-bits of its largest
-    product and the division's one more, so each b[m] carries the relative
-    accuracy of the v[j] (2^-prec) of its largest product, as an mpf dot
-    product at the working precision would, at a fraction of the cost.  For
+    long.  j v[j] is one exact conversion of the working-precision v[j]
+    times +-j, so its low bits are zeros.  An order is one _dot, one floor
+    division by m and one normalization: the dot's error is a few units of
+    2^-bits of its largest product and the division's one more, so each b[m]
+    carries the relative accuracy of the v[j] (2^-prec) of its largest
+    product, as an mpf dot product at the working precision would, at a
+    fraction of the cost.  For
     k <= 2 every odd order is 0 (v[j] is real): those orders are stored as
     zeros and the dot products run over the even orders only.  The same
     symmetry gives b_{k-h}[m] = (-1)^m b_h[m], which circle.Arc uses to pair
@@ -275,7 +278,7 @@ class CoeffGenerator:
     def __init__(self, h: int, k: int, ctx: PrecisionContext):
         _check_coprime(h, k)
         self.h, self.k, self.ctx = h, k, ctx
-        self.bits = dps_to_prec(ctx.decimal_digits) + COEFF_GUARD
+        self.bits = ctx.prec + COEFF_GUARD
         self.jv: list[int] = []
         self.jv_exp: list[int] = []
         self.b: list[int] = [1 << (self.bits - 1)]
@@ -287,8 +290,8 @@ class CoeffGenerator:
         while len(b) <= M:
             m = len(b)
             v = vp_hk(m, self.h, self.k, self.ctx)
-            j_man, j_exp = _from_mpf(v.imag if m % 2 else v.real, self.bits)
-            j_man, j_exp = _normalize((m, m, -m, -m)[m % 4] * j_man, j_exp, self.bits)
+            j_man, j_exp = _from_mpf(v.imag if m % 2 else v.real, self.bits,
+                                     (m, m, -m, -m)[m % 4])
             jv.append(j_man)
             jv_exp.append(j_exp)
             if m % step:

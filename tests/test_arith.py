@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import subprocess
@@ -11,7 +12,7 @@ from mpmath import mp
 
 import oracles
 import planepart as pp
-from planepart.arith import bernoulli_int_row
+from planepart.arith import bernoulli_int_row, precision_band
 
 
 class TestPrecisionContext:
@@ -23,6 +24,24 @@ class TestPrecisionContext:
         ctx = pp.PrecisionContext(decimal_digits=50)
         with ctx.workdps():
             assert ctx.eps == mpmath.mpf(10) ** -30
+
+    def test_derived_precision_is_not_state(self):
+        # prec, band and eps are derived once per context and are no fields:
+        # a context that has read them equals a fresh one with its digits,
+        # hits constants' cache entry for it, and cannot have them set
+        used = pp.PrecisionContext(decimal_digits=77)
+        with used.workdps():
+            assert used.prec == mp.prec
+        assert used.band == precision_band(used.prec)
+        assert used.eps is used.eps
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            used.prec = 1
+        pp.constants(used)
+        fresh = pp.PrecisionContext(decimal_digits=77)
+        assert fresh == used and hash(fresh) == hash(used)
+        hits = pp.constants.cache_info().hits
+        assert pp.constants(fresh) is pp.constants(used)
+        assert pp.constants.cache_info().hits == hits + 2
 
     def test_workdps_scopes_precision(self):
         ctx = pp.PrecisionContext(decimal_digits=120)

@@ -428,8 +428,9 @@ class TestBounds:
             with ctx.workdps():
                 assert mpmath.mpf(circle.LAMBDA0) > circle.lambda_c(ctx), ctx
 
-    def test_phi0_bound_solves_the_saddle_cubic_once(self, monkeypatch):
-        # both published forms read the one SaddleData of lam(n, k)
+    @staticmethod
+    def saddle_solves(monkeypatch, bound, n, k) -> int:
+        """The saddle_data calls one bound(n, k, ctx) makes."""
         calls = []
         saddle = circle.saddle_data
 
@@ -438,8 +439,18 @@ class TestBounds:
             return saddle(lam, ctx)
 
         monkeypatch.setattr(circle, "saddle_data", counted)
-        circle.phi0_bound(6000, 37, pp.precision_for(6000))
-        assert len(calls) == 1
+        bound(n, k, pp.precision_for(n))
+        return len(calls)
+
+    def test_phi0_bound_solves_the_saddle_cubic_once(self, monkeypatch):
+        # both published forms read the one SaddleData of lam(n, k)
+        assert self.saddle_solves(monkeypatch, circle.phi0_bound, 6000, 37) == 1
+
+    def test_sa_error_bound_solves_the_saddle_cubic_once(self, monkeypatch):
+        # c and M* both come from the one SaddleData of lam(n, k); lam_c is
+        # found once per context (cached) before the count starts
+        circle.lambda_c(pp.precision_for(6000))
+        assert self.saddle_solves(monkeypatch, circle.sa_error_bound, 6000, 5) == 1
 
     def test_phi0_bound_contains_probe_750(self):
         ctx = pp.precision_for(750)

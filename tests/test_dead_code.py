@@ -91,3 +91,15 @@ def test_every_record_field_is_read(path):
               for item in node.body if isinstance(item, ast.AnnAssign)
               and item.target.id not in ATTRIBUTES_READ]
     assert unread == []
+
+
+def test_only_arith_turns_digits_into_bits():
+    # a context derives its binary precision once (PrecisionContext.prec)
+    assert [p.name for p in MODULES
+            if p.name != "arith.py" and references(TREES[p])["dps_to_prec"]] == []
+
+
+@pytest.mark.parametrize("name", ["circle.py", "dedekind.py"])
+def test_kernels_read_the_context_band(name):
+    # ... and its band once (PrecisionContext.band)
+    assert references(TREES[SRC / name])["precision_band"] == 0
