@@ -5,11 +5,12 @@ solution of x y''' - (gamma - 3) y'' - 2 y = 0 singled out by the coefficient
 extraction contour; it plays the role Bessel I_{3/2} plays for linear
 partitions.  Its first two x-derivatives, A(x|gamma - 1) and A(x|gamma - 2),
 weight the same terms by k/x and k(k-1)/x^2, so almkvist_series sums one
-term sequence, in Python integers above the working precision, and returns
-all three.  An arc of the estimate (circle.Arc) needs A(x | -k/12 - m) for
-m = 0, 1, 2, ...: it seeds its ladder with almkvist_series, three
-consecutive values at once, and runs the ODE's three-term recurrence
-downward for the rest.  The arc passes gamma as the exact rational
+term sequence, in Python integers at the kernels' precision ctx.bits
+(arith.GUARD_BITS above the working precision), and returns all three at
+that precision.  An arc of the estimate (circle.Arc) needs
+A(x | -k/12 - m) for m = 0, 1, 2, ...: it seeds its ladder with
+almkvist_series, three consecutive values at once, and runs the ODE's
+three-term recurrence downward for the rest.  The arc passes gamma as the exact rational
 -k/12 - top, so each step of the sum divides by a machine-sized integer,
 and the series' two 1/Gamma seeds, which depend on (k, top) and not on x,
 are cached per precision band (arith.precision_band) across arcs and n.
@@ -32,7 +33,6 @@ from mpmath.libmp import from_int, mpf_div, mpf_mul
 from .arith import PrecisionContext, constants, precision_band
 
 
-SERIES_GUARD = 20  # bits almkvist_series's fixed-point sums carry above the working precision
 # 1/Gamma values kept for the Almkvist seeds and their fractional parts.  An
 # arc's u = (3 + k/12 + top)/2 depends on (k, top), not on n, and u + 1/2 of
 # arc k is u of arc k + 12 at the same top: the 12 estimates at n <= 1000 of
@@ -66,19 +66,26 @@ def _rgamma(v: Fraction, band: int) -> mpmath.mpf:
     With v = f + n, 0 < f <= 1 and f = p/q, 1/Gamma(v) = 1/Gamma(f) q^n /
     prod_{i<n} (p + i q): one exact integer ratio and one rounding on top of
     the cached 1/Gamma(f).  So mpmath evaluates 1/Gamma only at the few
-    fractional parts f an estimate meets (an arc's u is a multiple of 1/24),
-    each from f rounded to 64 bits more than `band`, which its gamma reads
-    in full."""
+    fractional parts f an estimate meets (an arc's u is a multiple of 1/24).
+    It does so at 16 bits more than `band` and at f + N, N = max(100,
+    band // 4 + 32), from f + N rounded to 64 bits more than `band`, which
+    its gamma reads in full; the exact ratio prod_{i<N} (p + i q) / q^N takes
+    the value back to f, rounded once to `band`.  Below max(100, wp / 5)
+    (wp: its working precision, a few dozen bits above `band`) mpmath's
+    gamma sums a Taylor series whose coefficient table it rebuilds at every
+    precision; from there on it takes Stirling's series, which needs no
+    table."""
     n = math.ceil(v) - 1
+    p, q = v.numerator - n * v.denominator, v.denominator
     if n:
-        p, q = v.numerator - n * v.denominator, v.denominator
-        base = _rgamma(Fraction(p, q), band)._mpf_
-        num = mpf_mul(base, from_int(q ** n))
+        num = mpf_mul(_rgamma(Fraction(p, q), band)._mpf_, from_int(q ** n))
         return mp.make_mpf(mpf_div(num, from_int(math.prod(range(p, p + n * q, q))), band, "n"))
+    N = max(100, band // 4 + 32)
     with mp.workprec(band + 64):
-        arg = mpmath.mpf(v.numerator) / v.denominator
-    with mp.workprec(band):
-        return mp.rgamma(arg)
+        arg = mpmath.mpf(p + N * q) / q
+    with mp.workprec(band + 16):
+        num = mpf_mul(mp.rgamma(arg)._mpf_, from_int(math.prod(range(p, p + N * q, q))))
+    return mp.make_mpf(mpf_div(num, from_int(q ** N), band, "n"))
 
 
 def _chain(t, e, j, num, shift, P, Q, wp):
@@ -110,10 +117,12 @@ def almkvist_series(x, gamma, ctx: PrecisionContext) -> AlmkvistEval:
     With u = (3 - gamma)/2 and T_j = x^j / (j! Gamma(u + j/2)),
     A(x|gamma) = (1/2) sum T_j, A(x|gamma-1) = (1/2x) sum j T_j and
     A(x|gamma-2) = (1/2x^2) sum j (j-1) T_j.  The even and odd j run as two
-    chains from 1/Gamma(u) and x/Gamma(u + 1/2), in Python integers
-    SERIES_GUARD bits above the working precision.  With 2u = P/Q in lowest
-    terms, T_{j+2} = T_j 2x^2 Q / ((j+1)(j+2)(P + jQ)): the divisor is exact,
-    and for an arc's Q = 12 it is machine-sized.  The two 1/Gamma values
+    chains from 1/Gamma(u) and x/Gamma(u + 1/2), in Python integers of
+    ctx.bits = prec + GUARD_BITS bits, and the three values are rounded to
+    ctx.bits, not to the working precision, so circle.Arc seeds its ladder
+    with all of their bits.  With 2u = P/Q in lowest terms,
+    T_{j+2} = T_j 2x^2 Q / ((j+1)(j+2)(P + jQ)): the divisor is exact, and
+    for an arc's Q = 12 it is machine-sized.  The two 1/Gamma values
     depend on u alone, so they are cached by (exact argument, precision
     band), at the band of the chains' precision.  For gamma < 3 every term
     is positive, so nothing cancels."""
@@ -124,15 +133,15 @@ def almkvist_series(x, gamma, ctx: PrecisionContext) -> AlmkvistEval:
         w = 3 - _exact(gamma)  # 2u = P/Q
         if w <= 0:
             raise ValueError("almkvist_series requires gamma < 3")
-        P, Q = w.numerator, w.denominator
-        wp = ctx.prec + SERIES_GUARD
-        band = precision_band(wp)
-        r0, r1 = _rgamma(w / 2, band), _rgamma((w + 1) / 2, band)
+    P, Q = w.numerator, w.denominator
+    wp = ctx.bits
+    band = precision_band(wp)
+    r0, r1 = _rgamma(w / 2, band), _rgamma((w + 1) / 2, band)
+    with mp.workprec(wp):
         if not xv:
             return AlmkvistEval(r0 / 2, r1 / 2, r0 * Q / P, terms_used=0)
-        with mp.workprec(wp):
-            x2 = 2 * xv * xv
-            starts = (+r0, xv * r1)
+        x2 = 2 * xv * xv
+        starts = (+r0, xv * r1)
         # x2 = man 2^exp: num 2^-shift
         num, shift = x2.man * Q << max(x2.exp, 0), max(-x2.exp, 0)
         sums = []

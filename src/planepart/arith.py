@@ -28,15 +28,21 @@ class PrecisionError(ArithmeticError):
 # digits of the working precision given up to roundoff: eps is certified at
 # decimal_digits - GUARD_DIGITS
 GUARD_DIGITS = 20
+# bits every integer kernel carries above the precision it serves: the
+# Almkvist chains, the ladder, the powers, the b^(m) recurrence and the
+# constants above the working precision (PrecisionContext.bits), the trig and
+# log-sine rows above their band
+GUARD_BITS = 32
 
 
 @dataclass(frozen=True)
 class PrecisionContext:
     """Working precision in decimal digits.
 
-    The binary precision, its band and eps are derived once per context, on
-    first read; they are not fields, so they stay out of equality and hash,
-    and a frozen context cannot have them set."""
+    The binary precision, its band, the kernels' precision bits and eps are
+    derived once per context, on first read; they are not fields, so they
+    stay out of equality and hash, and a frozen context cannot have them
+    set."""
 
     decimal_digits: int
 
@@ -57,6 +63,11 @@ class PrecisionContext:
     def band(self) -> int:
         """precision_band(prec): the precision of the tables prec reads."""
         return precision_band(self.prec)
+
+    @cached_property
+    def bits(self) -> int:
+        """prec + GUARD_BITS: the precision of the integer kernels."""
+        return self.prec + GUARD_BITS
 
     @cached_property
     def eps(self):
@@ -95,13 +106,13 @@ def precision_band(prec: int) -> int:
 @lru_cache(maxsize=None)
 def constants(ctx: PrecisionContext) -> Constants:
     """pi, a = zeta(3) (Apery's constant), zeta'(-1) = 1/12 - log A (A is
-    Glaisher's constant) and log 2 at context precision + 10 digits.
+    Glaisher's constant) and log 2 at the kernels' precision ctx.bits.
 
     A is taken at the band of that precision (precision_band): mpmath keeps
     a constant at the highest precision it has computed and recomputes it
     for any higher one, which for A is costly, so the estimates of one band
     share one evaluation."""
-    with mp.workdps(ctx.decimal_digits + 10):
+    with mp.workprec(ctx.bits):
         pi = +mp.pi
         a = +mp.apery
         with mp.workprec(precision_band(mp.prec)):
@@ -115,7 +126,7 @@ def constants(ctx: PrecisionContext) -> Constants:
 def derived_constants(ctx: PrecisionContext) -> DerivedConstants:
     """c1 = (2a)^(1/36) 2^(-1/4) e^{zeta'(-1)} and c2 = 3 * 2^(-2/3) * a^(1/3)."""
     cst = constants(ctx)
-    with mp.workdps(ctx.decimal_digits + 10):
+    with mp.workprec(ctx.bits):
         third = mp.mpf(1) / 3
         c1 = (2 * cst.a) ** (mp.mpf(1) / 36) * mp.mpf(2) ** (-mp.mpf(1) / 4) * mp.exp(
             cst.zeta_prime_m1

@@ -17,10 +17,10 @@ import mpmath
 from mpmath import mp
 from mpmath.libmp import from_man_exp
 
-from .arith import PrecisionContext, PrecisionError, constants, derived_constants, precision_for
+from .arith import (GUARD_BITS, PrecisionContext, PrecisionError, constants, derived_constants,
+                    precision_for)
 from .almkvist import almkvist_series, saddle_data
-from .dedekind import (COEFF_GUARD, ROOTS_GUARD, CoeffGenerator, _dot, _from_mpf,
-                       _normalize, _trig_fixed_row, c_hk)
+from .dedekind import CoeffGenerator, _dot, _from_mpf, _normalize, _trig_fixed_row, c_hk
 from .exact import p2_exact_table
 
 # The numeric cutoff ends at the first arc whose nonzero probe is below
@@ -29,7 +29,6 @@ K_THRESHOLD = "0.01"
 M_FLOOR = "0.001"
 LAMBDA0 = "0.25"  # minor_arc_bound's Type II lam; above lambda_c = 0.1801...
 MAX_ARCS = 500  # no cutoff, numeric or theoretical, includes this arc
-LADDER_GUARD = 10  # digits an Arc's Almkvist ladder carries above the working precision
 LADDER_SEED = 32  # an Arc's first Almkvist series: most arcs stop below this m
 MSTAR_CTX = PrecisionContext(30)  # mstar_numeric only needs mstar_theory's integer part
 
@@ -106,7 +105,7 @@ class Arc:
     Holds the h-weights (the arc prefactor times the C_{h,k} phases), one
     CoeffGenerator per coprime h <= k/2, the Almkvist ladder and the powers
     (a/k^3)^(m/2), all as floating integers: mantissas of exactly
-    COEFF_GUARD bits above the working precision, each with its exponent.
+    ctx.bits = prec + GUARD_BITS bits, each with its exponent.
     A term is one _dot of cached weights with the generators' b[m] and two
     integer products, rounded once to an mpf; it is recomputed, not stored.
 
@@ -122,8 +121,9 @@ class Arc:
 
     Not every factor is accurate to its last bit.  The weights and the
     j v[j] behind b[m] are working-precision mpfs padded with zero bits,
-    and the ladder multiplies by the mantissa of x rounded to the working
-    precision, so A_m is exact only for that rounded x: at n = 750
+    while the ladder's seeds carry all ctx.bits bits.  The ladder multiplies
+    by the mantissa of x rounded to the working precision, so A_m is exact
+    only for that rounded x: at n = 750
     (prec 448) A(x | -1/12 - m) moves by 2^-442.5 relative, at n = 6999
     (prec 1269) by 2^-1262.  The certified accuracy ctx.eps (2^-378.7 and
     2^-1199.2 there) holds; a proved roundoff bound must start from what
@@ -133,9 +133,9 @@ class Arc:
     request past its end seeds one series at top = max(m, 2 * len,
     LADDER_SEED), which gives top, top + 1 and top + 2, and runs
     24 A_m = 12 x A_{m+3} + (12 m + 36 + k) A_{m+2} down to the end of the
-    ladder in Python integers over one power of two, LADDER_GUARD digits
-    above the working precision at the smallest seed.  The recurrence is the
-    ODE x y''' - (gamma - 3) y'' - 2 y = 0 with dA(x|gamma)/dx =
+    ladder in Python integers over one power of two, the smallest seed given
+    ctx.bits bits.  The recurrence is the ODE
+    x y''' - (gamma - 3) y'' - 2 y = 0 with dA(x|gamma)/dx =
     A(x|gamma - 1).  Run downward, both of its terms are positive (x > 0,
     gamma < 3), so no step cancels, each adds one rounding error, and every
     value is larger than the one two steps up; run upward, it subtracts
@@ -151,20 +151,19 @@ class Arc:
         self._ladder: list[tuple[int, int]] = []  # A_0, A_1, ...
         cst = constants(ctx)
         with ctx.workdps():
-            self._bits = bits = ctx.prec + COEFF_GUARD
             kf = mpmath.mpf(k)
-            with mp.workprec(bits):
+            with mp.workprec(ctx.bits):
                 sqrt_ak3 = mp.sqrt(cst.a / kf**3)
-            self._sqrt_ak3 = _from_mpf(sqrt_ak3, bits)
+            self._sqrt_ak3 = _from_mpf(sqrt_ak3, ctx.bits)
             self.x = sqrt_ak3 * n
-            self._powers = [(1 << (bits - 1), 1 - bits)]  # (a/k^3)^(m/2), m = 0, 1, ...
+            self._powers = [(1 << (ctx.bits - 1), 1 - ctx.bits)]  # (a/k^3)^(m/2), m = 0, 1, ...
             base = mp.exp(k * cst.zeta_prime_m1) * (cst.a / kf) ** (
                 mpmath.mpf(1) / 2 + kf / 24) / kf
             # h <= k/2: [0] for k = 1, [1] for k = 2, h < k/2 for k >= 3
             hs = [h for h in range(k // 2 + 1) if math.gcd(h, k) == 1]
             self.gens = [CoeffGenerator(h, k, ctx) for h in hs]
             cos, sin, _ = _trig_fixed_row(k, ctx.band)
-            e = -(ctx.band + ROOTS_GUARD)  # the rows are integers over 2^-e
+            e = -(ctx.band + GUARD_BITS)  # the rows are integers over 2^-e
             # per parity of m, the mantissas and the exponents of the weights, one per h
             self._weights = (([], []), ([], []))
             for h in hs:
@@ -172,7 +171,7 @@ class Arc:
                 scale = mp.exp(c_hk(h, k, ctx)) * (1 if 2 * h % k == 0 else 2)
                 re, im = (base * mpmath.mpf((row[j], e)) * scale for row in (cos, sin))
                 for (mans, exps), v in zip(self._weights, (re, -im)):
-                    man, exp = _from_mpf(v, bits)
+                    man, exp = _from_mpf(v, ctx.bits)
                     mans.append(man)
                     exps.append(exp)
 
@@ -183,20 +182,18 @@ class Arc:
         ladder = self._ladder
         if m >= len(ladder):
             top = max(m, 2 * len(ladder), LADDER_SEED)
-            hi = PrecisionContext(self.ctx.decimal_digits + LADDER_GUARD)
-            with hi.workdps():
-                ev = almkvist_series(self.x, Fraction(-self.k, 12) - top, hi)
-                seeds = (ev.value_m2, ev.value_m1, ev.value)  # top+2, top+1, top
-                # integers over 2^e: the smallest seed gets hi's precision,
-                # and every value down the ladder is larger
-                e = min(v.exp + v.bc for v in seeds) - hi.prec
+            ev = almkvist_series(self.x, Fraction(-self.k, 12) - top, self.ctx)
+            seeds = (ev.value_m2, ev.value_m1, ev.value)  # top+2, top+1, top
+            # integers over 2^e: the smallest seed gets ctx.bits bits, and
+            # every value down the ladder is larger
+            e = min(v.exp + v.bc for v in seeds) - self.ctx.bits
             block = [v.man << (v.exp - e) for v in seeds]
             xm, xe = self.x.man, self.x.exp
             for j in range(top - 1, len(ladder) - 1, -1):
                 xa = block[-3] * xm
                 xa = xa << xe if xe >= 0 else xa >> -xe
                 block.append((12 * xa + (12 * j + 36 + self.k) * block[-2]) // 24)
-            ladder += [_normalize(a, e, self._bits) for a in reversed(block)]
+            ladder += [_normalize(a, e, self.ctx.bits) for a in reversed(block)]
         return ladder[m]
 
     def almkvist(self, m: int):
@@ -214,7 +211,7 @@ class Arc:
         powers, (s, se) = self._powers, self._sqrt_ak3
         while len(powers) <= m:
             man, exp = powers[-1]
-            powers.append(_normalize(man * s, exp + se, self._bits))
+            powers.append(_normalize(man * s, exp + se, self.ctx.bits))
         acc, e = _dot(*self._weights[m % 2], [g.b[m] for g in self.gens],
                       [g.b_exp[m] for g in self.gens])
         a, ae = self._almkvist_fixed(m)

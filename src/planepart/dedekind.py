@@ -12,7 +12,7 @@ sign (-1)^p, so the double sum runs over d <= k/2.  And U_{k-j} = (-1)^p U_j,
 so v^(p) is a sum of U_j cos(2 pi j h / k) over 0 <= j <= k/2 (real) for
 even p and of U_j sin(2 pi j h / k) (imaginary) for odd p: one integer dot
 product with a fixed-point cos or sin row.  One row per (k, precision
-band), _trig_fixed_row, ROOTS_GUARD bits above the band
+band), _trig_fixed_row, arith.GUARD_BITS above the band
 (PrecisionContext.band) of the working precision, gives circle.Arc its
 phases, v^(p) its cos and sin, and C_{h,k} and b_{h,k} their log-sines,
 log|2 sin(pi j / k)| taken from the cos row as fixed-point integers too, so
@@ -24,7 +24,7 @@ arcs' v^(p) as exact rationals for reference.
 The b^(m) recurrence therefore runs on real numbers, and b_{k-h} follows
 from b_h, so an arc needs one generator per pair h, k - h (circle.Arc).
 CoeffGenerator holds each real as a floating integer: a mantissa of exactly
-COEFF_GUARD bits above the working precision and its own exponent, so an
+ctx.bits = prec + GUARD_BITS bits and its own exponent, so an
 order is one C-level integer dot product (_dot) whatever the size of
 b^(m) (b^(900) of arc 1 is about 2^2765).  v1_hk, which the `dedekind`
 CLI command prints, is vp_hk at p = 1; the cot form of v^(p) is a test
@@ -42,7 +42,7 @@ import mpmath
 from mpmath import mp
 from mpmath.libmp import from_int, from_man_exp, fzero, mpf_div, mpf_log, mpf_shift, to_fixed
 
-from .arith import PrecisionContext, bernoulli_int_row, constants
+from .arith import GUARD_BITS, PrecisionContext, bernoulli_int_row, constants
 
 # published correction constant in the b_{1,k} estimate
 B1K_GAMMA = "0.024529"
@@ -56,19 +56,17 @@ B1K_GAMMA = "0.024529"
 # estimates needs while a long-lived process that sweeps many bands does not
 # grow without limit.
 ROW_CACHE_SIZE = 256
-ROOTS_GUARD = 32  # bits the trig and log-sine rows carry above their band
-COEFF_GUARD = 32  # bits the floating-integer mantissas carry above the working precision
 ZERO_EXP = -(1 << 62)  # a zero mantissa's exponent: below all others, so no zero leads a _dot
 
 
 @lru_cache(maxsize=ROW_CACHE_SIZE)
 def _trig_fixed_row(k: int, band: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
-    """(cos, sin, logsin), all integers over 2^(band + ROOTS_GUARD): cos and
+    """(cos, sin, logsin), all integers over 2^(band + GUARD_BITS): cos and
     sin of 2 pi j / k, j = 0..k-1, and log|2 sin(pi j / k)|, j = 1..k-1.
 
     The callers pass the band of their precision (PrecisionContext.band), so
     the precisions of one band share a row, and each caller reads it at the
-    row's own scale, 2^-(band + ROOTS_GUARD).
+    row's own scale, 2^-(band + GUARD_BITS).
 
     For j <= k/2, cos and sin come from one mp.expjpi(2/k), w, and the
     rotation z_(j+1) = z_j w in integers carrying 16 + k.bit_length() bits
@@ -77,16 +75,16 @@ def _trig_fixed_row(k: int, band: int) -> tuple[tuple[int, ...], tuple[int, ...]
     extra bit, a rotation step adds under 4 (its two floors and w's own
     rounding), and |w| = 1 carries the earlier error over unchanged, so at
     j <= k/2 the error is under 2k units, under 2^-15 units once rounded:
-    each entry is within 1 unit of 2^-(band + ROOTS_GUARD).  The points the
+    each entry is within 1 unit of 2^-(band + GUARD_BITS).  The points the
     sum of an arc relies on being exact are set exactly: cos = 0 at j = k/4
     and e^(i pi) = -1 at j = k/2.  For j <= k/2 the log-sine is half of one
     log of the exact number ((1 << bits) - cos[j]) 2^(1 - bits)
     = 2 - 2 cos(2 pi j / k), floored onto the row's scale and mirrored past
     k/2.  The log's absolute error is the relative error of 2 - 2 cos: a few
     units of 2^-bits over 2 - 2 cos >= 4 sin^2(pi / k) >= 16 / k^2.  With
-    bits = band + ROOTS_GUARD (32 bits) that stays below 2^-band for k up to
+    bits = band + GUARD_BITS (32 bits) that stays below 2^-band for k up to
     2^16, so the guard absorbs the cancellation."""
-    bits = band + ROOTS_GUARD
+    bits = band + GUARD_BITS
     extra = 16 + k.bit_length()
     wp = bits + extra
     with mp.workprec(wp):
@@ -112,10 +110,10 @@ def _trig_fixed_row(k: int, band: int) -> tuple[tuple[int, ...], tuple[int, ...]
 
 
 def _row_value(dot: int, den: int, ctx: PrecisionContext) -> tuple:
-    """dot / den over the scale 2^(ctx.band + ROOTS_GUARD) of ctx's rows, as
+    """dot / den over the scale 2^(ctx.band + GUARD_BITS) of ctx's rows, as
     a raw mpf rounded once to ctx's binary precision."""
     return mpf_shift(mpf_div(from_int(dot), from_int(den), ctx.prec, "n"),
-                     -(ctx.band + ROOTS_GUARD))
+                     -(ctx.band + GUARD_BITS))
 
 
 def _logsin_sum(k: int, terms, den: int, ctx: PrecisionContext):
@@ -205,7 +203,7 @@ def vp_hk(p: int, h: int, k: int, ctx: PrecisionContext):
     U_j cos(2 pi j h / k) (+ U_{k/2} cos(pi h)) for even p, a real number,
     and 2i sum_{0<j<k/2} U_j sin(2 pi j h / k) for odd p, an imaginary one
     (U_0 = U_{k/2} = 0).  The integer numerators of the (doubled) U_j meet
-    the cos or sin row, in integers ROOTS_GUARD bits above the band of
+    the cos or sin row, in integers GUARD_BITS above the band of
     ctx's binary precision, in one integer dot product, scaled once by P / D
     from _vp_buckets, which caches the prefactor with the buckets."""
     if p < 1:
@@ -261,7 +259,7 @@ class CoeffGenerator:
     exp(sum_p v^(p) z^p) = exp(sum_p v[p] (iz)^p).  The recurrence
     m b[m] = sum_j j v[j] b[m - j] runs on floating integers: b[m] is
     self.b[m] 2^self.b_exp[m] and j v[j] is jv[j - 1] 2^jv_exp[j - 1], every
-    nonzero mantissa exactly bits = working precision + COEFF_GUARD bits
+    nonzero mantissa exactly ctx.bits = working precision + GUARD_BITS bits
     long.  j v[j] is one exact conversion of the working-precision v[j]
     times +-j, so its low bits are zeros.  An order is one _dot, one floor
     division by m and one normalization: the dot's error is a few units of
@@ -269,8 +267,9 @@ class CoeffGenerator:
     carries the relative accuracy of the v[j] (2^-prec) of its largest
     product, as an mpf dot product at the working precision would, at a
     fraction of the cost.  For
-    k <= 2 every odd order is 0 (v[j] is real): those orders are stored as
-    zeros and the dot products run over the even orders only.  The same
+    k <= 2 every odd order is 0 (v[j] is real): those orders and their
+    j v[j], which nothing reads, are stored as zeros without computing v[j],
+    and the dot products run over the even orders only.  The same
     symmetry gives b_{k-h}[m] = (-1)^m b_h[m], which circle.Arc uses to pair
     h with k - h.
     """
@@ -278,7 +277,7 @@ class CoeffGenerator:
     def __init__(self, h: int, k: int, ctx: PrecisionContext):
         _check_coprime(h, k)
         self.h, self.k, self.ctx = h, k, ctx
-        self.bits = ctx.prec + COEFF_GUARD
+        self.bits = ctx.bits
         self.jv: list[int] = []
         self.jv_exp: list[int] = []
         self.b: list[int] = [1 << (self.bits - 1)]
@@ -289,15 +288,15 @@ class CoeffGenerator:
         step = 2 if self.k <= 2 else 1
         while len(b) <= M:
             m = len(b)
+            if m % step:
+                for row, zero in ((jv, 0), (jv_exp, ZERO_EXP), (b, 0), (b_exp, ZERO_EXP)):
+                    row.append(zero)
+                continue
             v = vp_hk(m, self.h, self.k, self.ctx)
             j_man, j_exp = _from_mpf(v.imag if m % 2 else v.real, self.bits,
                                      (m, m, -m, -m)[m % 4])
             jv.append(j_man)
             jv_exp.append(j_exp)
-            if m % step:
-                b.append(0)
-                b_exp.append(ZERO_EXP)
-                continue
             acc, top = _dot(jv[step - 1::step], jv_exp[step - 1::step],
                             b[m - step::-step], b_exp[m - step::-step])
             b_man, b_e = _normalize(acc // m, top, self.bits)

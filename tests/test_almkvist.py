@@ -6,7 +6,8 @@ from mpmath import mp
 
 import oracles
 import planepart as pp
-from planepart import almkvist, circle
+from planepart import circle
+from planepart.arith import GUARD_BITS
 
 
 class TestSeries:
@@ -17,6 +18,18 @@ class TestSeries:
                 got = pp.almkvist_series(0, g, ctx50).value
                 expected = mp.rgamma((3 - g) / 2) / 2
                 assert abs(got - expected) < ctx50.eps
+
+    def test_x0_seeds_of_every_arc_residue(self):
+        # 1/Gamma(u) at u = (3 - gamma)/2 for an arc's gamma = -k/12 - 32,
+        # every residue of k mod 24 (u mod 1 runs over the multiples of
+        # 1/24), at the precision of n = 6999
+        ctx = pp.precision_for(6999)
+        for k in range(1, 25):
+            gamma = Fraction(-k, 12) - 32
+            got = pp.almkvist_series(0, gamma, ctx).value
+            with mp.workprec(ctx.prec + 64):
+                want = mp.rgamma((3 - mpmath.mpf(gamma.numerator) / gamma.denominator) / 2) / 2
+                assert abs(got / want - 1) <= ctx.eps, k
 
     def test_domain(self, ctx50):
         with pytest.raises(ValueError):
@@ -80,10 +93,10 @@ class TestSeries:
 
     def test_terms_used_counts_the_summed_terms(self, ctx50):
         # each parity chain of T_j = x^j / (j! Gamma(u + j/2)) is summed in
-        # integers SERIES_GUARD bits above the working precision, scaled to
-        # its largest term within 33 bits, and ends at the first term that
+        # integers GUARD_BITS above the working precision, scaled to its
+        # largest term within 33 bits, and ends at the first term that
         # rounds to 0 there
-        wp = mpmath.libmp.dps_to_prec(ctx50.decimal_digits) + almkvist.SERIES_GUARD
+        wp = mpmath.libmp.dps_to_prec(ctx50.decimal_digits) + GUARD_BITS
         for x, gamma in ((0.5, -mpmath.mpf(1) / 12), (50, -mpmath.mpf(1) / 12),
                          (1100, -mpmath.mpf(13) / 12 - 32)):
             u = (3 - gamma) / 2

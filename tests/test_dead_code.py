@@ -103,3 +103,23 @@ def test_only_arith_turns_digits_into_bits():
 def test_kernels_read_the_context_band(name):
     # ... and its band once (PrecisionContext.band)
     assert references(TREES[SRC / name])["precision_band"] == 0
+
+
+def test_only_arith_sets_a_guard():
+    # every integer kernel reads its margin from arith.GUARD_BITS
+    bound = [f"{p.name}:{t.id}" for p in MODULES if p.name != "arith.py"
+             for node in TREES[p].body if isinstance(node, (ast.Assign, ast.AnnAssign))
+             for t in (node.targets if isinstance(node, ast.Assign) else [node.target])
+             if isinstance(t, ast.Name) and "GUARD" in t.id]
+    assert bound == []
+
+
+@pytest.mark.parametrize("name", ["almkvist.py", "circle.py", "dedekind.py"])
+def test_kernels_build_no_context(name):
+    # a kernel works at its caller's context (PrecisionContext.bits), not
+    # at a context of its own
+    built = [f"{fn.name}:{sub.lineno}" for fn in ast.walk(TREES[SRC / name])
+             if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+             for sub in ast.walk(fn) if isinstance(sub, ast.Call)
+             and getattr(sub.func, "id", getattr(sub.func, "attr", None)) == "PrecisionContext"]
+    assert built == []

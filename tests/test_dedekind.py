@@ -12,7 +12,7 @@ from mpmath import mp
 import oracles
 import planepart as pp
 from planepart import dedekind
-from planepart.arith import precision_band
+from planepart.arith import GUARD_BITS, precision_band
 
 
 def direct_c_hk(h, k, dps=50):
@@ -86,13 +86,13 @@ class TestIntegerDots:
 class TestRademacherGrosswaldIdentity:
     def test_logsin_sum_is_log_k(self):
         # sum_{j=1}^{k-1} log|2 sin(j pi / k)| = log k, over the library's
-        # row: integers over 2^(band + ROOTS_GUARD)
+        # row: integers over 2^(band + GUARD_BITS)
         ctx = pp.PrecisionContext(decimal_digits=60)
         with ctx.workdps():
             band = precision_band(mp.prec)
             for k in range(2, 201):
                 s = mpmath.mpf((sum(dedekind._trig_fixed_row(k, band)[2]),
-                                -(band + dedekind.ROOTS_GUARD)))
+                                -(band + GUARD_BITS)))
                 assert abs(s - mp.log(k)) < mpmath.mpf(10) ** -40, k
 
 
@@ -126,9 +126,9 @@ class TestRootsRow:
     @pytest.mark.parametrize("prec", [170, 1300])
     def test_entries_match_expjpi(self, prec):
         # every cos and sin entry, the mirrored j > k/2 included, lies within
-        # 4 units of the row's scale 2^-(band + ROOTS_GUARD) of e^{2 pi i j / k}
+        # 4 units of the row's scale 2^-(band + GUARD_BITS) of e^{2 pi i j / k}
         band = precision_band(prec)
-        bits = band + dedekind.ROOTS_GUARD
+        bits = band + GUARD_BITS
         for k in (1, 2, 3, 12, 13, 100, 499, 5000):
             cos, sin, _ = dedekind._trig_fixed_row(k, band)
             assert len(cos) == len(sin) == k
@@ -150,7 +150,7 @@ class TestRootsRow:
     def test_logsin_entries_match_log_sin(self, prec):
         # every log|2 sin(pi j / k)| entry, taken from the cos row and
         # mirrored past k/2, is an integer over the row's scale
-        # 2^(band + ROOTS_GUARD) and lies within 8 units of 2^-band of
+        # 2^(band + GUARD_BITS) and lies within 8 units of 2^-band of
         # mpmath's log and sin at band + 64 bits
         band = precision_band(prec)
         for k in (2, 3, 13, 100, 499, 5000):
@@ -160,7 +160,7 @@ class TestRootsRow:
                 tol = mpmath.mpf(2) ** (3 - band)
                 for j, got in enumerate(logsin, 1):
                     want = mp.log(2 * mp.sin(mp.pi * j / k))
-                    value = mpmath.mpf((got, -(band + dedekind.ROOTS_GUARD)))
+                    value = mpmath.mpf((got, -(band + GUARD_BITS)))
                     assert abs(value - want) <= tol, (k, j)
 
 
@@ -330,6 +330,19 @@ class TestBCoeffs:
                 gen.extend_to(M)
                 assert len(gen.b) == max(before, M + 1), (h, k, M)
             assert all(c == 1 for c in calls.values()), calls
+
+    def test_no_vp_for_the_odd_orders_of_k_le_2(self, ctx50, monkeypatch):
+        # for k <= 2 the odd orders are 0 and their j v[j] is never read
+        calls = []
+        vp = dedekind.vp_hk
+
+        def counted(p, h, k, ctx):
+            calls.append(p)
+            return vp(p, h, k, ctx)
+
+        monkeypatch.setattr(dedekind, "vp_hk", counted)
+        dedekind.CoeffGenerator(0, 1, ctx50).extend_to(40)
+        assert calls == list(range(2, 41, 2))
 
 
 class TestB1kEstimate:
