@@ -238,15 +238,16 @@ def _mstar_of_saddle(n: int, k: int, sd, ctx: PrecisionContext):
 def mstar_numeric(arc: Arc) -> PhiBreakdown:
     """Sum the arc's phi^(m)_k in increasing m (even m for k <= 2) in one
     pass, ending the kept terms at m_star_used on one of three exits:
-    below-floor (a sized term under M_FLOOR), minimum-found (two consecutive
-    increases of |phi^(m)|, or a term over 8x the running minimum, among the
-    sized terms at m >= min_gate; the terms end at that minimum) or exhausted
-    (m reached 3 M*(n,k) + 60).  trunc_error_est is the last kept term's
-    size, or on minimum-found the next sized term's."""
+    below-floor (a nonzero term under M_FLOOR), minimum-found (two
+    consecutive increases of |phi^(m)|, or a term over 8x the running
+    minimum, among the nonzero terms at m >= min_gate; the terms end at that
+    minimum) or exhausted (m reached 3 M*(n,k) + 60).  trunc_error_est is the
+    last kept term's size, or on minimum-found the next nonzero term's.
+    Exact zeros are summed but end nothing, so the exit depends on the terms
+    alone, not on the working precision."""
     n, k, ctx = arc.n, arc.k, arc.ctx
     with ctx.workdps():
         floor_v = mpmath.mpf(M_FLOOR)
-        eps = ctx.eps
         theory = mstar_theory(n, k, MSTAR_CTX)
         # Near-cancellation dips in the head of the series (before the
         # asymptotic decay regime) can mimic the superasymptotic minimum;
@@ -254,21 +255,19 @@ def mstar_numeric(arc: Arc) -> PhiBreakdown:
         # theoretical minimum location.
         min_gate = int(theory / 2)
         terms: list[TermRecord] = []
-        sized: list[int] = []  # indices in terms of the sized terms at m >= min_gate
+        sized: list[int] = []  # indices in terms of the nonzero terms at m >= min_gate
         low = None  # index in sized of the running minimum
-        max_ab = mpmath.mpf(0)
         stop_reason = "exhausted"
         for m in range(0, int(3 * theory) + 61, 2 if k <= 2 else 1):
             val = arc.term(m)
             ab = abs(val)
             terms.append(TermRecord(m=m, value=val, abs_value=ab))
-            # Structural zeros (exact h-sum cancellation) carry no size
-            # information: they are kept in the sum but ignored by the
-            # floor and minimum rules.  A value at the roundoff floor of
-            # the largest term seen so far is such a zero contaminated by
-            # cancellation error, not a genuinely small term.
-            max_ab = max(max_ab, ab)
-            if not ab > max_ab * eps:
+            # Structural zeros (the h-sum cancels) carry no size information:
+            # they are kept in the sum but ignored by the floor and minimum
+            # rules.  They are exact zeros: the trig rows set cos = 0 at
+            # j = k/4 and -1 at j = k/2 exactly, and the h-sum is one integer
+            # dot product, so a cancelling sum comes out exactly 0.
+            if not ab:
                 continue
             if ab < floor_v:
                 stop_reason = "below-floor"
@@ -289,8 +288,8 @@ def mstar_numeric(arc: Arc) -> PhiBreakdown:
                 break
         trunc, computed = terms[-1].abs_value, len(terms)
         if stop_reason == "minimum-found":
-            # the first neglected term after the minimum that is not a
-            # structural zero (the current term at the latest)
+            # the first neglected nonzero term after the minimum (the
+            # current term at the latest)
             trunc = terms[sized[low + 1]].abs_value
             del terms[sized[low] + 1:]
         return PhiBreakdown(k=k, m_star_used=terms[-1].m, terms=terms, terms_computed=computed,

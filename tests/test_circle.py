@@ -210,22 +210,64 @@ class TestMstar:
                 assert mpmath.mpf("0.8") < ratio < mpmath.mpf("1.3"), n
 
 
-    def test_truncation_entry_skips_roundoff_residue(self):
-        # a term at the roundoff floor of the largest term after the minimum
-        # is a structural zero, not the first neglected term
+    def test_tiny_nonzero_term_ends_below_floor(self):
+        # a nonzero term at the roundoff floor of the largest term is a real
+        # term, not a structural zero: only an exact 0 is skipped
         ctx = pp.precision_for(100)
         with ctx.workdps():
             gate = int(circle.mstar_theory(100, 3, ctx) / 2)
-            residue = 100 * ctx.eps / 10
-            sizes = {gate: 0.5, gate + 1: 0.2, gate + 2: residue,
+            tiny = 100 * ctx.eps / 10
+            sizes = {gate: 0.5, gate + 1: 0.2, gate + 2: tiny,
                      gate + 3: 0.3, gate + 4: 0.4}
             arc = types.SimpleNamespace(
                 n=100, k=3, ctx=ctx, term=lambda m: mpmath.mpf(sizes.get(m, 100)))
             breakdown = circle.mstar_numeric(arc)
-        assert breakdown.stop_reason == "minimum-found"
-        assert breakdown.m_star_used == gate + 1
-        assert [r.m for r in breakdown.terms] == list(range(gate + 2))
-        assert breakdown.trunc_error_est == mpmath.mpf(0.3)
+        assert breakdown.stop_reason == "below-floor"
+        assert breakdown.m_star_used == gate + 2
+        assert [r.m for r in breakdown.terms] == list(range(gate + 3))
+        assert breakdown.trunc_error_est == tiny
+
+    def test_low_digits_truncate_as_default_precision(self):
+        # the exits read the terms alone: once the digits certify p2(n), the
+        # per-arc record does not depend on them
+        for n, digits in [(50, 31), (60, 35)]:
+            low, default = pp.p2_estimate(n, digits=digits), pp.p2_estimate(n)
+            assert low.decimal_digits < default.decimal_digits
+            assert ([(b.stop_reason, b.m_star_used, b.terms_computed) for b in low.per_k]
+                    == [(b.stop_reason, b.m_star_used, b.terms_computed)
+                        for b in default.per_k]), n
+            assert mp.nstr(low.estimated_error, 10) == mp.nstr(default.estimated_error, 10)
+
+    def test_low_digits_arc_ends_below_floor(self):
+        b = circle.mstar_numeric(circle.Arc(200, 2, pp.PrecisionContext(31)))
+        assert b.stop_reason == "below-floor"
+        assert b.terms_computed == len(b.terms) == 7
+
+    @pytest.mark.parametrize("n", [750, 2650])
+    def test_real_terms_are_exact_zeros_or_above_roundoff(self, monkeypatch, n):
+        # no term an estimate evaluates, probes included, is a nonzero
+        # residue at the roundoff floor max|phi| eps of the terms of its arc
+        # so far: every structural zero is exact (at 2650, arc 40's probe)
+        ctx = pp.precision_for(n)
+        sizes = collections.defaultdict(list)
+        term = circle.Arc.term
+
+        def tracked(arc, m):
+            val = term(arc, m)
+            sizes[arc.k].append((m, abs(val)))
+            return val
+
+        monkeypatch.setattr(circle.Arc, "term", tracked)
+        pp.p2_estimate(n)
+        zeros = 0
+        with ctx.workdps():
+            for k, record in sizes.items():
+                top = 0
+                for m, ab in record:
+                    top = max(top, ab)
+                    assert ab == 0 or ab > top * ctx.eps, (k, m)
+                    zeros += ab == 0
+        assert zeros > 0
 
 
 STUB_CTX = pp.precision_for(100)
@@ -326,7 +368,7 @@ class TestMstarExits:
         assert b.trunc_error_est == mpmath.mpf("0.3")
 
 
-# sizes a stub term takes: zeros, a roundoff residue of the larger sizes,
+# sizes a stub term takes: zeros, a nonzero term far below the others,
 # terms below and above M_FLOOR, and a large head
 STUB_SIZES = ("0", "1e-70", "0.0002", "0.002", "0.1", "0.2", "0.3", "0.5", "1", "5", "100")
 
@@ -350,12 +392,11 @@ def test_truncation_invariants(k, head, window, tail):
         assert b.terms_computed == len(asked)
         assert b.m_star_used == ms[-1]
         assert b.phi_value == mp.fsum(r.value for r in b.terms)
-        # the sized terms: above the roundoff floor of the largest term so far
-        sized, top = [], 0
+        # the sized terms: every nonzero term
+        sized = []
         for m in asked:
             ab = abs(mpmath.mpf(sizes.get(m, tail)))
-            top = max(top, ab)
-            if ab > top * STUB_CTX.eps:
+            if ab != 0:
                 sized.append((m, ab))
         last = b.terms[-1].abs_value
         if b.stop_reason == "below-floor":
@@ -522,6 +563,25 @@ class TestEstimate:
         for n, digits in [(750, 40), (100, 36)]:
             with pytest.raises(pp.PrecisionError):
                 pp.p2_estimate(n, digits=digits)
+
+    def test_probe_never_below_threshold_raises(self, monkeypatch):
+        # the numeric cutoff gives up at MAX_ARCS
+        monkeypatch.setattr(circle, "MAX_ARCS", 3)
+        monkeypatch.setattr(circle, "cutoff_probe", lambda arc: mpmath.mpf(100))
+        with pytest.raises(pp.PrecisionError, match="never dropped"):
+            pp.p2_estimate(50)
+
+    def test_uncertified_estimate_raises(self, monkeypatch):
+        # arc 1's probe passes, but the summed estimate outgrows the digits
+        def summed(arc):
+            big = mpmath.mpf(10) ** arc.ctx.decimal_digits
+            return circle.PhiBreakdown(k=arc.k, m_star_used=0, terms=[], terms_computed=0,
+                                       phi_value=big, trunc_error_est=mpmath.mpf(0),
+                                       stop_reason="exhausted")
+
+        monkeypatch.setattr(circle, "mstar_numeric", summed)
+        with pytest.raises(pp.PrecisionError, match="cannot certify"):
+            pp.p2_estimate(50)
 
     @pytest.mark.parametrize("n, kappa2", [(100, None), (300, 0)])
     def test_leading_almkvist_once_per_arc(self, monkeypatch, n, kappa2):
