@@ -72,7 +72,6 @@ def lambda_c(ctx: PrecisionContext):
 class TermRecord:
     m: int
     value: mpmath.mpf
-    abs_value: mpmath.mpf
 
 
 @dataclass
@@ -240,11 +239,11 @@ def mstar_numeric(arc: Arc) -> PhiBreakdown:
     pass, ending the kept terms at m_star_used on one of three exits:
     below-floor (a nonzero term under M_FLOOR), minimum-found (two
     consecutive increases of |phi^(m)|, or a term over 8x the running
-    minimum, among the nonzero terms at m >= min_gate; the terms end at that
-    minimum) or exhausted (m reached 3 M*(n,k) + 60).  trunc_error_est is the
-    last kept term's size, or on minimum-found the next nonzero term's.
-    Exact zeros are summed but end nothing, so the exit depends on the terms
-    alone, not on the working precision."""
+    minimum, among the armed terms, the nonzero terms at m >= min_gate;
+    the terms end at that minimum) or exhausted (m reached 3 M*(n,k) + 60).
+    trunc_error_est is the last kept term's size, or on minimum-found the
+    next armed term's.  Exact zeros are summed but end nothing, so the
+    exit depends on the terms alone, not on the working precision."""
     n, k, ctx = arc.n, arc.k, arc.ctx
     with ctx.workdps():
         floor_v = mpmath.mpf(M_FLOOR)
@@ -255,13 +254,13 @@ def mstar_numeric(arc: Arc) -> PhiBreakdown:
         # theoretical minimum location.
         min_gate = int(theory / 2)
         terms: list[TermRecord] = []
-        sized: list[int] = []  # indices in terms of the nonzero terms at m >= min_gate
-        low = None  # index in sized of the running minimum
+        armed: list[tuple[int, mpmath.mpf]] = []  # (index in terms, size) of each armed term
+        low = None  # index in armed of the running minimum
         stop_reason = "exhausted"
         for m in range(0, int(3 * theory) + 61, 2 if k <= 2 else 1):
             val = arc.term(m)
             ab = abs(val)
-            terms.append(TermRecord(m=m, value=val, abs_value=ab))
+            terms.append(TermRecord(m=m, value=val))
             # Structural zeros (the h-sum cancels) carry no size information:
             # they are kept in the sum but ignored by the floor and minimum
             # rules.  They are exact zeros: the trig rows set cos = 0 at
@@ -274,24 +273,23 @@ def mstar_numeric(arc: Arc) -> PhiBreakdown:
                 break
             if m < min_gate:
                 continue
-            sized.append(len(terms) - 1)
-            if low is None or ab < terms[sized[low]].abs_value:
-                low = len(sized) - 1
+            armed.append((len(terms) - 1, ab))
+            if low is None or ab < armed[low][1]:
+                low = len(armed) - 1
             # The minimum term is declared either after two consecutive
             # increases of |phi^(m)| or once a term exceeds 8x the
             # running minimum (the divergent tail can zig-zag between
             # parities, which defeats the consecutive-increase test).
-            two_incr = (len(sized) >= 3 and ab > terms[sized[-2]].abs_value
-                        > terms[sized[-3]].abs_value)
-            if two_incr or ab > 8 * terms[sized[low]].abs_value:
+            two_incr = len(armed) >= 3 and ab > armed[-2][1] > armed[-3][1]
+            if two_incr or ab > 8 * armed[low][1]:
                 stop_reason = "minimum-found"
                 break
-        trunc, computed = terms[-1].abs_value, len(terms)
+        trunc, computed = ab, len(terms)
         if stop_reason == "minimum-found":
-            # the first neglected nonzero term after the minimum (the
-            # current term at the latest)
-            trunc = terms[sized[low + 1]].abs_value
-            del terms[sized[low] + 1:]
+            # the first neglected armed term after the minimum (the current
+            # term at the latest)
+            trunc = armed[low + 1][1]
+            del terms[armed[low][0] + 1:]
         return PhiBreakdown(k=k, m_star_used=terms[-1].m, terms=terms, terms_computed=computed,
                             phi_value=mp.fsum(r.value for r in terms),
                             trunc_error_est=trunc, stop_reason=stop_reason)

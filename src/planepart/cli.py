@@ -115,8 +115,8 @@ def cmd_phi(args) -> tuple[dict, tuple]:
     out["n"] = args.n
     row_dps = min(40, dps)
     return out, (["k", "m", "value", "abs_value"],
-                 ([str(breakdown.k), str(t.m), _nstr(t.value, row_dps),
-                   _nstr(t.abs_value, row_dps)] for t in breakdown.terms))
+                 ([str(breakdown.k), str(t.m), (value := _nstr(t.value, row_dps)),
+                   value.removeprefix("-")] for t in breakdown.terms))
 
 
 def _parse_k_list(spec: str) -> list[int]:

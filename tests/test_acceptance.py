@@ -94,7 +94,7 @@ def test_criterion_03_table2_reproduction(report_6491, timings):
     k1 = report.per_k[0]
     checks.append(("M*(6491,1) = 868", k1.m_star_used == 868))
     with pp.precision_for(6491).workdps():
-        min_term = k1.terms[-1].abs_value
+        min_term = abs(k1.terms[-1].value)
         checks.append(("|phi1^(868)| in [3, 15]", 3 < min_term < 15))
         checks.append(("estimated error in [2, 20]",
                        2 < report.estimated_error < 20))

@@ -179,12 +179,12 @@ class TestMstar:
         b = report_6999.per_k[0]
         assert b.stop_reason == "minimum-found"
         assert 870 <= b.m_star_used <= 890
-        seq = [t.abs_value for t in b.terms if t.abs_value > 0]
-        # minimum is global and sits at the truncation point
-        assert min(seq) == seq[-1]
-        assert seq[0] > seq[-1]
-        # first neglected term near the published measured truncation error
         with pp.precision_for(6999).workdps():
+            seq = [abs(t.value) for t in b.terms if t.value != 0]
+            # minimum is global and sits at the truncation point
+            assert min(seq) == seq[-1]
+            assert seq[0] > seq[-1]
+            # first neglected term near the published measured truncation error
             ratio = b.trunc_error_est / mpmath.mpf("6.39e10")
             assert mpmath.mpf("0.5") < ratio < 20
 
@@ -193,6 +193,32 @@ class TestMstar:
         with pp.precision_for(6999).workdps():
             ratio = b.trunc_error_est / mpmath.mpf("6438.01")
             assert mpmath.mpf("0.5") < ratio < 20
+
+    def test_below_floor_entries_are_the_last_kept_terms_750(self, report_750):
+        with pp.precision_for(750).workdps():
+            for b in report_750.per_k:
+                assert b.stop_reason == "below-floor", b.k
+                assert b.trunc_error_est == abs(b.terms[-1].value), b.k
+
+    def test_minimum_entry_is_the_next_armed_term_6999_k2(self, report_6999):
+        b = report_6999.per_k[1]
+        assert (b.stop_reason, b.m_star_used) == ("minimum-found", 440)
+        ctx = pp.precision_for(6999)
+        with ctx.workdps():
+            assert b.trunc_error_est == abs(circle.Arc(6999, 2, ctx).term(442))
+
+    def test_blowup_exit_entry_is_the_next_armed_term_6385_k3(self):
+        # the odd terms sit about 3x above the even ones: |phi^(319)| is
+        # over 8x the minimum |phi^(288)|, with no two consecutive increases
+        ctx = pp.precision_for(6385)
+        arc = circle.Arc(6385, 3, ctx)
+        b = circle.mstar_numeric(arc)
+        assert (b.stop_reason, b.m_star_used, b.terms_computed) == ("minimum-found", 288, 320)
+        with ctx.workdps():
+            sizes = [abs(arc.term(m)) for m in (288, 289, 317, 318, 319)]
+            assert sizes[4] > 8 * sizes[0] and not sizes[4] > sizes[3] > sizes[2]
+            assert b.trunc_error_est == sizes[1]
+            assert mp.nstr(b.trunc_error_est, 3) == "0.00329"
 
     def test_theory_numeric_consistency(self, mstar_7000_k1, monkeypatch):
         # for n < ~6400 the superasymptotic minimum lies below both the
@@ -398,7 +424,7 @@ def test_truncation_invariants(k, head, window, tail):
             ab = abs(mpmath.mpf(sizes.get(m, tail)))
             if ab != 0:
                 sized.append((m, ab))
-        last = b.terms[-1].abs_value
+        last = abs(b.terms[-1].value)
         if b.stop_reason == "below-floor":
             assert 0 < last < mpmath.mpf(circle.M_FLOOR)
             assert sized[-1] == (ms[-1], last) and b.trunc_error_est == last
