@@ -13,7 +13,8 @@ almkvist_series, three consecutive values at once, and runs the ODE's
 three-term recurrence downward for the rest.  The arc passes gamma as the exact rational
 -k/12 - top, so each step of the sum divides by a machine-sized integer,
 and the series' two 1/Gamma seeds, which depend on (k, top) and not on x,
-are cached per precision band (arith.precision_band) across arcs and n.
+are kept at the context's table precision (PrecisionContext.table_bits)
+across arcs and n.
 saddle_data solves the saddle cubic for g once and returns everything the
 truncation-point formulas downstream read from it: f1, f1', f1'', f2 and c
 (the large-x estimate itself is in tests/oracles.py).
@@ -30,15 +31,7 @@ import mpmath
 from mpmath import mp
 from mpmath.libmp import from_int, mpf_div, mpf_mul
 
-from .arith import PrecisionContext, constants, precision_band
-
-
-# 1/Gamma values kept for the Almkvist seeds and their fractional parts.  An
-# arc's u = (3 + k/12 + top)/2 depends on (k, top), not on n, and u + 1/2 of
-# arc k is u of arc k + 12 at the same top: the 12 estimates at n <= 1000 of
-# one seed-1 roundtrip_batch pass keep 223-232 values (passes 0-5).  The
-# bound keeps a long sweep over many bands finite.
-GAMMA_CACHE_SIZE = 1024
+from .arith import PrecisionContext, constants
 
 
 @dataclass(frozen=True)
@@ -59,33 +52,33 @@ def _exact(gamma) -> Fraction:
     return -q if sign else q
 
 
-@lru_cache(maxsize=GAMMA_CACHE_SIZE)
-def _rgamma(v: Fraction, band: int) -> mpmath.mpf:
-    """1/Gamma(v) for v > 0 at `band` bits.
+@lru_cache(maxsize=None)
+def _rgamma(v: Fraction, bits: int) -> mpmath.mpf:
+    """1/Gamma(v) for v > 0 at `bits` bits (a context's table_bits).
 
     With v = f + n, 0 < f <= 1 and f = p/q, 1/Gamma(v) = 1/Gamma(f) q^n /
     prod_{i<n} (p + i q): one exact integer ratio and one rounding on top of
     the cached 1/Gamma(f).  So mpmath evaluates 1/Gamma only at the few
     fractional parts f an estimate meets (an arc's u is a multiple of 1/24).
-    It does so at 16 bits more than `band` and at f + N, N = max(100,
-    band // 4 + 32), from f + N rounded to 64 bits more than `band`, which
+    It does so at 16 bits more than `bits` and at f + N, N = max(100,
+    bits // 4 + 32), from f + N rounded to 64 bits more than `bits`, which
     its gamma reads in full; the exact ratio prod_{i<N} (p + i q) / q^N takes
-    the value back to f, rounded once to `band`.  Below max(100, wp / 5)
-    (wp: its working precision, a few dozen bits above `band`) mpmath's
+    the value back to f, rounded once to `bits`.  Below max(100, wp / 5)
+    (wp: its working precision, a few dozen bits above `bits`) mpmath's
     gamma sums a Taylor series whose coefficient table it rebuilds at every
     precision; from there on it takes Stirling's series, which needs no
     table."""
     n = math.ceil(v) - 1
     p, q = v.numerator - n * v.denominator, v.denominator
     if n:
-        num = mpf_mul(_rgamma(Fraction(p, q), band)._mpf_, from_int(q ** n))
-        return mp.make_mpf(mpf_div(num, from_int(math.prod(range(p, p + n * q, q))), band, "n"))
-    N = max(100, band // 4 + 32)
-    with mp.workprec(band + 64):
+        num = mpf_mul(_rgamma(Fraction(p, q), bits)._mpf_, from_int(q ** n))
+        return mp.make_mpf(mpf_div(num, from_int(math.prod(range(p, p + n * q, q))), bits, "n"))
+    N = max(100, bits // 4 + 32)
+    with mp.workprec(bits + 64):
         arg = mpmath.mpf(p + N * q) / q
-    with mp.workprec(band + 16):
+    with mp.workprec(bits + 16):
         num = mpf_mul(mp.rgamma(arg)._mpf_, from_int(math.prod(range(p, p + N * q, q))))
-    return mp.make_mpf(mpf_div(num, from_int(q ** N), band, "n"))
+    return mp.make_mpf(mpf_div(num, from_int(q ** N), bits, "n"))
 
 
 def _chain(t, e, j, num, shift, P, Q, wp):
@@ -123,9 +116,9 @@ def almkvist_series(x, gamma, ctx: PrecisionContext) -> AlmkvistEval:
     with all of their bits.  With 2u = P/Q in lowest terms,
     T_{j+2} = T_j 2x^2 Q / ((j+1)(j+2)(P + jQ)): the divisor is exact, and
     for an arc's Q = 12 it is machine-sized.  The two 1/Gamma values
-    depend on u alone, so they are cached by (exact argument, precision
-    band), at the band of the chains' precision.  For gamma < 3 every term
-    is positive, so nothing cancels."""
+    depend on u alone, so they are cached by (exact argument,
+    ctx.table_bits), at least 8 bits above the chains' precision.  For
+    gamma < 3 every term is positive, so nothing cancels."""
     with ctx.workdps():
         xv = mpmath.mpf(x)
         if xv < 0:
@@ -135,8 +128,7 @@ def almkvist_series(x, gamma, ctx: PrecisionContext) -> AlmkvistEval:
             raise ValueError("almkvist_series requires gamma < 3")
     P, Q = w.numerator, w.denominator
     wp = ctx.bits
-    band = precision_band(wp)
-    r0, r1 = _rgamma(w / 2, band), _rgamma((w + 1) / 2, band)
+    r0, r1 = _rgamma(w / 2, ctx.table_bits), _rgamma((w + 1) / 2, ctx.table_bits)
     with mp.workprec(wp):
         if not xv:
             return AlmkvistEval(r0 / 2, r1 / 2, r0 * Q / P, terms_used=0)

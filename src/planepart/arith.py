@@ -30,8 +30,8 @@ class PrecisionError(ArithmeticError):
 GUARD_DIGITS = 20
 # bits every integer kernel carries above the precision it serves: the
 # Almkvist chains, the ladder, the powers, the b^(m) recurrence and the
-# constants above the working precision (PrecisionContext.bits), the trig and
-# log-sine rows above their band
+# constants above the working precision (PrecisionContext.bits), the tables
+# kept across calls above a multiple of 64 bits (PrecisionContext.table_bits)
 GUARD_BITS = 32
 
 
@@ -39,10 +39,10 @@ GUARD_BITS = 32
 class PrecisionContext:
     """Working precision in decimal digits.
 
-    The binary precision, its band, the kernels' precision bits and eps are
-    derived once per context, on first read; they are not fields, so they
-    stay out of equality and hash, and a frozen context cannot have them
-    set."""
+    The binary precision, the kernels' and the tables' precision bits and
+    eps are derived once per context, on first read; they are not fields,
+    so they stay out of equality and hash, and a frozen context cannot have
+    them set."""
 
     decimal_digits: int
 
@@ -60,14 +60,23 @@ class PrecisionContext:
         return mpmath.libmp.dps_to_prec(self.decimal_digits)
 
     @cached_property
-    def band(self) -> int:
-        """precision_band(prec): the precision of the tables prec reads."""
-        return precision_band(self.prec)
-
-    @cached_property
     def bits(self) -> int:
         """prec + GUARD_BITS: the precision of the integer kernels."""
         return self.prec + GUARD_BITS
+
+    @cached_property
+    def table_bits(self) -> int:
+        """GUARD_BITS above the smallest multiple of 64 bits that is at
+        least 8 bits above prec: the precision of every table kept across
+        calls (the Almkvist seeds' 1/Gamma values, dedekind's trig and
+        log-sine rows, Glaisher's constant).
+
+        Each table is built at, and keyed by, table_bits, so the nearby
+        precisions of many estimates share one table, and which table a
+        value comes from is set by the precision asked for, not by what ran
+        before.  table_bits >= bits + 8, so every table is read below its
+        last bits."""
+        return (self.prec + 8 + 63) // 64 * 64 + GUARD_BITS
 
     @cached_property
     def eps(self):
@@ -90,33 +99,20 @@ class DerivedConstants:
     c2: mpmath.mpf
 
 
-def precision_band(prec: int) -> int:
-    """The precision band of `prec` bits: the smallest multiple of 64 bits
-    that is at least 8 bits above prec.
-
-    Every table kept across calls at a precision (the Almkvist seeds'
-    1/Gamma values, dedekind's trig and log-sine rows, Glaisher's constant)
-    is computed at the band of the precision it serves and read from there,
-    so the nearby precisions of many estimates share one table, and which
-    table a value comes from is set by the precision asked for, not by what
-    ran before."""
-    return (prec + 8 + 63) // 64 * 64
-
-
 @lru_cache(maxsize=None)
 def constants(ctx: PrecisionContext) -> Constants:
     """pi, a = zeta(3) (Apery's constant), zeta'(-1) = 1/12 - log A (A is
     Glaisher's constant) and log 2 at the kernels' precision ctx.bits.
 
-    A is taken at the band of that precision (precision_band): mpmath keeps
-    a constant at the highest precision it has computed and recomputes it
-    for any higher one, which for A is costly, so the estimates of one band
-    share one evaluation."""
+    A is taken at ctx.table_bits: mpmath keeps a constant at the highest
+    precision it has computed and recomputes it for any higher one, which
+    for A is costly, so the estimates of one table precision share one
+    evaluation."""
+    with mp.workprec(ctx.table_bits):
+        glaisher = +mp.glaisher
     with mp.workprec(ctx.bits):
         pi = +mp.pi
         a = +mp.apery
-        with mp.workprec(precision_band(mp.prec)):
-            glaisher = +mp.glaisher
         zpm1 = mp.mpf(1) / 12 - mp.log(glaisher)
         log2 = mp.log(2)
     return Constants(pi=pi, a=a, zeta_prime_m1=zpm1, log2=log2)

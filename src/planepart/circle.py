@@ -17,8 +17,7 @@ import mpmath
 from mpmath import mp
 from mpmath.libmp import from_man_exp
 
-from .arith import (GUARD_BITS, PrecisionContext, PrecisionError, constants, derived_constants,
-                    precision_for)
+from .arith import PrecisionContext, PrecisionError, constants, derived_constants, precision_for
 from .almkvist import almkvist_series, saddle_data
 from .dedekind import CoeffGenerator, _dot, _from_mpf, _normalize, _trig_fixed_row, c_hk
 from .exact import p2_exact_table
@@ -161,8 +160,8 @@ class Arc:
             # h <= k/2: [0] for k = 1, [1] for k = 2, h < k/2 for k >= 3
             hs = [h for h in range(k // 2 + 1) if math.gcd(h, k) == 1]
             self.gens = [CoeffGenerator(h, k, ctx) for h in hs]
-            cos, sin, _ = _trig_fixed_row(k, ctx.band)
-            e = -(ctx.band + GUARD_BITS)  # the rows are integers over 2^-e
+            cos, sin, _ = _trig_fixed_row(k, ctx.table_bits)
+            e = -ctx.table_bits  # the rows are integers over 2^-e
             # per parity of m, the mantissas and the exponents of the weights, one per h
             self._weights = (([], []), ([], []))
             for h in hs:
@@ -402,7 +401,9 @@ def p2_estimate(n: int, kappa2=None, digits: int | None = None,
     seven arcs.  A kappa2 whose N(n) reaches MAX_ARCS is rejected.  digits
     sets the working precision (see precision_for); PrecisionError if its
     certified digits (ctx.eps) do not reach the units place of arc 1's m = 0
-    term (checked before any arc is summed) or of the estimate.
+    term (checked before any arc is summed) or of the estimate, and when an
+    included arc ends exhausted, whose trunc_error_est is only its last
+    term's size.
     """
     if n < 1:
         raise ValueError("p2_estimate requires n >= 1")
@@ -435,6 +436,10 @@ def p2_estimate(n: int, kappa2=None, digits: int | None = None,
         estimate = mp.fsum(b.phi_value for b in per_k)
         if abs(estimate) * ctx.eps >= mpmath.mpf(1) / 2:
             raise PrecisionError(uncertified)
+        exhausted = [b.k for b in per_k if b.stop_reason == "exhausted"]
+        if exhausted:
+            raise PrecisionError(f"arcs {exhausted} of p2({n}) ended exhausted: "
+                                 "their truncation errors are not estimated")
         est_err = mp.fsum(b.trunc_error_est for b in per_k) + probe_next
         rounded = int(mp.nint(estimate))
     report = EstimateReport(n=n, N_used=n_incl, per_k=per_k, estimate=estimate,

@@ -11,16 +11,16 @@ the work twice.  The d and k - d terms fall into buckets j and k - j with the
 sign (-1)^p, so the double sum runs over d <= k/2.  And U_{k-j} = (-1)^p U_j,
 so v^(p) is a sum of U_j cos(2 pi j h / k) over 0 <= j <= k/2 (real) for
 even p and of U_j sin(2 pi j h / k) (imaginary) for odd p: one integer dot
-product with a fixed-point cos or sin row.  One row per (k, precision
-band), _trig_fixed_row, arith.GUARD_BITS above the band
-(PrecisionContext.band) of the working precision, gives circle.Arc its
-phases, v^(p) its cos and sin, and C_{h,k} and b_{h,k} their log-sines,
-log|2 sin(pi j / k)| taken from the cos row as fixed-point integers too, so
-C_{h,k} and b_{h,k} are each one integer dot product with integer weights.
-The precisions of one band share the row, and each caller reads it at the
-row's own scale and rounds its result once to its precision.  At k = 1 and 2
-only U_0 and U_{k/2} remain, and the roots are +-1; vp_rational gives those
-arcs' v^(p) as exact rationals for reference.
+product with a fixed-point cos or sin row.  One row per (k, table
+precision), _trig_fixed_row, at the context's PrecisionContext.table_bits,
+gives circle.Arc its phases, v^(p) its cos and sin, and C_{h,k} and b_{h,k}
+their log-sines, log|2 sin(pi j / k)| taken from the cos row as fixed-point
+integers too, so C_{h,k} and b_{h,k} are each one integer dot product with
+integer weights.  The precisions of one table_bits share the row, and each
+caller reads it at the row's scale 2^-table_bits and rounds its result once
+to its precision.  At k = 1 and 2 only U_0 and U_{k/2} remain, and the
+roots are +-1; vp_rational gives those arcs' v^(p) as exact rationals for
+reference.
 The b^(m) recurrence therefore runs on real numbers, and b_{k-h} follows
 from b_h, so an arc needs one generator per pair h, k - h (circle.Arc).
 CoeffGenerator holds each real as a floating integer: a mantissa of exactly
@@ -42,31 +42,23 @@ import mpmath
 from mpmath import mp
 from mpmath.libmp import from_int, from_man_exp, fzero, mpf_div, mpf_log, mpf_shift, to_fixed
 
-from .arith import GUARD_BITS, PrecisionContext, bernoulli_int_row, constants
+from .arith import PrecisionContext, bernoulli_int_row, constants
 
 # published correction constant in the b_{1,k} estimate
 B1K_GAMMA = "0.024529"
 
 
-# An estimate reads one row per arc it builds, all in the band of its
-# precision: N_used + 1 under the numeric cutoff (19 at n = 750, 45 at
-# n = 6999), and with kappa2 up to 7 past floor(N(n)).  The estimates of a
-# band share their rows: one seed-1 roundtrip_batch pass of 12 estimates
-# keeps 71-76 rows (passes 0-5).  So a bounded cache keeps every row a run of
-# estimates needs while a long-lived process that sweeps many bands does not
-# grow without limit.
-ROW_CACHE_SIZE = 256
 ZERO_EXP = -(1 << 62)  # a zero mantissa's exponent: below all others, so no zero leads a _dot
 
 
-@lru_cache(maxsize=ROW_CACHE_SIZE)
-def _trig_fixed_row(k: int, band: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
-    """(cos, sin, logsin), all integers over 2^(band + GUARD_BITS): cos and
-    sin of 2 pi j / k, j = 0..k-1, and log|2 sin(pi j / k)|, j = 1..k-1.
+@lru_cache(maxsize=None)
+def _trig_fixed_row(k: int, bits: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """(cos, sin, logsin), all integers over 2^bits: cos and sin of
+    2 pi j / k, j = 0..k-1, and log|2 sin(pi j / k)|, j = 1..k-1.
 
-    The callers pass the band of their precision (PrecisionContext.band), so
-    the precisions of one band share a row, and each caller reads it at the
-    row's own scale, 2^-(band + GUARD_BITS).
+    The callers pass their context's table_bits (PrecisionContext.table_bits),
+    so the precisions of one table_bits share a row, and each caller reads
+    it at the row's scale, 2^-bits.
 
     For j <= k/2, cos and sin come from one mp.expjpi(2/k), w, and the
     rotation z_(j+1) = z_j w in integers carrying 16 + k.bit_length() bits
@@ -75,16 +67,17 @@ def _trig_fixed_row(k: int, band: int) -> tuple[tuple[int, ...], tuple[int, ...]
     extra bit, a rotation step adds under 4 (its two floors and w's own
     rounding), and |w| = 1 carries the earlier error over unchanged, so at
     j <= k/2 the error is under 2k units, under 2^-15 units once rounded:
-    each entry is within 1 unit of 2^-(band + GUARD_BITS).  The points the
-    sum of an arc relies on being exact are set exactly: cos = 0 at j = k/4
-    and e^(i pi) = -1 at j = k/2.  For j <= k/2 the log-sine is half of one
+    each entry is within 1 unit of 2^-bits.  The points the sum of an arc
+    relies on being exact are set exactly: cos = 0 at j = k/4 and
+    e^(i pi) = -1 at j = k/2.  For j <= k/2 the log-sine is half of one
     log of the exact number ((1 << bits) - cos[j]) 2^(1 - bits)
     = 2 - 2 cos(2 pi j / k), floored onto the row's scale and mirrored past
     k/2.  The log's absolute error is the relative error of 2 - 2 cos: a few
-    units of 2^-bits over 2 - 2 cos >= 4 sin^2(pi / k) >= 16 / k^2.  With
-    bits = band + GUARD_BITS (32 bits) that stays below 2^-band for k up to
-    2^16, so the guard absorbs the cancellation."""
-    bits = band + GUARD_BITS
+    units of 2^-bits over 2 - 2 cos >= 4 sin^2(pi / k) >= 16 / k^2, which
+    stays below 2^(32 - bits) for k up to 2^16.  A context's table_bits is
+    32 guard bits (arith.GUARD_BITS) above a multiple of 64 at least 8 bits
+    above its precision prec, so that is below 2^-(prec + 8): the guard
+    absorbs the cancellation."""
     extra = 16 + k.bit_length()
     wp = bits + extra
     with mp.workprec(wp):
@@ -110,17 +103,16 @@ def _trig_fixed_row(k: int, band: int) -> tuple[tuple[int, ...], tuple[int, ...]
 
 
 def _row_value(dot: int, den: int, ctx: PrecisionContext) -> tuple:
-    """dot / den over the scale 2^(ctx.band + GUARD_BITS) of ctx's rows, as
-    a raw mpf rounded once to ctx's binary precision."""
-    return mpf_shift(mpf_div(from_int(dot), from_int(den), ctx.prec, "n"),
-                     -(ctx.band + GUARD_BITS))
+    """dot / den over the scale 2^ctx.table_bits of ctx's rows, as a raw mpf
+    rounded once to ctx's binary precision."""
+    return mpf_shift(mpf_div(from_int(dot), from_int(den), ctx.prec, "n"), -ctx.table_bits)
 
 
 def _logsin_sum(k: int, terms, den: int, ctx: PrecisionContext):
     """(1/den) sum of w log|2 sin(pi i / k)| over the integer pairs (w, i),
-    0 < i < k: one integer dot product with the fixed-point log-sine row in
-    the band of ctx's precision, rounded once to it."""
-    logsin = _trig_fixed_row(k, ctx.band)[2]
+    0 < i < k: one integer dot product with the fixed-point log-sine row at
+    ctx.table_bits, rounded once to ctx's precision."""
+    logsin = _trig_fixed_row(k, ctx.table_bits)[2]
     return mp.make_mpf(_row_value(sum(w * logsin[i - 1] for w, i in terms), den, ctx))
 
 
@@ -203,14 +195,14 @@ def vp_hk(p: int, h: int, k: int, ctx: PrecisionContext):
     U_j cos(2 pi j h / k) (+ U_{k/2} cos(pi h)) for even p, a real number,
     and 2i sum_{0<j<k/2} U_j sin(2 pi j h / k) for odd p, an imaginary one
     (U_0 = U_{k/2} = 0).  The integer numerators of the (doubled) U_j meet
-    the cos or sin row, in integers GUARD_BITS above the band of
-    ctx's binary precision, in one integer dot product, scaled once by P / D
-    from _vp_buckets, which caches the prefactor with the buckets."""
+    the cos or sin row, in integers over 2^ctx.table_bits, in one integer
+    dot product, scaled once by P / D from _vp_buckets, which caches the
+    prefactor with the buckets."""
     if p < 1:
         raise ValueError("vp_hk requires p >= 1")
     _check_coprime(h, k)
     num, den, buckets = _vp_buckets(p, k)
-    row = _trig_fixed_row(k, ctx.band)[p % 2]
+    row = _trig_fixed_row(k, ctx.table_bits)[p % 2]
     # bucket j meets row[j h mod k]
     dot = sum(map(mul, buckets, map(row.__getitem__,
                                     map(k.__rmod__, map(h.__mul__, range(len(buckets)))))))

@@ -31,6 +31,20 @@ class TestSeries:
                 want = mp.rgamma((3 - mpmath.mpf(gamma.numerator) / gamma.denominator) / 2) / 2
                 assert abs(got / want - 1) <= ctx.eps, k
 
+    @pytest.mark.parametrize("n", [750, 2000, 6999])
+    def test_x0_seeds_within_one_unit_of_the_kernels(self, n):
+        # the seeds come from 1/Gamma tables at ctx.table_bits, at least 8
+        # bits above the chains' ctx.bits, so A(0 | gamma) = 1/(2 Gamma(u))
+        # is within one unit of ctx.bits, for every residue of k mod 24
+        ctx = pp.precision_for(n)
+        for k in range(1, 25):
+            gamma = Fraction(-k, 12) - 32
+            got = pp.almkvist_series(0, gamma, ctx).value
+            with mp.workprec(ctx.bits + 64):
+                want = mp.rgamma((3 - mpmath.mpf(gamma.numerator) / gamma.denominator) / 2) / 2
+                unit = mpmath.ldexp(1, mpmath.frexp(want)[1] - ctx.bits)
+                assert abs(got - want) <= unit, (n, k)
+
     def test_domain(self, ctx50):
         with pytest.raises(ValueError):
             pp.almkvist_series(-1, 0, ctx50)

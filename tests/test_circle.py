@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import json
 import math
 import os
@@ -609,6 +610,19 @@ class TestEstimate:
         with pytest.raises(pp.PrecisionError, match="cannot certify"):
             pp.p2_estimate(50)
 
+    def test_exhausted_arc_raises(self, monkeypatch):
+        # an arc that runs out of terms has no truncation estimate: its
+        # trunc_error_est is only its last term's size
+        summed = circle.mstar_numeric
+
+        def exhausted(arc):
+            b = summed(arc)
+            return dataclasses.replace(b, stop_reason="exhausted") if arc.k == 2 else b
+
+        monkeypatch.setattr(circle, "mstar_numeric", exhausted)
+        with pytest.raises(pp.PrecisionError, match=r"arcs \[2\] of p2\(50\) ended exhausted"):
+            pp.p2_estimate(50)
+
     @pytest.mark.parametrize("n, kappa2", [(100, None), (300, 0)])
     def test_leading_almkvist_once_per_arc(self, monkeypatch, n, kappa2):
         # A(x | -k/12) is arc k's m = 0 term, which both the cutoff probe and
@@ -685,9 +699,10 @@ def run_in_fresh_process(script, *args):
 
 
 class TestOneProcess:
-    # every table kept across calls is computed at the precision band of the
-    # precision it serves, so an estimate depends on (n, digits) alone and
-    # the estimates of one process share the tables of their bands
+    # every table kept across calls is computed at the table precision of
+    # the context it serves (PrecisionContext.table_bits), so an estimate
+    # depends on (n, digits) alone and the estimates of one process share
+    # the tables of their table precisions
 
     def test_outputs_do_not_depend_on_earlier_estimates(self, tmp_path):
         # `estimate 750 --with-exact` alone, and after 2000 and 992
@@ -708,7 +723,7 @@ class TestOneProcess:
 
     def test_rgamma_evaluations_per_pass(self):
         # the 12 n of the roundtrip_batch benchmark's seed-1 pass 0: the
-        # Almkvist seeds take 1/Gamma per (u, band), not per series (452
+        # Almkvist seeds take 1/Gamma per (u, table_bits), not per series (452
         # evaluations when every series evaluated its own two)
         ns = (107, 242, 257, 392, 407, 542, 557, 691, 707, 842, 857, 992)
         script = ("import sys\nfrom mpmath import mp\nimport planepart as pp\n"

@@ -99,10 +99,19 @@ def test_only_arith_turns_digits_into_bits():
             if p.name != "arith.py" and references(TREES[p])["dps_to_prec"]] == []
 
 
-@pytest.mark.parametrize("name", ["circle.py", "dedekind.py"])
+@pytest.mark.parametrize("name", ["almkvist.py", "circle.py", "dedekind.py"])
 def test_kernels_read_the_context_band(name):
-    # ... and its band once (PrecisionContext.band)
-    assert references(TREES[SRC / name])["precision_band"] == 0
+    # ... and the precision of its tables once (PrecisionContext.table_bits)
+    read = references(TREES[SRC / name])
+    assert read["table_bits"] > 0
+    assert read["precision_band"] == read["band"] == 0
+
+
+def test_only_arith_reads_the_guard():
+    # the kernels read their margins through the context (bits, table_bits)
+    read = {p.name: references(TREES[p]) for p in MODULES if p.name != "arith.py"}
+    assert [name for name, refs in read.items()
+            if refs["GUARD_BITS"] or refs["precision_band"]] == []
 
 
 def test_only_arith_sets_a_guard():

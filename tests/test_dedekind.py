@@ -12,7 +12,7 @@ from mpmath import mp
 import oracles
 import planepart as pp
 from planepart import dedekind
-from planepart.arith import GUARD_BITS, precision_band
+from planepart.arith import GUARD_BITS
 
 
 def direct_c_hk(h, k, dps=50):
@@ -86,13 +86,12 @@ class TestIntegerDots:
 class TestRademacherGrosswaldIdentity:
     def test_logsin_sum_is_log_k(self):
         # sum_{j=1}^{k-1} log|2 sin(j pi / k)| = log k, over the library's
-        # row: integers over 2^(band + GUARD_BITS)
+        # row: integers over 2^ctx.table_bits
         ctx = pp.PrecisionContext(decimal_digits=60)
         with ctx.workdps():
-            band = precision_band(mp.prec)
             for k in range(2, 201):
-                s = mpmath.mpf((sum(dedekind._trig_fixed_row(k, band)[2]),
-                                -(band + GUARD_BITS)))
+                s = mpmath.mpf((sum(dedekind._trig_fixed_row(k, ctx.table_bits)[2]),
+                                -ctx.table_bits))
                 assert abs(s - mp.log(k)) < mpmath.mpf(10) ** -40, k
 
 
@@ -115,22 +114,27 @@ class TestChkBhkRelation:
 
 
 class TestRowCaches:
-    def test_bounded_across_precisions(self):
-        # a long-lived process may run estimates at many precisions
-        for prec in range(100, 400):
-            dedekind._trig_fixed_row(3, prec)
-        assert dedekind._trig_fixed_row.cache_info().currsize <= 256
+    def test_contexts_of_one_table_precision_share_a_row(self):
+        # a long-lived process may run estimates at many precisions: the
+        # rows are keyed by table_bits, so 101 contexts build at most 6 rows
+        ctxs = [pp.PrecisionContext(decimal_digits=d) for d in range(30, 131)]
+        assert len({ctx.table_bits for ctx in ctxs}) == 6
+        misses = dedekind._trig_fixed_row.cache_info().misses
+        for ctx in ctxs:
+            pp.c_hk(1, 389, ctx)
+            pp.vp_hk(2, 1, 389, ctx)
+        assert dedekind._trig_fixed_row.cache_info().misses - misses <= 6
 
 
 class TestRootsRow:
     @pytest.mark.parametrize("prec", [170, 1300])
     def test_entries_match_expjpi(self, prec):
         # every cos and sin entry, the mirrored j > k/2 included, lies within
-        # 4 units of the row's scale 2^-(band + GUARD_BITS) of e^{2 pi i j / k}
-        band = precision_band(prec)
-        bits = band + GUARD_BITS
+        # 4 units of the row's scale 2^-table_bits of e^{2 pi i j / k}, at
+        # the context of `prec` bits
+        bits = pp.PrecisionContext(mpmath.libmp.prec_to_dps(prec)).table_bits
         for k in (1, 2, 3, 12, 13, 100, 499, 5000):
-            cos, sin, _ = dedekind._trig_fixed_row(k, band)
+            cos, sin, _ = dedekind._trig_fixed_row(k, bits)
             assert len(cos) == len(sin) == k
             with mp.workprec(bits + 20):
                 tol = mpmath.mpf(2) ** (2 - bits)
@@ -150,17 +154,18 @@ class TestRootsRow:
     def test_logsin_entries_match_log_sin(self, prec):
         # every log|2 sin(pi j / k)| entry, taken from the cos row and
         # mirrored past k/2, is an integer over the row's scale
-        # 2^(band + GUARD_BITS) and lies within 8 units of 2^-band of
-        # mpmath's log and sin at band + 64 bits
-        band = precision_band(prec)
+        # 2^table_bits and lies within 8 units of 2^(GUARD_BITS - table_bits)
+        # of mpmath's log and sin at table_bits + 32 bits, at the context of
+        # `prec` bits
+        bits = pp.PrecisionContext(mpmath.libmp.prec_to_dps(prec)).table_bits
         for k in (2, 3, 13, 100, 499, 5000):
-            logsin = dedekind._trig_fixed_row(k, band)[2]
+            logsin = dedekind._trig_fixed_row(k, bits)[2]
             assert len(logsin) == k - 1
-            with mp.workprec(band + 64):
-                tol = mpmath.mpf(2) ** (3 - band)
+            with mp.workprec(bits + 32):
+                tol = mpmath.mpf(2) ** (3 + GUARD_BITS - bits)
                 for j, got in enumerate(logsin, 1):
                     want = mp.log(2 * mp.sin(mp.pi * j / k))
-                    value = mpmath.mpf((got, -(band + GUARD_BITS)))
+                    value = mpmath.mpf((got, -bits))
                     assert abs(value - want) <= tol, (k, j)
 
 
