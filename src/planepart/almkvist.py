@@ -6,15 +6,15 @@ extraction contour; it plays the role Bessel I_{3/2} plays for linear
 partitions.  Its first two x-derivatives, A(x|gamma - 1) and A(x|gamma - 2),
 weight the same terms by k/x and k(k-1)/x^2, so almkvist_series sums one
 term sequence, in Python integers at the kernels' precision ctx.bits
-(arith.GUARD_BITS above the working precision), and returns all three at
-that precision.  An arc of the estimate (circle.Arc) needs
-A(x | -k/12 - m) for m = 0, 1, 2, ...: it seeds its ladder with
-almkvist_series, three consecutive values at once, and runs the ODE's
-three-term recurrence downward for the rest.  The arc passes gamma as the exact rational
--k/12 - top, so each step of the sum divides by a machine-sized integer,
-and the series' two 1/Gamma seeds, which depend on (k, top) and not on x,
-are kept at the context's table precision (PrecisionContext.table_bits)
-across arcs and n.
+(arith.GUARD_BITS above a multiple of 64 bits at least 8 bits above the
+working precision), and returns all three at that precision.  An arc of
+the estimate (circle.Arc) needs A(x | -k/12 - m) for m = 0, 1, 2, ...: it
+seeds its ladder with almkvist_series, three consecutive values at once,
+and runs the ODE's three-term recurrence downward for the rest.  The arc
+passes gamma as the exact rational -k/12 - top, so each step of the sum
+divides by a machine-sized integer, and the series' two 1/Gamma seeds,
+which depend on (k, top) and not on x, are kept at ctx.bits across arcs
+and n.
 saddle_data solves the saddle cubic for g once and returns everything the
 truncation-point formulas downstream read from it: f1, f1', f1'', f2 and c
 (the large-x estimate itself is in tests/oracles.py).
@@ -54,7 +54,7 @@ def _exact(gamma) -> Fraction:
 
 @lru_cache(maxsize=None)
 def _rgamma(v: Fraction, bits: int) -> mpmath.mpf:
-    """1/Gamma(v) for v > 0 at `bits` bits (a context's table_bits).
+    """1/Gamma(v) for v > 0 at `bits` bits (a context's bits).
 
     With v = f + n, 0 < f <= 1 and f = p/q, 1/Gamma(v) = 1/Gamma(f) q^n /
     prod_{i<n} (p + i q): one exact integer ratio and one rounding on top of
@@ -111,25 +111,24 @@ def almkvist_series(x, gamma, ctx: PrecisionContext) -> AlmkvistEval:
     A(x|gamma) = (1/2) sum T_j, A(x|gamma-1) = (1/2x) sum j T_j and
     A(x|gamma-2) = (1/2x^2) sum j (j-1) T_j.  The even and odd j run as two
     chains from 1/Gamma(u) and x/Gamma(u + 1/2), in Python integers of
-    ctx.bits = prec + GUARD_BITS bits, and the three values are rounded to
-    ctx.bits, not to the working precision, so circle.Arc seeds its ladder
-    with all of their bits.  With 2u = P/Q in lowest terms,
+    ctx.bits bits; x is read at ctx.bits too (circle.Arc passes it at that
+    precision), and the three values are rounded to ctx.bits, not to the
+    working precision, so circle.Arc seeds its ladder with all of their
+    bits.  With 2u = P/Q in lowest terms,
     T_{j+2} = T_j 2x^2 Q / ((j+1)(j+2)(P + jQ)): the divisor is exact, and
     for an arc's Q = 12 it is machine-sized.  The two 1/Gamma values
-    depend on u alone, so they are cached by (exact argument,
-    ctx.table_bits), at least 8 bits above the chains' precision.  For
-    gamma < 3 every term is positive, so nothing cancels."""
-    with ctx.workdps():
+    depend on u alone, so they are cached by (exact argument, ctx.bits).
+    For gamma < 3 every term is positive, so nothing cancels."""
+    wp = ctx.bits
+    with mp.workprec(wp):
         xv = mpmath.mpf(x)
         if xv < 0:
             raise ValueError("almkvist_series requires x >= 0")
         w = 3 - _exact(gamma)  # 2u = P/Q
         if w <= 0:
             raise ValueError("almkvist_series requires gamma < 3")
-    P, Q = w.numerator, w.denominator
-    wp = ctx.bits
-    r0, r1 = _rgamma(w / 2, ctx.table_bits), _rgamma((w + 1) / 2, ctx.table_bits)
-    with mp.workprec(wp):
+        P, Q = w.numerator, w.denominator
+        r0, r1 = _rgamma(w / 2, wp), _rgamma((w + 1) / 2, wp)
         if not xv:
             return AlmkvistEval(r0 / 2, r1 / 2, r0 * Q / P, terms_used=0)
         x2 = 2 * xv * xv

@@ -28,10 +28,10 @@ class PrecisionError(ArithmeticError):
 # digits of the working precision given up to roundoff: eps is certified at
 # decimal_digits - GUARD_DIGITS
 GUARD_DIGITS = 20
-# bits every integer kernel carries above the precision it serves: the
-# Almkvist chains, the ladder, the powers, the b^(m) recurrence and the
-# constants above the working precision (PrecisionContext.bits), the tables
-# kept across calls above a multiple of 64 bits (PrecisionContext.table_bits)
+# bits every integer kernel carries above a multiple of 64 bits at least 8
+# bits above the working precision (PrecisionContext.bits): the rows, the
+# 1/Gamma seeds, the constants, the Almkvist chains, the ladder, the powers
+# and the b^(m) recurrence
 GUARD_BITS = 32
 
 
@@ -39,10 +39,9 @@ GUARD_BITS = 32
 class PrecisionContext:
     """Working precision in decimal digits.
 
-    The binary precision, the kernels' and the tables' precision bits and
-    eps are derived once per context, on first read; they are not fields,
-    so they stay out of equality and hash, and a frozen context cannot have
-    them set."""
+    The binary precision, the kernels' precision bits and eps are derived
+    once per context, on first read; they are not fields, so they stay out
+    of equality and hash, and a frozen context cannot have them set."""
 
     decimal_digits: int
 
@@ -61,21 +60,17 @@ class PrecisionContext:
 
     @cached_property
     def bits(self) -> int:
-        """prec + GUARD_BITS: the precision of the integer kernels."""
-        return self.prec + GUARD_BITS
-
-    @cached_property
-    def table_bits(self) -> int:
         """GUARD_BITS above the smallest multiple of 64 bits that is at
-        least 8 bits above prec: the precision of every table kept across
-        calls (the Almkvist seeds' 1/Gamma values, dedekind's trig and
-        log-sine rows, Glaisher's constant).
+        least 8 bits above prec: the one precision of the integer kernels,
+        of every input of an arc term and of every table kept across calls
+        (the Almkvist seeds' 1/Gamma values, dedekind's trig and log-sine
+        rows, Glaisher's constant).
 
-        Each table is built at, and keyed by, table_bits, so the nearby
+        Each table is built at, and keyed by, bits, so the nearby
         precisions of many estimates share one table, and which table a
         value comes from is set by the precision asked for, not by what ran
-        before.  table_bits >= bits + 8, so every table is read below its
-        last bits."""
+        before.  An arc's integer state depends on the precision through
+        bits alone; each of its terms is rounded to prec once, at the end."""
         return (self.prec + 8 + 63) // 64 * 64 + GUARD_BITS
 
     @cached_property
@@ -104,16 +99,14 @@ def constants(ctx: PrecisionContext) -> Constants:
     """pi, a = zeta(3) (Apery's constant), zeta'(-1) = 1/12 - log A (A is
     Glaisher's constant) and log 2 at the kernels' precision ctx.bits.
 
-    A is taken at ctx.table_bits: mpmath keeps a constant at the highest
-    precision it has computed and recomputes it for any higher one, which
-    for A is costly, so the estimates of one table precision share one
-    evaluation."""
-    with mp.workprec(ctx.table_bits):
-        glaisher = +mp.glaisher
+    mpmath keeps a constant at the highest precision it has computed and
+    recomputes it for any higher one, which for A is costly; ctx.bits is a
+    multiple of 64 plus GUARD_BITS, so the estimates of nearby precisions
+    share one evaluation."""
     with mp.workprec(ctx.bits):
         pi = +mp.pi
         a = +mp.apery
-        zpm1 = mp.mpf(1) / 12 - mp.log(glaisher)
+        zpm1 = mp.mpf(1) / 12 - mp.log(mp.glaisher)
         log2 = mp.log(2)
     return Constants(pi=pi, a=a, zeta_prime_m1=zpm1, log2=log2)
 

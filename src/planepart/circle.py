@@ -102,10 +102,13 @@ class Arc:
 
     Holds the h-weights (the arc prefactor times the C_{h,k} phases), one
     CoeffGenerator per coprime h <= k/2, the Almkvist ladder and the powers
-    (a/k^3)^(m/2), all as floating integers: mantissas of exactly
-    ctx.bits = prec + GUARD_BITS bits, each with its exponent.
-    A term is one _dot of cached weights with the generators' b[m] and two
-    integer products, rounded once to an mpf; it is recomputed, not stored.
+    (a/k^3)^(m/2), all as floating integers: mantissas of exactly ctx.bits
+    bits, each with its exponent.  Every input of a term is carried at
+    ctx.bits: x, the weights (with C_{h,k} and the phases) and, behind
+    b[m], each v^(p).  So the arc's integer state depends on the precision
+    through ctx.bits alone.  A term is one _dot of cached weights with the
+    generators' b[m] and two integer products, rounded once to the working
+    precision; it is recomputed, not stored.
 
     For k >= 3, h pairs with k - h: C_{k-h,k} = C_{h,k} and the phase
     e^{-2 pi i n h / k} is conjugated, so coef_{k-h} = conj(coef_h), and the
@@ -116,16 +119,6 @@ class Arc:
     Im c_o for m = 0, 1, 2, 3 mod 4.  The arc keeps two weight rows, Re c_e
     and -Im c_o, one entry per h; the h-sum is the dot product of b_h[m]
     with the row of m's parity, negated for m = 2, 3 mod 4.
-
-    Not every factor is accurate to its last bit.  The weights and the
-    j v[j] behind b[m] are working-precision mpfs padded with zero bits,
-    while the ladder's seeds carry all ctx.bits bits.  The ladder multiplies
-    by the mantissa of x rounded to the working precision, so A_m is exact
-    only for that rounded x: at n = 750
-    (prec 448) A(x | -1/12 - m) moves by 2^-442.5 relative, at n = 6999
-    (prec 1269) by 2^-1262.  The certified accuracy ctx.eps (2^-378.7 and
-    2^-1199.2 there) holds; a proved roundoff bound must start from what
-    each factor carries.
 
     The Almkvist values A_m = A(x | -k/12 - m) come from a ladder.  A
     request past its end seeds one series at top = max(m, 2 * len,
@@ -148,10 +141,9 @@ class Arc:
         self.n, self.k, self.ctx = n, k, ctx
         self._ladder: list[tuple[int, int]] = []  # A_0, A_1, ...
         cst = constants(ctx)
-        with ctx.workdps():
+        with mp.workprec(ctx.bits):
             kf = mpmath.mpf(k)
-            with mp.workprec(ctx.bits):
-                sqrt_ak3 = mp.sqrt(cst.a / kf**3)
+            sqrt_ak3 = mp.sqrt(cst.a / kf**3)
             self._sqrt_ak3 = _from_mpf(sqrt_ak3, ctx.bits)
             self.x = sqrt_ak3 * n
             self._powers = [(1 << (ctx.bits - 1), 1 - ctx.bits)]  # (a/k^3)^(m/2), m = 0, 1, ...
@@ -160,8 +152,8 @@ class Arc:
             # h <= k/2: [0] for k = 1, [1] for k = 2, h < k/2 for k >= 3
             hs = [h for h in range(k // 2 + 1) if math.gcd(h, k) == 1]
             self.gens = [CoeffGenerator(h, k, ctx) for h in hs]
-            cos, sin, _ = _trig_fixed_row(k, ctx.table_bits)
-            e = -ctx.table_bits  # the rows are integers over 2^-e
+            cos, sin, _ = _trig_fixed_row(k, ctx.bits)
+            e = -ctx.bits  # the rows are integers over 2^-e
             # per parity of m, the mantissas and the exponents of the weights, one per h
             self._weights = (([], []), ([], []))
             for h in hs:

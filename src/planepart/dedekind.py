@@ -11,22 +11,21 @@ the work twice.  The d and k - d terms fall into buckets j and k - j with the
 sign (-1)^p, so the double sum runs over d <= k/2.  And U_{k-j} = (-1)^p U_j,
 so v^(p) is a sum of U_j cos(2 pi j h / k) over 0 <= j <= k/2 (real) for
 even p and of U_j sin(2 pi j h / k) (imaginary) for odd p: one integer dot
-product with a fixed-point cos or sin row.  One row per (k, table
-precision), _trig_fixed_row, at the context's PrecisionContext.table_bits,
-gives circle.Arc its phases, v^(p) its cos and sin, and C_{h,k} and b_{h,k}
-their log-sines, log|2 sin(pi j / k)| taken from the cos row as fixed-point
-integers too, so C_{h,k} and b_{h,k} are each one integer dot product with
-integer weights.  The precisions of one table_bits share the row, and each
-caller reads it at the row's scale 2^-table_bits and rounds its result once
-to its precision.  At k = 1 and 2 only U_0 and U_{k/2} remain, and the
-roots are +-1; vp_rational gives those arcs' v^(p) as exact rationals for
-reference.
+product with a fixed-point cos or sin row.  One row per (k, precision),
+_trig_fixed_row, at the context's PrecisionContext.bits, gives circle.Arc
+its phases, v^(p) its cos and sin, and C_{h,k} and b_{h,k} their log-sines,
+log|2 sin(pi j / k)| taken from the cos row as fixed-point integers too, so
+C_{h,k} and b_{h,k} are each one integer dot product with integer weights.
+The contexts of one bits share the row, and each caller reads it at the
+row's scale 2^-bits and rounds its result once to bits.  At k = 1 and 2
+only U_0 and U_{k/2} remain, and the roots are +-1; vp_rational gives those
+arcs' v^(p) as exact rationals for reference.
 The b^(m) recurrence therefore runs on real numbers, and b_{k-h} follows
 from b_h, so an arc needs one generator per pair h, k - h (circle.Arc).
 CoeffGenerator holds each real as a floating integer: a mantissa of exactly
-ctx.bits = prec + GUARD_BITS bits and its own exponent, so an
-order is one C-level integer dot product (_dot) whatever the size of
-b^(m) (b^(900) of arc 1 is about 2^2765).  v1_hk, which the `dedekind`
+ctx.bits bits and its own exponent, so an order is one C-level integer dot
+product (_dot) whatever the size of b^(m) (b^(900) of arc 1 is about
+2^2765).  v1_hk, which the `dedekind`
 CLI command prints, is vp_hk at p = 1; the cot form of v^(p) is a test
 oracle (tests/oracles.py).
 """
@@ -56,9 +55,9 @@ def _trig_fixed_row(k: int, bits: int) -> tuple[tuple[int, ...], tuple[int, ...]
     """(cos, sin, logsin), all integers over 2^bits: cos and sin of
     2 pi j / k, j = 0..k-1, and log|2 sin(pi j / k)|, j = 1..k-1.
 
-    The callers pass their context's table_bits (PrecisionContext.table_bits),
-    so the precisions of one table_bits share a row, and each caller reads
-    it at the row's scale, 2^-bits.
+    The callers pass their context's bits (PrecisionContext.bits), so the
+    contexts of one bits share a row, and each caller reads it at the row's
+    scale, 2^-bits.
 
     For j <= k/2, cos and sin come from one mp.expjpi(2/k), w, and the
     rotation z_(j+1) = z_j w in integers carrying 16 + k.bit_length() bits
@@ -74,8 +73,8 @@ def _trig_fixed_row(k: int, bits: int) -> tuple[tuple[int, ...], tuple[int, ...]
     = 2 - 2 cos(2 pi j / k), floored onto the row's scale and mirrored past
     k/2.  The log's absolute error is the relative error of 2 - 2 cos: a few
     units of 2^-bits over 2 - 2 cos >= 4 sin^2(pi / k) >= 16 / k^2, which
-    stays below 2^(32 - bits) for k up to 2^16.  A context's table_bits is
-    32 guard bits (arith.GUARD_BITS) above a multiple of 64 at least 8 bits
+    stays below 2^(32 - bits) for k up to 2^16.  A context's bits is 32
+    guard bits (arith.GUARD_BITS) above a multiple of 64 at least 8 bits
     above its precision prec, so that is below 2^-(prec + 8): the guard
     absorbs the cancellation."""
     extra = 16 + k.bit_length()
@@ -103,16 +102,17 @@ def _trig_fixed_row(k: int, bits: int) -> tuple[tuple[int, ...], tuple[int, ...]
 
 
 def _row_value(dot: int, den: int, ctx: PrecisionContext) -> tuple:
-    """dot / den over the scale 2^ctx.table_bits of ctx's rows, as a raw mpf
-    rounded once to ctx's binary precision."""
-    return mpf_shift(mpf_div(from_int(dot), from_int(den), ctx.prec, "n"), -ctx.table_bits)
+    """dot / den over the scale 2^ctx.bits of ctx's rows, as a raw mpf
+    rounded once to ctx.bits, so C_{h,k}, b_{h,k} and v^(p) reach an arc
+    with all the bits of its kernels."""
+    return mpf_shift(mpf_div(from_int(dot), from_int(den), ctx.bits, "n"), -ctx.bits)
 
 
 def _logsin_sum(k: int, terms, den: int, ctx: PrecisionContext):
     """(1/den) sum of w log|2 sin(pi i / k)| over the integer pairs (w, i),
     0 < i < k: one integer dot product with the fixed-point log-sine row at
-    ctx.table_bits, rounded once to ctx's precision."""
-    logsin = _trig_fixed_row(k, ctx.table_bits)[2]
+    ctx.bits, rounded once to ctx.bits."""
+    logsin = _trig_fixed_row(k, ctx.bits)[2]
     return mp.make_mpf(_row_value(sum(w * logsin[i - 1] for w, i in terms), den, ctx))
 
 
@@ -195,14 +195,14 @@ def vp_hk(p: int, h: int, k: int, ctx: PrecisionContext):
     U_j cos(2 pi j h / k) (+ U_{k/2} cos(pi h)) for even p, a real number,
     and 2i sum_{0<j<k/2} U_j sin(2 pi j h / k) for odd p, an imaginary one
     (U_0 = U_{k/2} = 0).  The integer numerators of the (doubled) U_j meet
-    the cos or sin row, in integers over 2^ctx.table_bits, in one integer
+    the cos or sin row, in integers over 2^ctx.bits, in one integer
     dot product, scaled once by P / D from _vp_buckets, which caches the
     prefactor with the buckets."""
     if p < 1:
         raise ValueError("vp_hk requires p >= 1")
     _check_coprime(h, k)
     num, den, buckets = _vp_buckets(p, k)
-    row = _trig_fixed_row(k, ctx.table_bits)[p % 2]
+    row = _trig_fixed_row(k, ctx.bits)[p % 2]
     # bucket j meets row[j h mod k]
     dot = sum(map(mul, buckets, map(row.__getitem__,
                                     map(k.__rmod__, map(h.__mul__, range(len(buckets)))))))
@@ -222,7 +222,8 @@ def _normalize(man: int, exp: int, bits: int) -> tuple[int, int]:
 def _from_mpf(x, bits: int, factor: int = 1) -> tuple[int, int]:
     """The mpf x times the integer factor as a normalized mantissa of `bits`
     bits and its exponent: one conversion, exact while x's mantissa times
-    factor has at most `bits` bits."""
+    factor has at most `bits` bits and floored once past that (a v[j] of
+    ctx.bits bits times j, in CoeffGenerator)."""
     sign, man, exp, _ = x._mpf_
     return _normalize(factor * (-man if sign else man), exp, bits)
 
@@ -251,14 +252,13 @@ class CoeffGenerator:
     exp(sum_p v^(p) z^p) = exp(sum_p v[p] (iz)^p).  The recurrence
     m b[m] = sum_j j v[j] b[m - j] runs on floating integers: b[m] is
     self.b[m] 2^self.b_exp[m] and j v[j] is jv[j - 1] 2^jv_exp[j - 1], every
-    nonzero mantissa exactly ctx.bits = working precision + GUARD_BITS bits
-    long.  j v[j] is one exact conversion of the working-precision v[j]
-    times +-j, so its low bits are zeros.  An order is one _dot, one floor
-    division by m and one normalization: the dot's error is a few units of
-    2^-bits of its largest product and the division's one more, so each b[m]
-    carries the relative accuracy of the v[j] (2^-prec) of its largest
-    product, as an mpf dot product at the working precision would, at a
-    fraction of the cost.  For
+    nonzero mantissa exactly ctx.bits bits long.  j v[j] is the v[j] that
+    vp_hk rounds to ctx.bits, times +-j, floored once to ctx.bits.  An order
+    is one _dot, one floor division by m and one normalization: the dot's
+    error is a few units of 2^-bits of its largest product and the
+    division's one more, so each b[m] carries the relative accuracy
+    (2^-bits) of the v[j] of its largest product, as an mpf dot product at
+    ctx.bits would, at a fraction of the cost.  For
     k <= 2 every odd order is 0 (v[j] is real): those orders and their
     j v[j], which nothing reads, are stored as zeros without computing v[j],
     and the dot products run over the even orders only.  The same
@@ -269,14 +269,14 @@ class CoeffGenerator:
     def __init__(self, h: int, k: int, ctx: PrecisionContext):
         _check_coprime(h, k)
         self.h, self.k, self.ctx = h, k, ctx
-        self.bits = ctx.bits
         self.jv: list[int] = []
         self.jv_exp: list[int] = []
-        self.b: list[int] = [1 << (self.bits - 1)]
-        self.b_exp: list[int] = [1 - self.bits]
+        self.b: list[int] = [1 << (ctx.bits - 1)]
+        self.b_exp: list[int] = [1 - ctx.bits]
 
     def extend_to(self, M: int) -> None:
         jv, jv_exp, b, b_exp = self.jv, self.jv_exp, self.b, self.b_exp
+        bits = self.ctx.bits
         step = 2 if self.k <= 2 else 1
         while len(b) <= M:
             m = len(b)
@@ -285,13 +285,12 @@ class CoeffGenerator:
                     row.append(zero)
                 continue
             v = vp_hk(m, self.h, self.k, self.ctx)
-            j_man, j_exp = _from_mpf(v.imag if m % 2 else v.real, self.bits,
-                                     (m, m, -m, -m)[m % 4])
+            j_man, j_exp = _from_mpf(v.imag if m % 2 else v.real, bits, (m, m, -m, -m)[m % 4])
             jv.append(j_man)
             jv_exp.append(j_exp)
             acc, top = _dot(jv[step - 1::step], jv_exp[step - 1::step],
                             b[m - step::-step], b_exp[m - step::-step])
-            b_man, b_e = _normalize(acc // m, top, self.bits)
+            b_man, b_e = _normalize(acc // m, top, bits)
             b.append(b_man)
             b_exp.append(b_e)
 

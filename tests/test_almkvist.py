@@ -33,9 +33,9 @@ class TestSeries:
 
     @pytest.mark.parametrize("n", [750, 2000, 6999])
     def test_x0_seeds_within_one_unit_of_the_kernels(self, n):
-        # the seeds come from 1/Gamma tables at ctx.table_bits, at least 8
-        # bits above the chains' ctx.bits, so A(0 | gamma) = 1/(2 Gamma(u))
-        # is within one unit of ctx.bits, for every residue of k mod 24
+        # the seeds come from 1/Gamma tables at the chains' ctx.bits, so
+        # A(0 | gamma) = 1/(2 Gamma(u)) is within one unit of ctx.bits, for
+        # every residue of k mod 24
         ctx = pp.precision_for(n)
         for k in range(1, 25):
             gamma = Fraction(-k, 12) - 32
@@ -107,10 +107,10 @@ class TestSeries:
 
     def test_terms_used_counts_the_summed_terms(self, ctx50):
         # each parity chain of T_j = x^j / (j! Gamma(u + j/2)) is summed in
-        # integers GUARD_BITS above the working precision, scaled to its
-        # largest term within 33 bits, and ends at the first term that
-        # rounds to 0 there
-        wp = mpmath.libmp.dps_to_prec(ctx50.decimal_digits) + GUARD_BITS
+        # integers of ctx.bits bits, scaled to its largest term within 33
+        # bits, and ends at the first term that rounds to 0 there
+        prec = mpmath.libmp.dps_to_prec(ctx50.decimal_digits)
+        wp = (prec + 8 + 63) // 64 * 64 + GUARD_BITS
         for x, gamma in ((0.5, -mpmath.mpf(1) / 12), (50, -mpmath.mpf(1) / 12),
                          (1100, -mpmath.mpf(13) / 12 - 32)):
             u = (3 - gamma) / 2

@@ -26,14 +26,13 @@ class TestPrecisionContext:
             assert ctx.eps == mpmath.mpf(10) ** -30
 
     def test_derived_precision_is_not_state(self):
-        # prec, bits, table_bits and eps are derived once per context and are no
+        # prec, bits and eps are derived once per context and are no
         # fields: a context that has read them equals a fresh one with its
         # digits, hits constants' cache entry for it, and cannot have them set
         used = pp.PrecisionContext(decimal_digits=77)
         with used.workdps():
             assert used.prec == mp.prec
-        assert used.table_bits == (used.prec + 8 + 63) // 64 * 64 + GUARD_BITS
-        assert used.bits == used.prec + GUARD_BITS
+        assert used.bits == (used.prec + 8 + 63) // 64 * 64 + GUARD_BITS
         assert used.eps is used.eps
         with pytest.raises(dataclasses.FrozenInstanceError):
             used.prec = 1

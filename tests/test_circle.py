@@ -16,7 +16,7 @@ from mpmath import mp
 
 import oracles
 import planepart as pp
-from planepart import circle
+from planepart import circle, dedekind
 
 # the 30-digit floor, 50 and 400 digits, the working precision of
 # `--digits 400 constants` (420) and the precisions of n = 750 and n = 6999
@@ -699,8 +699,8 @@ def run_in_fresh_process(script, *args):
 
 
 class TestOneProcess:
-    # every table kept across calls is computed at the table precision of
-    # the context it serves (PrecisionContext.table_bits), so an estimate
+    # every table kept across calls is computed at the precision of the
+    # context it serves (PrecisionContext.bits), so an estimate
     # depends on (n, digits) alone and the estimates of one process share
     # the tables of their table precisions
 
@@ -723,7 +723,7 @@ class TestOneProcess:
 
     def test_rgamma_evaluations_per_pass(self):
         # the 12 n of the roundtrip_batch benchmark's seed-1 pass 0: the
-        # Almkvist seeds take 1/Gamma per (u, table_bits), not per series (452
+        # Almkvist seeds take 1/Gamma per (u, bits), not per series (452
         # evaluations when every series evaluated its own two)
         ns = (107, 242, 257, 392, 407, 542, 557, 691, 707, 842, 857, 992)
         script = ("import sys\nfrom mpmath import mp\nimport planepart as pp\n"
@@ -734,3 +734,30 @@ class TestOneProcess:
                   "for n in map(int, sys.argv[1:]):\n    pp.p2_estimate(n)\n"
                   "print(calls)\n")
         assert 0 < int(run_in_fresh_process(script, *ns)) <= 150
+
+
+class TestOnePrecision:
+    # every input of an arc term (x, the weights with C_{h,k}, each v^(p))
+    # is carried at the context's one kernel precision, PrecisionContext.bits,
+    # and each term is rounded to the working precision once, at the end
+
+    def test_arc_state_depends_on_bits_alone(self):
+        lo, hi = pp.PrecisionContext(120), pp.PrecisionContext(125)
+        assert (lo.prec, hi.prec) == (402, 419) and lo.bits == hi.bits == 480
+        gens = [dedekind.CoeffGenerator(2, 7, ctx) for ctx in (lo, hi)]
+        for gen in gens:
+            gen.extend_to(40)
+        assert gens[0].b == gens[1].b and gens[0].b_exp == gens[1].b_exp
+        arcs = [circle.Arc(750, 7, ctx) for ctx in (lo, hi)]
+        assert arcs[0]._weights == arcs[1]._weights
+        assert arcs[0]._almkvist_fixed(40) == arcs[1]._almkvist_fixed(40)
+        assert arcs[0].x._mpf_ == arcs[1].x._mpf_
+
+    @pytest.mark.parametrize("n", [750, 2000])
+    def test_estimate_within_four_units_of_a_finer_one(self, n):
+        # against the estimate at 40 more digits: relative 2^(2 - prec)
+        ctx = pp.precision_for(n)
+        est = pp.p2_estimate(n).estimate
+        ref = pp.p2_estimate(n, digits=ctx.decimal_digits + 40).estimate
+        with mp.workprec(ctx.prec + 64):
+            assert abs(est - ref) <= mpmath.ldexp(abs(ref), 2 - ctx.prec)

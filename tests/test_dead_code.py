@@ -99,16 +99,26 @@ def test_only_arith_turns_digits_into_bits():
             if p.name != "arith.py" and references(TREES[p])["dps_to_prec"]] == []
 
 
+def test_no_module_reads_a_second_precision():
+    # ... and one kernel precision (PrecisionContext.bits): the tables kept
+    # across calls have no precision of their own
+    assert [p.name for p in TREES if references(TREES[p])["table_bits"]] == []
+
+
 @pytest.mark.parametrize("name", ["almkvist.py", "circle.py", "dedekind.py"])
-def test_kernels_read_the_context_band(name):
-    # ... and the precision of its tables once (PrecisionContext.table_bits)
+def test_kernels_read_the_context_bits(name):
+    # every kernel reads that precision from its context, and no object
+    # keeps a copy of it under a name of its own
+    attrs = [sub for sub in ast.walk(TREES[SRC / name])
+             if isinstance(sub, ast.Attribute) and sub.attr == "bits"]
+    assert any(isinstance(sub.ctx, ast.Load) for sub in attrs)
+    assert [sub.lineno for sub in attrs if isinstance(sub.ctx, ast.Store)] == []
     read = references(TREES[SRC / name])
-    assert read["table_bits"] > 0
-    assert read["precision_band"] == read["band"] == 0
+    assert read["precision_band"] == read["band"] == read["table_bits"] == 0
 
 
 def test_only_arith_reads_the_guard():
-    # the kernels read their margins through the context (bits, table_bits)
+    # the kernels read their margins through the context (bits)
     read = {p.name: references(TREES[p]) for p in MODULES if p.name != "arith.py"}
     assert [name for name, refs in read.items()
             if refs["GUARD_BITS"] or refs["precision_band"]] == []

@@ -86,12 +86,11 @@ class TestIntegerDots:
 class TestRademacherGrosswaldIdentity:
     def test_logsin_sum_is_log_k(self):
         # sum_{j=1}^{k-1} log|2 sin(j pi / k)| = log k, over the library's
-        # row: integers over 2^ctx.table_bits
+        # row: integers over 2^ctx.bits
         ctx = pp.PrecisionContext(decimal_digits=60)
         with ctx.workdps():
             for k in range(2, 201):
-                s = mpmath.mpf((sum(dedekind._trig_fixed_row(k, ctx.table_bits)[2]),
-                                -ctx.table_bits))
+                s = mpmath.mpf((sum(dedekind._trig_fixed_row(k, ctx.bits)[2]), -ctx.bits))
                 assert abs(s - mp.log(k)) < mpmath.mpf(10) ** -40, k
 
 
@@ -116,9 +115,9 @@ class TestChkBhkRelation:
 class TestRowCaches:
     def test_contexts_of_one_table_precision_share_a_row(self):
         # a long-lived process may run estimates at many precisions: the
-        # rows are keyed by table_bits, so 101 contexts build at most 6 rows
+        # rows are keyed by bits, so 101 contexts build at most 6 rows
         ctxs = [pp.PrecisionContext(decimal_digits=d) for d in range(30, 131)]
-        assert len({ctx.table_bits for ctx in ctxs}) == 6
+        assert len({ctx.bits for ctx in ctxs}) == 6
         misses = dedekind._trig_fixed_row.cache_info().misses
         for ctx in ctxs:
             pp.c_hk(1, 389, ctx)
@@ -130,9 +129,9 @@ class TestRootsRow:
     @pytest.mark.parametrize("prec", [170, 1300])
     def test_entries_match_expjpi(self, prec):
         # every cos and sin entry, the mirrored j > k/2 included, lies within
-        # 4 units of the row's scale 2^-table_bits of e^{2 pi i j / k}, at
-        # the context of `prec` bits
-        bits = pp.PrecisionContext(mpmath.libmp.prec_to_dps(prec)).table_bits
+        # 4 units of the row's scale 2^-bits of e^{2 pi i j / k}, at the
+        # context of `prec` bits
+        bits = pp.PrecisionContext(mpmath.libmp.prec_to_dps(prec)).bits
         for k in (1, 2, 3, 12, 13, 100, 499, 5000):
             cos, sin, _ = dedekind._trig_fixed_row(k, bits)
             assert len(cos) == len(sin) == k
@@ -154,10 +153,10 @@ class TestRootsRow:
     def test_logsin_entries_match_log_sin(self, prec):
         # every log|2 sin(pi j / k)| entry, taken from the cos row and
         # mirrored past k/2, is an integer over the row's scale
-        # 2^table_bits and lies within 8 units of 2^(GUARD_BITS - table_bits)
-        # of mpmath's log and sin at table_bits + 32 bits, at the context of
-        # `prec` bits
-        bits = pp.PrecisionContext(mpmath.libmp.prec_to_dps(prec)).table_bits
+        # 2^bits and lies within 8 units of 2^(GUARD_BITS - bits) of
+        # mpmath's log and sin at bits + 32 bits, at the context of `prec`
+        # bits
+        bits = pp.PrecisionContext(mpmath.libmp.prec_to_dps(prec)).bits
         for k in (2, 3, 13, 100, 499, 5000):
             logsin = dedekind._trig_fixed_row(k, bits)[2]
             assert len(logsin) == k - 1
@@ -274,16 +273,16 @@ class TestBCoeffs:
             gen.extend_to(0)
             assert len(gen.b) == len(gen.b_exp) == 1
             assert gen.b[0] == 1 << -gen.b_exp[0]
-            assert gen.b[0].bit_length() == gen.bits
+            assert gen.b[0].bit_length() == ctx50.bits
 
     def test_recurrence_vs_partition_sum_oracle(self, ctx50):
         # b[m] = i^-m b^(m) is gen.b[m] 2^gen.b_exp[m], every nonzero
-        # mantissa gen.bits bits long
+        # mantissa ctx.bits bits long
         with ctx50.workdps():
             for h, k in [(0, 1), (1, 2), (1, 3), (2, 5), (1, 7), (3, 10), (5, 12)]:
                 gen = dedekind.CoeffGenerator(h, k, ctx50)
                 gen.extend_to(8)
-                assert all(isinstance(b, int) and (b == 0 or abs(b).bit_length() == gen.bits)
+                assert all(isinstance(b, int) and (b == 0 or abs(b).bit_length() == ctx50.bits)
                            for b in gen.b), (h, k)
                 for m in range(9):
                     oracle = oracles.b_coeff_partition_sum(h, k, m, ctx50)
