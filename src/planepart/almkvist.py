@@ -17,12 +17,17 @@ which depend on (k, top) and not on x, are kept at ctx.bits across arcs
 and n.
 saddle_data solves the saddle cubic for g once and returns everything the
 truncation-point formulas downstream read from it: f1, f1', f1'', f2 and c
-(the large-x estimate itself is in tests/oracles.py).
+(the large-x estimate itself is in tests/oracles.py).  It is the one owner
+of the cubic.  Given a context it solves at that precision; without one it
+runs only its float Newton and returns Python floats, which is all an arc's
+truncation gate and cap need (circle.mstar_theory), so the estimate solves
+the cubic once per summed arc and never at an mpmath precision.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -146,19 +151,19 @@ def almkvist_series(x, gamma, ctx: PrecisionContext) -> AlmkvistEval:
 
 
 @dataclass(frozen=True)
-class SaddleData:
-    g: mpmath.mpf
-    f1: mpmath.mpf
-    f1p: mpmath.mpf
-    f1pp: mpmath.mpf
-    f2: mpmath.mpf
-    c: mpmath.mpf
+class SaddleData:  # mpfs at a context's precision, or floats
+    g: mpmath.mpf | float
+    f1: mpmath.mpf | float
+    f1p: mpmath.mpf | float
+    f1pp: mpmath.mpf | float
+    f2: mpmath.mpf | float
+    c: mpmath.mpf | float
 
 
 def _g_of_lambda(lam):
     """Positive root of g^3 + 3 lam g^2 = 1 (the g(0) = 1 branch), by Newton
-    in floats from g = 1, then at the working precision from the float root
-    until the step is below 10^-dps of g."""
+    in floats from g = 1; for an mpf lam, then at the working precision from
+    the float root until the step is below 10^-dps of g."""
     # G(1) = 3 lam >= 0 and G is increasing/convex for g > 0, so Newton from
     # g = 1 falls monotonically onto the root
     g, lf = 1.0, float(lam)
@@ -167,6 +172,8 @@ def _g_of_lambda(lam):
         if not step > 1e-15 * g:
             break
         g -= step
+    if isinstance(lam, float):
+        return g
     g = mpmath.mpf(g)
     tol = mpmath.mpf(10) ** (-mp.dps)
     for _ in range(200):
@@ -179,22 +186,28 @@ def _g_of_lambda(lam):
     return g
 
 
-def saddle_data(lam, ctx: PrecisionContext) -> SaddleData:
+def saddle_data(lam, ctx: PrecisionContext | None = None) -> SaddleData:
     """g, f1, f1', f1'', f2 and c at the saddle parameter lam >= 0.
 
     g is the positive root of g^3 + 3 lam g^2 = 1, and f1' = 2 log g, so the
     truncation scale c(lam) = 4 pi^2 e^(-f1'/2) / (2a)^(1/3) is
-    4 pi^2 / (g (2a)^(1/3))."""
-    cst = constants(ctx)
-    with ctx.workdps():
-        lv = mpmath.mpf(lam)
+    4 pi^2 / (g (2a)^(1/3)).  With ctx, every field is an mpf at ctx's
+    working precision.  Without it, every field is a Python float: g from
+    the float Newton alone, the rest from math, with pi and a from
+    constants() as floats.  g, f1'' and c then hold about 1e-15 relative;
+    f1, f1' and f2, which vanish at lam = 0 and cancel near it, hold about
+    1e-15 absolute (f1 is about -lam^2).  circle.mstar_theory reads this
+    float solve for each arc's truncation gate and cap."""
+    cst, lib = constants(ctx), mp if ctx else math
+    with ctx.workdps() if ctx else nullcontext():
+        lv = mpmath.mpf(lam) if ctx else float(lam)
         if lv < 0:
             raise ValueError("saddle_data requires lam >= 0")
         g = _g_of_lambda(lv)
-        logg = mp.log(g)
+        logg = lib.log(g)
         f1 = (1 / (g * g) + 2 * g + 6 * lv * logg) / 3 - 1
         f1p = 2 * logg
         f1pp = -2 / (g + 2 * lv)
-        f2 = g * g / mp.sqrt(1 - lv * g * g) - 1
-        c = 4 * cst.pi**2 / (g * mp.cbrt(2 * cst.a))
+        f2 = g * g / lib.sqrt(1 - lv * g * g) - 1
+        c = 4 * cst.pi**2 / (g * (mp.cbrt(2 * cst.a) if ctx else (2 * cst.a) ** (1 / 3)))
         return SaddleData(g=g, f1=f1, f1p=f1p, f1pp=f1pp, f2=f2, c=c)

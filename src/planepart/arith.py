@@ -13,7 +13,7 @@ downstream have no float error source.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
@@ -81,28 +81,31 @@ class PrecisionContext:
 
 
 @dataclass(frozen=True)
-class Constants:
-    pi: mpmath.mpf
-    a: mpmath.mpf
-    zeta_prime_m1: mpmath.mpf
-    log2: mpmath.mpf
+class Constants:  # mpfs at a context's bits, or floats
+    pi: mpmath.mpf | float
+    a: mpmath.mpf | float
+    zeta_prime_m1: mpmath.mpf | float
+    log2: mpmath.mpf | float
 
 
 @dataclass(frozen=True)
 class DerivedConstants:
-    c1: mpmath.mpf
-    c2: mpmath.mpf
+    c1: mpmath.mpf | float
+    c2: mpmath.mpf | float
 
 
 @lru_cache(maxsize=None)
-def constants(ctx: PrecisionContext) -> Constants:
+def constants(ctx: PrecisionContext | None = None) -> Constants:
     """pi, a = zeta(3) (Apery's constant), zeta'(-1) = 1/12 - log A (A is
-    Glaisher's constant) and log 2 at the kernels' precision ctx.bits.
+    Glaisher's constant) and log 2 at the kernels' precision ctx.bits;
+    without ctx, the same constants at 30 digits rounded to Python floats.
 
     mpmath keeps a constant at the highest precision it has computed and
     recomputes it for any higher one, which for A is costly; ctx.bits is a
     multiple of 64 plus GUARD_BITS, so the estimates of nearby precisions
     share one evaluation."""
+    if ctx is None:
+        return Constants(*map(float, astuple(constants(PrecisionContext(30)))))
     with mp.workprec(ctx.bits):
         pi = +mp.pi
         a = +mp.apery
@@ -112,8 +115,11 @@ def constants(ctx: PrecisionContext) -> Constants:
 
 
 @lru_cache(maxsize=None)
-def derived_constants(ctx: PrecisionContext) -> DerivedConstants:
-    """c1 = (2a)^(1/36) 2^(-1/4) e^{zeta'(-1)} and c2 = 3 * 2^(-2/3) * a^(1/3)."""
+def derived_constants(ctx: PrecisionContext | None = None) -> DerivedConstants:
+    """c1 = (2a)^(1/36) 2^(-1/4) e^{zeta'(-1)} and c2 = 3 * 2^(-2/3) * a^(1/3);
+    without ctx, as Python floats (see constants)."""
+    if ctx is None:
+        return DerivedConstants(*map(float, astuple(derived_constants(PrecisionContext(30)))))
     cst = constants(ctx)
     with mp.workprec(ctx.bits):
         third = mp.mpf(1) / 3

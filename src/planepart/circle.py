@@ -29,14 +29,16 @@ M_FLOOR = "0.001"
 LAMBDA0 = "0.25"  # minor_arc_bound's Type II lam; above lambda_c = 0.1801...
 MAX_ARCS = 500  # no cutoff, numeric or theoretical, includes this arc
 LADDER_SEED = 32  # an Arc's first Almkvist series: most arcs stop below this m
-MSTAR_CTX = PrecisionContext(30)  # mstar_numeric only needs mstar_theory's integer part
 
 
-def lambda_param(n: int, k: int, ctx: PrecisionContext):
-    """lam = k^2 / (24 c2 n^(2/3))."""
+def lambda_param(n: int, k: int, ctx: PrecisionContext | None = None):
+    """lam = k^2 / (24 c2 n^(2/3)), at ctx's precision or, without ctx, as a
+    Python float."""
     if n < 1 or k < 1:
         raise ValueError("lambda_param requires n, k >= 1")
     der = derived_constants(ctx)
+    if ctx is None:
+        return k * k / (24 * der.c2 * n ** (2 / 3))
     with ctx.workdps():
         return mpmath.mpf(k * k) / (24 * der.c2 * mpmath.mpf(n) ** (mpmath.mpf(2) / 3))
 
@@ -144,7 +146,7 @@ class Arc:
         with mp.workprec(ctx.bits):
             kf = mpmath.mpf(k)
             sqrt_ak3 = mp.sqrt(cst.a / kf**3)
-            self._sqrt_ak3 = _from_mpf(sqrt_ak3, ctx.bits)
+            self._sqrt_ak3 = _from_mpf(sqrt_ak3._mpf_, ctx.bits)
             self.x = sqrt_ak3 * n
             self._powers = [(1 << (ctx.bits - 1), 1 - ctx.bits)]  # (a/k^3)^(m/2), m = 0, 1, ...
             base = mp.exp(k * cst.zeta_prime_m1) * (cst.a / kf) ** (
@@ -161,7 +163,7 @@ class Arc:
                 scale = mp.exp(c_hk(h, k, ctx)) * (1 if 2 * h % k == 0 else 2)
                 re, im = (base * mpmath.mpf((row[j], e)) * scale for row in (cos, sin))
                 for (mans, exps), v in zip(self._weights, (re, -im)):
-                    man, exp = _from_mpf(v, ctx.bits)
+                    man, exp = _from_mpf(v._mpf_, ctx.bits)
                     mans.append(man)
                     exps.append(exp)
 
@@ -210,19 +212,23 @@ class Arc:
         return mp.make_mpf(from_man_exp(sign * acc * a * p, e + ae + pe, self.ctx.prec, "n"))
 
 
-def mstar_theory(n: int, k: int, ctx: PrecisionContext):
-    """Predicted truncation point M*(n,k) from the saddle-point analysis."""
+def mstar_theory(n: int, k: int, ctx: PrecisionContext | None = None):
+    """Predicted truncation point M*(n,k) from the saddle-point analysis, at
+    ctx's precision or, without ctx, as a Python float from one float solve
+    of the saddle cubic (saddle_data): what mstar_numeric reads."""
     if n < 1 or k < 1:
         raise ValueError("mstar_theory requires n, k >= 1")
+    if ctx is None:
+        return _mstar_of_saddle(k, saddle_data(lambda_param(n, k)), derived_constants().c2,
+                                n ** (1 / 3))
     with ctx.workdps():
-        return _mstar_of_saddle(n, k, saddle_data(lambda_param(n, k, ctx), ctx), ctx)
+        return _mstar_of_saddle(k, saddle_data(lambda_param(n, k, ctx), ctx),
+                                derived_constants(ctx).c2, mpmath.mpf(n) ** (mpmath.mpf(1) / 3))
 
 
-def _mstar_of_saddle(n: int, k: int, sd, ctx: PrecisionContext):
-    """M*(n,k) from the SaddleData of lam(n, k), at the current precision."""
-    der = derived_constants(ctx)
-    n13 = mpmath.mpf(n) ** (mpmath.mpf(1) / 3)
-    return (sd.c / k) * n13 - (sd.c * sd.c / (4 * der.c2 * k)) * sd.f1pp
+def _mstar_of_saddle(k: int, sd, c2, n13):
+    """M*(n,k) from the SaddleData of lam(n, k), c2 and n^(1/3)."""
+    return (sd.c / k) * n13 - (sd.c * sd.c / (4 * c2 * k)) * sd.f1pp
 
 
 def mstar_numeric(arc: Arc) -> PhiBreakdown:
@@ -232,13 +238,16 @@ def mstar_numeric(arc: Arc) -> PhiBreakdown:
     consecutive increases of |phi^(m)|, or a term over 8x the running
     minimum, among the armed terms, the nonzero terms at m >= min_gate;
     the terms end at that minimum) or exhausted (m reached 3 M*(n,k) + 60).
+    min_gate = int(M*/2) and the cap read M* from mstar_theory in floats:
+    only their integer parts matter, and on a grid of n up to 7100 and k up
+    to 67 they equal a 30-digit solve's (tests/test_circle.py).
     trunc_error_est is the last kept term's size, or on minimum-found the
     next armed term's.  Exact zeros are summed but end nothing, so the
     exit depends on the terms alone, not on the working precision."""
     n, k, ctx = arc.n, arc.k, arc.ctx
     with ctx.workdps():
         floor_v = mpmath.mpf(M_FLOOR)
-        theory = mstar_theory(n, k, MSTAR_CTX)
+        theory = mstar_theory(n, k)
         # Near-cancellation dips in the head of the series (before the
         # asymptotic decay regime) can mimic the superasymptotic minimum;
         # the minimum rules stay disarmed until m reaches half the
@@ -322,9 +331,9 @@ def sa_error_bound(n: int, k: int, ctx: PrecisionContext):
         if lam > lambda_c(ctx):
             raise ValueError("sa_error_bound is only claimed for lam <= lam_c")
         sd = saddle_data(lam, ctx)
-        c, mstar = sd.c, _mstar_of_saddle(n, k, sd, ctx)
         nf = mpmath.mpf(n)
         n13 = nf ** (mpmath.mpf(1) / 3)
+        c, mstar = sd.c, _mstar_of_saddle(k, sd, der.c2, n13)
         n23 = n13 * n13
         pref = (mpmath.mpf(k) ** (-mpmath.mpf(1) / 2) * der.c1**k
                 * (k * k / n23) ** (1 + mpmath.mpf(k) / 24)

@@ -39,7 +39,7 @@ from operator import add, mul, rshift
 
 import mpmath
 from mpmath import mp
-from mpmath.libmp import from_int, from_man_exp, fzero, mpf_div, mpf_log, mpf_shift, to_fixed
+from mpmath.libmp import from_man_exp, fzero, mpf_log, to_fixed
 
 from .arith import PrecisionContext, bernoulli_int_row, constants
 
@@ -102,10 +102,21 @@ def _trig_fixed_row(k: int, bits: int) -> tuple[tuple[int, ...], tuple[int, ...]
 
 
 def _row_value(dot: int, den: int, ctx: PrecisionContext) -> tuple:
-    """dot / den over the scale 2^ctx.bits of ctx's rows, as a raw mpf
-    rounded once to ctx.bits, so C_{h,k}, b_{h,k} and v^(p) reach an arc
-    with all the bits of its kernels."""
-    return mpf_shift(mpf_div(from_int(dot), from_int(den), ctx.bits, "n"), -ctx.bits)
+    """dot / den over the scale 2^ctx.bits of ctx's rows (den >= 1), as a raw
+    mpf correctly rounded to ctx.bits, so C_{h,k}, b_{h,k} and v^(p) reach an
+    arc with all the bits of its kernels.
+
+    One divmod gives the quotient with at least ctx.bits + 1 bits, and a
+    sticky bit below it records a nonzero remainder.  In units of that bit,
+    the exact quotient and the mantissa are equal or lie strictly between
+    the same two consecutive even integers, and every rounding boundary of
+    ctx.bits bits is an even integer, so both round to the same mpf: the
+    one mpf_div gives (tests/oracles.py keeps that form)."""
+    bits, num = ctx.bits, abs(dot)
+    shift = max(0, bits + 1 + den.bit_length() - num.bit_length())
+    q, r = divmod(num << shift, den)
+    man = 2 * q + (r > 0)
+    return from_man_exp(-man if dot < 0 else man, -bits - shift - 1, bits, "n")
 
 
 def _logsin_sum(k: int, terms, den: int, ctx: PrecisionContext):
@@ -219,12 +230,13 @@ def _normalize(man: int, exp: int, bits: int) -> tuple[int, int]:
     return (man >> shift if shift >= 0 else man << -shift), exp + shift
 
 
-def _from_mpf(x, bits: int, factor: int = 1) -> tuple[int, int]:
-    """The mpf x times the integer factor as a normalized mantissa of `bits`
-    bits and its exponent: one conversion, exact while x's mantissa times
-    factor has at most `bits` bits and floored once past that (a v[j] of
-    ctx.bits bits times j, in CoeffGenerator)."""
-    sign, man, exp, _ = x._mpf_
+def _from_mpf(x: tuple, bits: int, factor: int = 1) -> tuple[int, int]:
+    """The raw mpf x (an _mpf_ tuple) times the integer factor as a
+    normalized mantissa of `bits` bits and its exponent: one conversion,
+    exact while x's mantissa times factor has at most `bits` bits and
+    floored once past that (a v[j] of ctx.bits bits times j, in
+    CoeffGenerator)."""
+    sign, man, exp, _ = x
     return _normalize(factor * (-man if sign else man), exp, bits)
 
 
@@ -284,8 +296,8 @@ class CoeffGenerator:
                 for row, zero in ((jv, 0), (jv_exp, ZERO_EXP), (b, 0), (b_exp, ZERO_EXP)):
                     row.append(zero)
                 continue
-            v = vp_hk(m, self.h, self.k, self.ctx)
-            j_man, j_exp = _from_mpf(v.imag if m % 2 else v.real, bits, (m, m, -m, -m)[m % 4])
+            v = vp_hk(m, self.h, self.k, self.ctx)._mpc_  # (real, imaginary) raw mpfs
+            j_man, j_exp = _from_mpf(v[m % 2], bits, (m, m, -m, -m)[m % 4])
             jv.append(j_man)
             jv_exp.append(j_exp)
             acc, top = _dot(jv[step - 1::step], jv_exp[step - 1::step],

@@ -25,6 +25,8 @@ uses, so agreement is evidence rather than tautology:
   or sines from its own tables);
 - B_p(x) by a Horner loop in Fractions (the package evaluates integer rows
   over one common denominator);
+- dot / den rounded to a context's bits by mpmath's mpf_div (the package
+  takes one integer divmod and rounds the quotient with a sticky bit);
 - C_{h,k} and b_{h,k} as one mp.fdot of their integer weights with
   log|2 sin(pi j / k)| from mp.sin and mp.log (the package takes one integer
   dot product with a fixed-point log-sine row derived from its cos row);
@@ -52,6 +54,7 @@ from functools import lru_cache
 
 import mpmath
 from mpmath import mp
+from mpmath.libmp import from_int, mpf_div, mpf_shift
 
 from planepart.almkvist import almkvist_series, saddle_data
 from planepart.arith import bernoulli_number, constants
@@ -322,6 +325,12 @@ def b_hk_fdot(h: int, k: int, ctx):
     with ctx.workdps():
         return mp.fdot(((h * j) % k * (k - (h * j) % k), logsin[j - 1])
                        for j in range(1, k)) / (k * k)
+
+
+def row_value_mpf_div(dot: int, den: int, bits: int) -> tuple:
+    """dot / den times 2^-bits as a raw mpf rounded to nearest at bits bits,
+    by mpmath's mpf_div and an exact shift."""
+    return mpf_shift(mpf_div(from_int(dot), from_int(den), bits, "n"), -bits)
 
 
 def b1k_estimate(k: int, ctx):

@@ -180,8 +180,25 @@ class TestSaddle:
                 assert abs(g_newton - g_rad) < mpmath.mpf(10) ** -40
 
     def test_domain(self, ctx50):
-        with pytest.raises(ValueError):
-            pp.saddle_data(-1, ctx50)
+        for ctx in (ctx50, None):
+            with pytest.raises(ValueError, match="requires lam >= 0"):
+                pp.saddle_data(-1, ctx)
+
+    def test_float_solve_matches_50_digits(self, ctx50):
+        # without a context every field is a float; g, f1'' and c lie within
+        # 1e-12 relative of the 50-digit solve.  f1, f1' and f2 vanish at
+        # lam = 0 and their forms cancel there (f1 is about -lam^2, from
+        # terms of size 1), so they hold 1e-15 absolute, not relative: at
+        # lam = 1e-5 the float f1 keeps six digits.  The paper's formulas add
+        # them to 1 or exponentiate them.  The grid reaches down to the lam
+        # of arc 1 at n = 7100 (5.6e-5) and below.
+        with ctx50.workdps():
+            for lam in (*(i / 100 for i in range(201)), 1e-6, 1e-5, 5.6e-5, 1e-4, 1e-3):
+                got, want = pp.saddle_data(lam), pp.saddle_data(lam, ctx50)
+                for name in ("g", "f1", "f1p", "f1pp", "f2", "c"):
+                    x, y = getattr(got, name), getattr(want, name)
+                    slack = 1e-15 if name in ("f1", "f1p", "f2") else 0
+                    assert isinstance(x, float) and abs(x - y) <= 1e-12 * abs(y) + slack, (lam, name)
 
 
 class TestSaddleEstimate:

@@ -176,6 +176,24 @@ class TestMstar:
             m2 = circle.mstar_theory(7000, 2, ctx)
             assert abs(m2 / (m1 / 2) - 1) < mpmath.mpf("0.05")
 
+    def test_float_plan_matches_30_digits(self):
+        # mstar_numeric reads int(M*/2) (its minimum gate) and int(3 M*) (its
+        # cap) from the float M*; they must be those of a 30-digit solve, on
+        # n = 1, 37, ..., 7093 plus the 24 n of seeds 1-2 pass 0 of the
+        # benchmark's roundtrip_batch, and k = 1..67
+        ctx30 = pp.PrecisionContext(30)
+        ns = [*range(1, 7101, 36), 107, 242, 257, 392, 407, 542, 557, 691, 707, 842, 857,
+              992, 122, 227, 272, 377, 422, 527, 572, 677, 722, 827, 872, 977]
+        diff = []
+        for n in ns:
+            for k in range(1, 68):
+                got = circle.mstar_theory(n, k)
+                assert isinstance(got, float)
+                want = circle.mstar_theory(n, k, ctx30)
+                if (int(got / 2), int(3 * got)) != (int(want / 2), int(3 * want)):
+                    diff.append((n, k, got, want))
+        assert diff == []
+
     def test_numeric_6999_k1_signature(self, report_6999):
         b = report_6999.per_k[0]
         assert b.stop_reason == "minimum-found"
@@ -312,13 +330,13 @@ def stub_truncation(sizes, k=3, default="100"):
 
     arc = types.SimpleNamespace(n=100, k=k, ctx=STUB_CTX, term=term)
     with STUB_CTX.workdps():
-        return circle.mstar_numeric(arc), asked, circle.mstar_theory(100, k, circle.MSTAR_CTX)
+        return circle.mstar_numeric(arc), asked, circle.mstar_theory(100, k)
 
 
 class TestMstarExits:
     """One stub arc per exit of mstar_numeric and per rule it applies."""
 
-    GATE = int(circle.mstar_theory(100, 3, circle.MSTAR_CTX) / 2)
+    GATE = int(circle.mstar_theory(100, 3) / 2)
 
     @pytest.fixture(autouse=True)
     def _stub_precision(self):
@@ -407,7 +425,7 @@ def test_truncation_invariants(k, head, window, tail):
     # head up to 4 steps before the minimum gate, then the signed window,
     # then tail to the cap
     step = 2 if k <= 2 else 1
-    gate = int(circle.mstar_theory(100, k, circle.MSTAR_CTX) / 2)
+    gate = int(circle.mstar_theory(100, k) / 2)
     start = gate - 4 * step
     sizes = {m: head for m in range(start)}
     sizes.update((start + i * step, ("-" if neg else "") + v)

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import mpmath
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 from mpmath import mp
 
 import oracles
@@ -81,6 +83,22 @@ class TestIntegerDots:
                         continue
                     assert abs(pp.c_hk(h, k, ctx) - oracles.c_hk_fdot(h, k, ctx)) < ctx.eps, (h, k)
                     assert abs(pp.b_hk(h, k, ctx) - oracles.b_hk_fdot(h, k, ctx)) < ctx.eps, (h, k)
+
+
+# contexts by their bits: 160 (the 30-digit floor), 352, 544 and 1312
+ROW_CONTEXTS = {ctx.bits: ctx for ctx in map(pp.PrecisionContext, (30, 74, 132, 363))}
+
+
+@given(dot=st.one_of(st.integers(-(1 << 64), 1 << 64), st.integers(-(1 << 4000), 1 << 4000)),
+       den=st.one_of(st.integers(1, 1 << 64), st.integers(1, 1 << 2000),
+                     st.integers(0, 2000).map(lambda e: 1 << e)),
+       bits=st.sampled_from([160, 352, 544, 1312]))
+@example(dot=0, den=3, bits=160)
+@example(dot=(1 << 160) + 1, den=1, bits=160)  # a tie, to even: toward 0
+@example(dot=-(3 << 1311) - 3, den=2, bits=1312)  # a tie, to even: away from 0
+def test_row_value_matches_mpf_div(dot, den, bits):
+    assert dedekind._row_value(dot, den, ROW_CONTEXTS[bits]) == oracles.row_value_mpf_div(
+        dot, den, bits)
 
 
 class TestRademacherGrosswaldIdentity:
