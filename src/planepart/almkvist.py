@@ -18,16 +18,16 @@ and n.
 saddle_data solves the saddle cubic for g once and returns everything the
 truncation-point formulas downstream read from it: f1, f1', f1'', f2 and c
 (the large-x estimate itself is in tests/oracles.py).  It is the one owner
-of the cubic.  Given a context it solves at that precision; without one it
-runs only its float Newton and returns Python floats, which is all an arc's
-truncation gate and cap need (circle.mstar_theory), so the estimate solves
-the cubic once per summed arc and never at an mpmath precision.
+of the cubic, and each quantity has one expression, evaluated in the number
+type arith.number_type chooses: mpfs at a context's working precision, or,
+without a context, the float mode, Python floats.  The float mode is all an
+arc's truncation gate and cap need (circle.mstar_theory), so the estimate
+solves the cubic once per summed arc and never at an mpmath precision.
 """
 
 from __future__ import annotations
 
 import math
-from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -36,7 +36,7 @@ import mpmath
 from mpmath import mp
 from mpmath.libmp import from_int, mpf_div, mpf_mul
 
-from .arith import PrecisionContext, constants
+from .arith import PrecisionContext, constants, number_type
 
 
 @dataclass(frozen=True)
@@ -162,27 +162,18 @@ class SaddleData:  # mpfs at a context's precision, or floats
 
 def _g_of_lambda(lam):
     """Positive root of g^3 + 3 lam g^2 = 1 (the g(0) = 1 branch), by Newton
-    in floats from g = 1; for an mpf lam, then at the working precision from
-    the float root until the step is below 10^-dps of g."""
+    in lam's number type (arith.number_type) from g = 1 until the step is
+    at most 10^-dps of g, at the scope's decimal precision dps: 10^-15 for
+    floats."""
     # G(1) = 3 lam >= 0 and G is increasing/convex for g > 0, so Newton from
     # g = 1 falls monotonically onto the root
-    g, lf = 1.0, float(lam)
+    g = lam ** 0  # 1 in lam's number type
+    tol = g / 10 ** mp.dps
     for _ in range(200):
-        step = (g * g * (g + 3 * lf) - 1) / (3 * g * (g + 2 * lf))
-        if not step > 1e-15 * g:
+        step = (g * g * (g + 3 * lam) - 1) / (3 * g * (g + 2 * lam))
+        if not step > tol * g:
             break
         g -= step
-    if isinstance(lam, float):
-        return g
-    g = mpmath.mpf(g)
-    tol = mpmath.mpf(10) ** (-mp.dps)
-    for _ in range(200):
-        f = g * g * (g + 3 * lam) - 1
-        fp = 3 * g * (g + 2 * lam)
-        step = f / fp
-        g -= step
-        if abs(step) < tol * g:
-            break
     return g
 
 
@@ -191,16 +182,17 @@ def saddle_data(lam, ctx: PrecisionContext | None = None) -> SaddleData:
 
     g is the positive root of g^3 + 3 lam g^2 = 1, and f1' = 2 log g, so the
     truncation scale c(lam) = 4 pi^2 e^(-f1'/2) / (2a)^(1/3) is
-    4 pi^2 / (g (2a)^(1/3)).  With ctx, every field is an mpf at ctx's
-    working precision.  Without it, every field is a Python float: g from
-    the float Newton alone, the rest from math, with pi and a from
+    4 pi^2 / (g (2a)^(1/3)).  Each field has one expression, read in the
+    number type of arith.number_type(ctx): with ctx, an mpf at its working
+    precision; without it, a Python float from math, with pi and a from
     constants() as floats.  g, f1'' and c then hold about 1e-15 relative;
     f1, f1' and f2, which vanish at lam = 0 and cancel near it, hold about
     1e-15 absolute (f1 is about -lam^2).  circle.mstar_theory reads this
     float solve for each arc's truncation gate and cap."""
-    cst, lib = constants(ctx), mp if ctx else math
-    with ctx.workdps() if ctx else nullcontext():
-        lv = mpmath.mpf(lam) if ctx else float(lam)
+    cst = constants(ctx)
+    scope, one, lib = number_type(ctx)
+    with scope:
+        lv = lam * one
         if lv < 0:
             raise ValueError("saddle_data requires lam >= 0")
         g = _g_of_lambda(lv)
@@ -209,5 +201,5 @@ def saddle_data(lam, ctx: PrecisionContext | None = None) -> SaddleData:
         f1p = 2 * logg
         f1pp = -2 / (g + 2 * lv)
         f2 = g * g / lib.sqrt(1 - lv * g * g) - 1
-        c = 4 * cst.pi**2 / (g * (mp.cbrt(2 * cst.a) if ctx else (2 * cst.a) ** (1 / 3)))
+        c = 4 * cst.pi**2 / (g * (2 * cst.a) ** (one / 3))
         return SaddleData(g=g, f1=f1, f1p=f1p, f1pp=f1pp, f2=f2, c=c)

@@ -66,11 +66,15 @@ class PrecisionContext:
         (the Almkvist seeds' 1/Gamma values, dedekind's trig and log-sine
         rows, Glaisher's constant).
 
-        Each table is built at, and keyed by, bits, so the nearby
-        precisions of many estimates share one table, and which table a
-        value comes from is set by the precision asked for, not by what ran
-        before.  An arc's integer state depends on the precision through
-        bits alone; each of its terms is rounded to prec once, at the end."""
+        The Almkvist seeds and dedekind's rows are built at, and keyed by,
+        bits, so the nearby precisions of many estimates share one table,
+        and which table a value comes from is set by the precision asked
+        for, not by what ran before.  constants, derived_constants and
+        circle.lambda_c are cached by the context itself: each holds values
+        at bits (lambda_c at the working precision), and a context is equal
+        to another of the same decimal_digits.  An arc's integer state
+        depends on the precision through bits alone; each of its terms is
+        rounded to prec once, at the end."""
         return (self.prec + 8 + 63) // 64 * 64 + GUARD_BITS
 
     @cached_property
@@ -128,6 +132,16 @@ def derived_constants(ctx: PrecisionContext | None = None) -> DerivedConstants:
         )
         c2 = 3 * mp.mpf(2) ** (-2 * third) * cst.a ** third
     return DerivedConstants(c1=c1, c2=c2)
+
+
+def number_type(ctx: PrecisionContext | None = None):
+    """(scope, one, lib): the precision scope, the unit 1 and the module of
+    elementary functions the saddle quantities are evaluated in.  With ctx,
+    mpfs at its working precision and mpmath; without it, Python floats and
+    math, in a 15-digit scope (the decimal digits a float holds), as
+    constants() and derived_constants() give floats without a context.
+    This is the one place that chooses between floats and mpmath."""
+    return (ctx.workdps(), mpmath.mpf(1), mp) if ctx else (mp.workdps(15), 1.0, math)
 
 
 # ---------------------------------------------------------------------------

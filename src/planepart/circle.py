@@ -17,7 +17,8 @@ import mpmath
 from mpmath import mp
 from mpmath.libmp import from_man_exp
 
-from .arith import PrecisionContext, PrecisionError, constants, derived_constants, precision_for
+from .arith import (PrecisionContext, PrecisionError, constants, derived_constants, number_type,
+                    precision_for)
 from .almkvist import almkvist_series, saddle_data
 from .dedekind import CoeffGenerator, _dot, _from_mpf, _normalize, _trig_fixed_row, c_hk
 from .exact import p2_exact_table
@@ -32,15 +33,13 @@ LADDER_SEED = 32  # an Arc's first Almkvist series: most arcs stop below this m
 
 
 def lambda_param(n: int, k: int, ctx: PrecisionContext | None = None):
-    """lam = k^2 / (24 c2 n^(2/3)), at ctx's precision or, without ctx, as a
-    Python float."""
+    """lam = k^2 / (24 c2 n^(2/3)), in ctx's number type (arith.number_type):
+    an mpf at its working precision or, without ctx, a Python float."""
     if n < 1 or k < 1:
         raise ValueError("lambda_param requires n, k >= 1")
-    der = derived_constants(ctx)
-    if ctx is None:
-        return k * k / (24 * der.c2 * n ** (2 / 3))
-    with ctx.workdps():
-        return mpmath.mpf(k * k) / (24 * der.c2 * mpmath.mpf(n) ** (mpmath.mpf(2) / 3))
+    scope, one, _ = number_type(ctx)
+    with scope:
+        return k * k / (24 * derived_constants(ctx).c2 * n ** (2 * one / 3))
 
 
 def d_of_lambda(lam, ctx: PrecisionContext):
@@ -213,17 +212,16 @@ class Arc:
 
 
 def mstar_theory(n: int, k: int, ctx: PrecisionContext | None = None):
-    """Predicted truncation point M*(n,k) from the saddle-point analysis, at
-    ctx's precision or, without ctx, as a Python float from one float solve
-    of the saddle cubic (saddle_data): what mstar_numeric reads."""
+    """Predicted truncation point M*(n,k) from the saddle-point analysis, in
+    ctx's number type (see lambda_param): without ctx, a Python float from
+    one float solve of the saddle cubic (saddle_data), which is what
+    mstar_numeric reads."""
     if n < 1 or k < 1:
         raise ValueError("mstar_theory requires n, k >= 1")
-    if ctx is None:
-        return _mstar_of_saddle(k, saddle_data(lambda_param(n, k)), derived_constants().c2,
-                                n ** (1 / 3))
-    with ctx.workdps():
+    scope, one, _ = number_type(ctx)
+    with scope:
         return _mstar_of_saddle(k, saddle_data(lambda_param(n, k, ctx), ctx),
-                                derived_constants(ctx).c2, mpmath.mpf(n) ** (mpmath.mpf(1) / 3))
+                                derived_constants(ctx).c2, n ** (one / 3))
 
 
 def _mstar_of_saddle(k: int, sd, c2, n13):
@@ -331,8 +329,7 @@ def sa_error_bound(n: int, k: int, ctx: PrecisionContext):
         if lam > lambda_c(ctx):
             raise ValueError("sa_error_bound is only claimed for lam <= lam_c")
         sd = saddle_data(lam, ctx)
-        nf = mpmath.mpf(n)
-        n13 = nf ** (mpmath.mpf(1) / 3)
+        n13 = mpmath.mpf(n) ** (mpmath.mpf(1) / 3)
         c, mstar = sd.c, _mstar_of_saddle(k, sd, der.c2, n13)
         n23 = n13 * n13
         pref = (mpmath.mpf(k) ** (-mpmath.mpf(1) / 2) * der.c1**k
@@ -373,8 +370,7 @@ def phi0_bound(n: int, k: int, ctx: PrecisionContext):
     with ctx.workdps():
         lam = lambda_param(n, k, ctx)
         sd = saddle_data(lam, ctx)
-        nf = mpmath.mpf(n)
-        n23 = nf ** (mpmath.mpf(2) / 3)
+        n23 = mpmath.mpf(n) ** (mpmath.mpf(2) / 3)
         kf = mpmath.mpf(k)
         bound1 = (der.c1**k * (kf * kf / n23) ** (1 + kf / 24)
                   / ((2 * cst.a) ** (-mpmath.mpf(1) / 6) * mp.sqrt(6 * cst.pi * kf**3))
@@ -408,6 +404,8 @@ def p2_estimate(n: int, kappa2=None, digits: int | None = None,
     """
     if n < 1:
         raise ValueError("p2_estimate requires n >= 1")
+    if kappa2 is not None and not mp.isfinite(mpmath.mpf(kappa2)):
+        raise ValueError(f"p2_estimate requires a finite kappa2, not {kappa2}")
     ctx = precision_for(n, digits)
     uncertified = f"{ctx.decimal_digits} digits cannot certify the units place of p2({n})"
     per_k: list[PhiBreakdown] = []

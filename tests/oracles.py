@@ -264,17 +264,23 @@ def vp_hk_cot(p: int, h: int, k: int, ctx):
 
 
 def g_radical(lam, ctx):
-    """Closed radical form of g(lam), valid while 1 - 4 lam^3 >= 0 (cross-check)."""
+    """Closed form of g(lam) (cross-check).  With g = t - lam the cubic is
+    t^3 - 3 lam^2 t + 2 lam^3 - 1 = 0.  While 1 - 4 lam^3 >= 0, Cardano:
+    t = u + lam^2 / u with u^3 = (1 - 2 lam^3 + sqrt(1 - 4 lam^3)) / 2; the
+    second cube root is taken as lam^2 / u, since its radical
+    (1 - 2 lam^3 - sqrt(1 - 4 lam^3)) / 2, about lam^6, cancels for small
+    lam.  Past lam^3 = 1/4 the cubic has three real roots, and Viete's
+    trigonometric form gives the largest, t = 2 lam cos((pi - d)/3) with
+    d = 2 asin(lam^(-3/2) / 2); so g = lam (sqrt(3) sin(d/3) - 2 sin(d/6)^2),
+    which does not cancel as 2 cos((pi - d)/3) - 1 does for large lam."""
     with ctx.workdps():
         lv = mpmath.mpf(lam)
         disc = 1 - 4 * lv**3
         if disc < 0:
-            raise ValueError("radical form leaves the real branch past lam^3 = 1/4")
-        root = mp.sqrt(disc)
-        third = mpmath.mpf(1) / 3
-        t1 = (1 - 2 * lv**3 + root) / 2
-        t2 = (1 - 2 * lv**3 - root) / 2
-        return -lv + mp.sign(t1) * abs(t1) ** third + mp.sign(t2) * abs(t2) ** third
+            d = 2 * mp.asin(lv ** (-mpmath.mpf(3) / 2) / 2)
+            return lv * (mp.sqrt(3) * mp.sin(d / 3) - 2 * mp.sin(d / 6) ** 2)
+        u = mp.cbrt((1 - 2 * lv**3 + mp.sqrt(disc)) / 2)
+        return u + lv * lv / u - lv
 
 
 def sigma2_by_enumeration(n: int) -> int:

@@ -146,11 +146,16 @@ class TestSeries:
             assert 3.5 < ratio < 4.5
 
 
+# lam from below arc 1's at n = 7100 (5.6e-5) up past arc 499's at n = 1
+# (about 5.2e3): the working-precision Newton starts from g = 1 across it
+WIDE_LAMBDAS = ("1e-6", "5.6e-5", "10", "1e3", "5e3")
+
+
 class TestSaddle:
     def test_cubic_residual_on_grid(self, ctx50):
         with ctx50.workdps():
             tol = mpmath.mpf(10) ** (-(ctx50.decimal_digits - 10))
-            for lam_s in ("0", "0.01", "0.05", "0.18", "0.5", "2"):
+            for lam_s in ("0", "0.01", "0.05", "0.18", "0.5", "2", *WIDE_LAMBDAS):
                 lam = mpmath.mpf(lam_s)
                 sd = pp.saddle_data(lam, ctx50)
                 assert abs(sd.g**3 + 3 * lam * sd.g**2 - 1) < tol
@@ -173,7 +178,7 @@ class TestSaddle:
 
     def test_radical_form_agrees(self, ctx50):
         with ctx50.workdps():
-            for lam_s in ("0", "0.1", "0.18", "0.6"):
+            for lam_s in ("0", "0.1", "0.18", "0.6", *WIDE_LAMBDAS):
                 lam = mpmath.mpf(lam_s)
                 g_newton = pp.saddle_data(lam, ctx50).g
                 g_rad = oracles.g_radical(lam, ctx50)

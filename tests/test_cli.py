@@ -113,6 +113,11 @@ class TestEstimate:
         assert code == 2
         assert "N(n)" in err
 
+    def test_non_finite_kappa2_exits_2(self, capsys):
+        code, _, err = run(capsys, "estimate", "50", "--kappa2", "nan")
+        assert code == 2
+        assert "kappa2" in err
+
 
 class TestPhi:
     def test_table1_k5_row(self, capsys):

@@ -142,3 +142,35 @@ def test_kernels_build_no_context(name):
              for sub in ast.walk(fn) if isinstance(sub, ast.Call)
              and getattr(sub.func, "id", getattr(sub.func, "attr", None)) == "PrecisionContext"]
     assert built == []
+
+
+def is_float_test(node) -> bool:
+    """isinstance(..., float) or isinstance(..., (..., float, ...))."""
+    if not (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"):
+        return False
+    kinds = node.args[1].elts if isinstance(node.args[1], ast.Tuple) else [node.args[1]]
+    return any(getattr(kind, "id", None) == "float" for kind in kinds)
+
+
+def is_context_branch(node) -> bool:
+    """A branch on whether a context was given: ctx, not ctx, ctx is (not) None."""
+    if not isinstance(node, (ast.If, ast.IfExp)):
+        return False
+    test = node.test.operand if isinstance(node.test, ast.UnaryOp) else node.test
+    if isinstance(test, ast.Compare):
+        test = test.left if all(isinstance(op, (ast.Is, ast.IsNot)) for op in test.ops) else None
+    return isinstance(test, ast.Name) and test.id == "ctx"
+
+
+def test_only_arith_chooses_floats_or_mpmath():
+    # lam, M* and the saddle cubic's Newton are one expression each, read in
+    # the number type arith.number_type gives (Python floats without a
+    # context, mpfs at its working precision with one): no other module
+    # picks a precision scope, and the saddle layers neither test for
+    # floats nor branch on whether a context was given
+    assert [p.name for p in MODULES
+            if p.name != "arith.py" and references(TREES[p])["nullcontext"]] == []
+    branches = [f"{name}:{sub.lineno}" for name in ("almkvist.py", "circle.py")
+                for fn in ast.walk(TREES[SRC / name]) if isinstance(fn, ast.FunctionDef)
+                for sub in ast.walk(fn) if is_float_test(sub) or is_context_branch(sub)]
+    assert branches == []

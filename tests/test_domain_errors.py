@@ -12,8 +12,10 @@ REJECTED = {
     "precision_for(0)": lambda: pp.precision_for(0),
     "bernoulli_number(-1)": lambda: pp.bernoulli_number(-1),
     "lambda_param(0, 1)": lambda: pp.lambda_param(0, 1, CTX),
+    "lambda_param(0, 1) in floats": lambda: pp.lambda_param(0, 1),
     "d_of_lambda(0)": lambda: pp.d_of_lambda(0, CTX),
     "mstar_theory(1, 0)": lambda: pp.mstar_theory(1, 0, CTX),
+    "mstar_theory(1, 0) in floats": lambda: pp.mstar_theory(1, 0),
     "n_cutoff_theory(0)": lambda: pp.n_cutoff_theory(0, "0.5", CTX),
     "minor_arc_bound(0)": lambda: pp.minor_arc_bound(0, "0.5", CTX),
     "vp_rational(1, 1, 3)": lambda: dedekind.vp_rational(1, 1, 3),
