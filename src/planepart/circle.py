@@ -233,14 +233,18 @@ def mstar_numeric(arc: Arc) -> PhiBreakdown:
     """Sum the arc's phi^(m)_k in increasing m (even m for k <= 2) in one
     pass, ending the kept terms at m_star_used on one of three exits:
     below-floor (a nonzero term under M_FLOOR), minimum-found (two
-    consecutive increases of |phi^(m)|, or a term over 8x the running
-    minimum, among the armed terms, the nonzero terms at m >= min_gate;
-    the terms end at that minimum) or exhausted (m reached 3 M*(n,k) + 60).
+    consecutive increases of the pair size among the armed pairs; the terms
+    end at the minimum pair's last term) or exhausted (m reached
+    3 M*(n,k) + 60).  For k >= 3 a pair is an even m and the odd m after it,
+    of size |phi^(m)| + |phi^(m+1)|: the series splits by the parity of m,
+    and the parities can run at sizes 40x apart.  For k <= 2 the odd terms
+    are exact zeros, so each even term is its own pair.  A pair is armed
+    from its even m >= min_gate on, unless its size is exactly 0.
     min_gate = int(M*/2) and the cap read M* from mstar_theory in floats:
     only their integer parts matter, and on a grid of n up to 7100 and k up
     to 67 they equal a 30-digit solve's (tests/test_circle.py).
     trunc_error_est is the last kept term's size, or on minimum-found the
-    next armed term's.  Exact zeros are summed but end nothing, so the
+    next armed pair's size.  Exact zeros are summed but end nothing, so the
     exit depends on the terms alone, not on the working precision."""
     n, k, ctx = arc.n, arc.k, arc.ctx
     with ctx.workdps():
@@ -248,49 +252,53 @@ def mstar_numeric(arc: Arc) -> PhiBreakdown:
         theory = mstar_theory(n, k)
         # Near-cancellation dips in the head of the series (before the
         # asymptotic decay regime) can mimic the superasymptotic minimum;
-        # the minimum rules stay disarmed until m reaches half the
+        # the minimum rule stays disarmed until m reaches half the
         # theoretical minimum location.
         min_gate = int(theory / 2)
         terms: list[TermRecord] = []
-        armed: list[tuple[int, mpmath.mpf]] = []  # (index in terms, size) of each armed term
-        low = None  # index in armed of the running minimum
+        # (index in terms of its last term, size) of each armed pair
+        armed: list[tuple[int, mpmath.mpf]] = []
         stop_reason = "exhausted"
         for m in range(0, int(3 * theory) + 61, 2 if k <= 2 else 1):
             val = arc.term(m)
             ab = abs(val)
             terms.append(TermRecord(m=m, value=val))
             # Structural zeros (the h-sum cancels) carry no size information:
-            # they are kept in the sum but ignored by the floor and minimum
-            # rules.  They are exact zeros: the trig rows set cos = 0 at
-            # j = k/4 and -1 at j = k/2 exactly, and the h-sum is one integer
-            # dot product, so a cancelling sum comes out exactly 0.
-            if not ab:
-                continue
-            if ab < floor_v:
+            # they are kept in the sum but ignored by the floor rule, and a
+            # pair of two of them is not armed.  They are exact zeros: the
+            # trig rows set cos = 0 at j = k/4 and -1 at j = k/2 exactly, and
+            # the h-sum is one integer dot product, so a cancelling sum comes
+            # out exactly 0.
+            if ab and ab < floor_v:
                 stop_reason = "below-floor"
                 break
-            if m < min_gate:
+            # the pair of m - m % 2 is read at its last term: at its odd m
+            # for k >= 3, at its even m for k <= 2
+            size = size + ab if m % 2 else ab
+            if (k > 2 and not m % 2) or m - m % 2 < min_gate or not size:
                 continue
-            armed.append((len(terms) - 1, ab))
-            if low is None or ab < armed[low][1]:
-                low = len(armed) - 1
-            # The minimum term is declared either after two consecutive
-            # increases of |phi^(m)| or once a term exceeds 8x the
-            # running minimum (the divergent tail can zig-zag between
-            # parities, which defeats the consecutive-increase test).
-            two_incr = len(armed) >= 3 and ab > armed[-2][1] > armed[-3][1]
-            if two_incr or ab > 8 * armed[low][1]:
+            armed.append((len(terms) - 1, size))
+            if len(armed) >= 3 and size > armed[-2][1] > armed[-3][1]:
                 stop_reason = "minimum-found"
                 break
         trunc, computed = ab, len(terms)
         if stop_reason == "minimum-found":
-            # the first neglected armed term after the minimum (the current
-            # term at the latest)
+            # the first neglected armed pair after the minimum (the current
+            # pair at the latest)
+            low = min(range(len(armed)), key=lambda i: armed[i][1])
             trunc = armed[low + 1][1]
             del terms[armed[low][0] + 1:]
         return PhiBreakdown(k=k, m_star_used=terms[-1].m, terms=terms, terms_computed=computed,
                             phi_value=mp.fsum(r.value for r in terms),
                             trunc_error_est=trunc, stop_reason=stop_reason)
+
+
+def _finite_kappa2(kappa2):
+    """kappa2 as an mpf at the working precision; ValueError unless finite
+    (an infinite or nan kappa2 has no N(n) and no Type I bound)."""
+    if not mp.isfinite(mpmath.mpf(kappa2)):
+        raise ValueError(f"kappa2 must be finite, not {kappa2}")
+    return mpmath.mpf(kappa2)
 
 
 def n_cutoff_theory(n: int, kappa2, ctx: PrecisionContext):
@@ -302,7 +310,7 @@ def n_cutoff_theory(n: int, kappa2, ctx: PrecisionContext):
         n13 = mpmath.mpf(n) ** (mpmath.mpf(1) / 3)
         beta3 = mpmath.mpf("1.587") + mpmath.mpf("2.936") * mpmath.mpf("0.06")
         return (mpmath.mpf("2.948") * n13
-                + (mpmath.mpf("2.936") * mpmath.mpf(kappa2) - mpmath.mpf("1.468"))
+                + (mpmath.mpf("2.936") * _finite_kappa2(kappa2) - mpmath.mpf("1.468"))
                 * mp.log(n) + beta3)
 
 
@@ -353,7 +361,7 @@ def minor_arc_bound(n: int, kappa2, ctx: PrecisionContext) -> MinorArcBound:
     with ctx.workdps():
         kappa3 = mp.log(mpmath.mpf("1.06"))
         nf = mpmath.mpf(n)
-        type1 = mpmath.mpf("1.06") * nf ** (-mpmath.mpf(kappa2)) * mp.exp(-kappa3)
+        type1 = mpmath.mpf("1.06") * nf ** (-_finite_kappa2(kappa2)) * mp.exp(-kappa3)
         d0 = d_of_lambda(mpmath.mpf(LAMBDA0), ctx)
         beta1 = mpmath.mpf("2.948")
         c3 = -(beta1 / 24) * mp.log(d0)
@@ -404,8 +412,6 @@ def p2_estimate(n: int, kappa2=None, digits: int | None = None,
     """
     if n < 1:
         raise ValueError("p2_estimate requires n >= 1")
-    if kappa2 is not None and not mp.isfinite(mpmath.mpf(kappa2)):
-        raise ValueError(f"p2_estimate requires a finite kappa2, not {kappa2}")
     ctx = precision_for(n, digits)
     uncertified = f"{ctx.decimal_digits} digits cannot certify the units place of p2({n})"
     per_k: list[PhiBreakdown] = []

@@ -233,18 +233,19 @@ class TestMstar:
         with ctx.workdps():
             assert b.trunc_error_est == abs(circle.Arc(6999, 2, ctx).term(442))
 
-    def test_blowup_exit_entry_is_the_next_armed_term_6385_k3(self):
-        # the odd terms sit about 3x above the even ones: |phi^(319)| is
-        # over 8x the minimum |phi^(288)|, with no two consecutive increases
+    def test_pair_minimum_entry_is_the_next_pair_6385_k3(self):
+        # the odd terms sit about 3x above the even ones; the pairs
+        # (288, 289), (290, 291) and (292, 293) rise twice, so the terms
+        # end at m = 289, two pairs past it
         ctx = pp.precision_for(6385)
         arc = circle.Arc(6385, 3, ctx)
         b = circle.mstar_numeric(arc)
-        assert (b.stop_reason, b.m_star_used, b.terms_computed) == ("minimum-found", 288, 320)
+        assert (b.stop_reason, b.m_star_used, b.terms_computed) == ("minimum-found", 289, 294)
         with ctx.workdps():
-            sizes = [abs(arc.term(m)) for m in (288, 289, 317, 318, 319)]
-            assert sizes[4] > 8 * sizes[0] and not sizes[4] > sizes[3] > sizes[2]
-            assert b.trunc_error_est == sizes[1]
-            assert mp.nstr(b.trunc_error_est, 3) == "0.00329"
+            pairs = [abs(arc.term(m)) + abs(arc.term(m + 1)) for m in (286, 288, 290, 292)]
+            assert pairs[0] > pairs[1] < pairs[2] < pairs[3]
+            assert b.trunc_error_est == pairs[2]
+            assert mp.nstr(b.trunc_error_est, 3) == "0.0044"
 
     def test_theory_numeric_consistency(self, mstar_7000_k1, monkeypatch):
         # for n < ~6400 the superasymptotic minimum lies below both the
@@ -344,6 +345,8 @@ class TestMstarExits:
     """One stub arc per exit of mstar_numeric and per rule it applies."""
 
     GATE = int(circle.mstar_theory(100, 3) / 2)
+    # the first pair the minimum rule arms: the first even m >= GATE
+    P = GATE + GATE % 2
 
     @pytest.fixture(autouse=True)
     def _stub_precision(self):
@@ -360,23 +363,34 @@ class TestMstarExits:
         assert b.phi_value == mpmath.mpf("1.6105")
 
     def test_minimum_by_two_increases(self):
-        g = self.GATE
-        b, asked, _ = stub_truncation({g: "0.5", g + 1: "0.2", g + 2: "0.3", g + 3: "0.4"})
+        # pair sizes 0.75, 0.1875, 0.3125, 0.5: the terms end at the odd
+        # term of the minimum pair, and the entry is the next pair's size
+        p = self.P
+        b, asked, _ = stub_truncation({p: "0.5", p + 1: "0.25", p + 2: "0.125",
+                                       p + 3: "0.0625", p + 4: "0.25", p + 5: "0.0625",
+                                       p + 6: "0.25", p + 7: "0.25"})
         assert b.stop_reason == "minimum-found"
-        assert asked[-1] == g + 3 and b.terms_computed == len(asked)
-        assert b.m_star_used == g + 1
-        assert [r.m for r in b.terms] == list(range(g + 2))
-        assert b.trunc_error_est == mpmath.mpf("0.3")
+        assert asked[-1] == p + 7 and b.terms_computed == len(asked)
+        assert b.m_star_used == p + 3
+        assert [r.m for r in b.terms] == list(range(p + 4))
+        assert b.trunc_error_est == mpmath.mpf("0.3125")
 
-    def test_minimum_by_blowup_on_zigzag(self):
-        # the tail never rises twice in a row; g + 4 exceeds 8x the minimum
-        g = self.GATE
-        b, asked, _ = stub_truncation({g: "0.5", g + 1: "0.1", g + 2: "0.4",
-                                       g + 3: "0.3", g + 4: "0.9"})
+    def test_parity_split_minimum_is_a_pair_minimum(self):
+        # the odd terms sit 16-64x above the even ones, as in a k >= 3
+        # series.  Read on single terms, |phi^(p+1)| is over 8x the running
+        # minimum |phi^(p)|, and a minimum rule with that exit ends the
+        # series at m = p, dropping an odd tail larger than what it keeps.
+        # The pair sizes 0.53125, 0.265625, 0.1328125, 0.265625, 0.53125
+        # have their minimum at (p + 4, p + 5)
+        p = self.P
+        b, asked, _ = stub_truncation({p: "0.03125", p + 1: "0.5", p + 2: "0.015625",
+                                       p + 3: "0.25", p + 4: "0.0078125", p + 5: "0.125",
+                                       p + 6: "0.015625", p + 7: "0.25", p + 8: "0.03125",
+                                       p + 9: "0.5"})
         assert b.stop_reason == "minimum-found"
-        assert asked[-1] == g + 4 and b.terms_computed == len(asked)
-        assert b.m_star_used == g + 1
-        assert b.trunc_error_est == mpmath.mpf("0.4")
+        assert asked[-1] == p + 9
+        assert b.m_star_used == p + 5
+        assert b.trunc_error_est == mpmath.mpf("0.265625")
 
     def test_exhausted_at_cap(self):
         b, asked, theory = stub_truncation({})
@@ -386,14 +400,21 @@ class TestMstarExits:
         assert b.trunc_error_est == 100
 
     def test_dip_before_gate_is_not_the_minimum(self):
-        # g - 3 is smaller than the later minimum and is followed by two
-        # increases, but the minimum rules are not armed before the gate
-        g = self.GATE
-        b, _, _ = stub_truncation({g - 3: "0.2", g - 2: "0.5", g - 1: "0.9",
-                                   g: "0.5", g + 1: "0.3", g + 2: "0.4", g + 3: "0.6"})
+        # the pairs (p - 4, p - 3) and (p - 2, p - 1) are smaller than the
+        # later minimum and are followed by two increases, but the rule arms
+        # a pair from its even m >= GATE on; GATE is odd, so the second dip
+        # pair ends at the gate and is still not armed
+        p = self.P
+        assert p == self.GATE + 1
+        b, asked, _ = stub_truncation({p - 4: "0.125", p - 3: "0.0625", p - 2: "0.0625",
+                                       p - 1: "0.125", p: "0.25", p + 1: "0.25",
+                                       p + 2: "0.5", p + 3: "0.5", p + 4: "0.25",
+                                       p + 5: "0.125", p + 6: "0.25", p + 7: "0.25",
+                                       p + 8: "0.5", p + 9: "0.25"})
         assert b.stop_reason == "minimum-found"
-        assert b.m_star_used == g + 1
-        assert b.trunc_error_est == mpmath.mpf("0.4")
+        assert asked[-1] == p + 9
+        assert b.m_star_used == p + 5
+        assert b.trunc_error_est == mpmath.mpf("0.5")
 
     def test_exact_zeros_kept_but_skipped(self):
         # zeros are below the floor and below every term, yet end nothing
@@ -405,6 +426,19 @@ class TestMstarExits:
         assert [r.m for r in b.terms] == list(range(g + 3))
         assert all(b.terms[m].value == 0 for m in (0, g - 1, g + 1))
         assert b.trunc_error_est == mpmath.mpf("0.3")
+
+    def test_zero_pair_is_summed_but_not_armed(self):
+        # the pair (p + 2, p + 3) is exactly 0: it is no minimum, and the
+        # pairs 0.5, 0.25, 0.375, 0.5 around it end at (p + 4, p + 5)
+        p = self.P
+        b, asked, _ = stub_truncation({p: "0.25", p + 1: "0.25", p + 2: "0", p + 3: "0",
+                                       p + 4: "0.125", p + 5: "0.125", p + 6: "0.25",
+                                       p + 7: "0.125", p + 8: "0.25", p + 9: "0.25"})
+        assert b.stop_reason == "minimum-found"
+        assert asked[-1] == p + 9
+        assert b.m_star_used == p + 5
+        assert b.terms[p + 2].value == b.terms[p + 3].value == 0
+        assert b.trunc_error_est == mpmath.mpf("0.375")
 
     def test_small_k_steps_by_two(self):
         # k <= 2 has no odd terms: only even m are asked for and kept
@@ -427,16 +461,20 @@ STUB_SIZES = ("0", "1e-70", "0.0002", "0.002", "0.1", "0.2", "0.3", "0.5", "1", 
 
 @given(k=st.sampled_from([2, 3]), head=st.sampled_from(STUB_SIZES),
        window=st.lists(st.tuples(st.sampled_from(STUB_SIZES), st.booleans()), max_size=16),
-       tail=st.sampled_from(("0", "0.002", "1", "100")))
-def test_truncation_invariants(k, head, window, tail):
+       tail=st.sampled_from(("0", "0.002", "1", "100")), climb=st.booleans())
+def test_truncation_invariants(k, head, window, tail, climb):
     # head up to 4 steps before the minimum gate, then the signed window,
-    # then tail to the cap
+    # then tail to the cap; with climb, the 6 steps after the window double
+    # from 1, so that the pair sizes rise past the window
     step = 2 if k <= 2 else 1
     gate = int(circle.mstar_theory(100, k) / 2)
     start = gate - 4 * step
+    end = start + len(window) * step
     sizes = {m: head for m in range(start)}
     sizes.update((start + i * step, ("-" if neg else "") + v)
                  for i, (v, neg) in enumerate(window))
+    if climb:
+        sizes.update((end + i * step, 2**i) for i in range(6))
     b, asked, theory = stub_truncation(sizes, k=k, default=tail)
     ms = [r.m for r in b.terms]
     with STUB_CTX.workdps():
@@ -444,24 +482,32 @@ def test_truncation_invariants(k, head, window, tail):
         assert b.terms_computed == len(asked)
         assert b.m_star_used == ms[-1]
         assert b.phi_value == mp.fsum(r.value for r in b.terms)
-        # the sized terms: every nonzero term
-        sized = []
-        for m in asked:
-            ab = abs(mpmath.mpf(sizes.get(m, tail)))
-            if ab != 0:
-                sized.append((m, ab))
+        size = {m: abs(mpmath.mpf(sizes.get(m, tail))) for m in asked}
+        # only the last term asked for may be a nonzero term below the floor
+        floor = mpmath.mpf(circle.M_FLOOR)
+        assert not any(0 < size[m] < floor for m in asked[:-1])
+        # the armed pairs, (last m, size): an even m >= gate and, for k >= 3,
+        # the odd m after it, unless the pair is exactly 0
+        armed = [(m + 2 - step, size[m] + size.get(m + 1, 0)) for m in asked
+                 if m % 2 == 0 and m >= gate and m + 2 - step in size]
+        armed = [(m, s) for m, s in armed if s != 0]
+        rises = [i for i in range(2, len(armed))
+                 if armed[i][1] > armed[i - 1][1] > armed[i - 2][1]]
         last = abs(b.terms[-1].value)
         if b.stop_reason == "below-floor":
-            assert 0 < last < mpmath.mpf(circle.M_FLOOR)
-            assert sized[-1] == (ms[-1], last) and b.trunc_error_est == last
+            assert 0 < last < floor and asked[-1] == ms[-1]
+            assert b.trunc_error_est == last
         elif b.stop_reason == "minimum-found":
-            armed = [(m, ab) for m, ab in sized if m >= gate]
+            # the first two consecutive increases of the pair size end the
+            # series at the last pair asked for; the terms end at the odd
+            # (k >= 3) or even (k <= 2) term of the smallest pair before it
+            assert rises and armed[rises[0]][0] == asked[-1]
             i = [m for m, _ in armed].index(ms[-1])
-            assert last == min(ab for _, ab in armed)
+            assert armed[i][1] == min(s for _, s in armed)
             assert b.trunc_error_est == armed[i + 1][1]
         else:
             assert b.stop_reason == "exhausted"
-            assert ms[-1] + step > int(3 * theory) + 60
+            assert ms[-1] + step > int(3 * theory) + 60 and not rises
             assert b.trunc_error_est == last
 
 
@@ -596,6 +642,13 @@ class TestEstimate:
         "3333: 0.747, 6000: -0.841, against claims of 0.0136, 0.021, 0.031)"))
     @pytest.mark.parametrize("n", [770, 3333, 6000])
     def test_rounds_to_exact_past_a_small_probe(self, n, exact_table_7000):
+        assert pp.p2_estimate(n).rounded == exact_table_7000[n]
+
+    @pytest.mark.parametrize("n", [6384, 6410])
+    def test_rounds_to_exact_past_a_parity_split_minimum(self, n, exact_table_7000):
+        # an arc k >= 3 ending minimum-found stops at its smallest pair of
+        # terms: a minimum read on single terms dropped an odd tail of about
+        # -0.95 from arc 13 of 6384, and the integer was off by one
         assert pp.p2_estimate(n).rounded == exact_table_7000[n]
 
     def test_domain(self):

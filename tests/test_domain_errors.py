@@ -34,5 +34,14 @@ def test_rejects_out_of_domain_input(call):
         call()
 
 
+@pytest.mark.parametrize("kappa2", ["inf", "-inf", "nan"])
+@pytest.mark.parametrize("bound", [pp.n_cutoff_theory, pp.minor_arc_bound],
+                         ids=lambda f: f.__name__)
+def test_non_finite_kappa2_is_named(bound, kappa2):
+    # an infinite or nan kappa2 has no N(n) and no Type I bound
+    with pytest.raises(ValueError, match="kappa2"):
+        bound(100, kappa2, CTX)
+
+
 def test_cli_phi_rejects_k0():
     assert cli.main(["--quiet", "phi", "5", "0"]) == 2
