@@ -160,15 +160,15 @@ class SaddleData:  # mpfs at a context's precision, or floats
     c: mpmath.mpf | float
 
 
-def _g_of_lambda(lam):
+def _g_of_lambda(lam, digits: int):
     """Positive root of g^3 + 3 lam g^2 = 1 (the g(0) = 1 branch), by Newton
     in lam's number type (arith.number_type) from g = 1 until the step is
-    at most 10^-dps of g, at the scope's decimal precision dps: 10^-15 for
-    floats."""
+    at most 10^-digits of g, the digits the type holds: 10^-15 for floats,
+    10^-dps for mpfs at dps digits."""
     # G(1) = 3 lam >= 0 and G is increasing/convex for g > 0, so Newton from
     # g = 1 falls monotonically onto the root
     g = lam ** 0  # 1 in lam's number type
-    tol = g / 10 ** mp.dps
+    tol = g / 10 ** digits
     for _ in range(200):
         step = (g * g * (g + 3 * lam) - 1) / (3 * g * (g + 2 * lam))
         if not step > tol * g:
@@ -190,12 +190,12 @@ def saddle_data(lam, ctx: PrecisionContext | None = None) -> SaddleData:
     1e-15 absolute (f1 is about -lam^2).  circle.mstar_theory reads this
     float solve for each arc's truncation gate and cap."""
     cst = constants(ctx)
-    scope, one, lib = number_type(ctx)
+    scope, one, lib, digits = number_type(ctx)
     with scope:
         lv = lam * one
         if lv < 0:
             raise ValueError("saddle_data requires lam >= 0")
-        g = _g_of_lambda(lv)
+        g = _g_of_lambda(lv, digits)
         logg = lib.log(g)
         f1 = (1 / (g * g) + 2 * g + 6 * lv * logg) / 3 - 1
         f1p = 2 * logg

@@ -13,6 +13,7 @@ downstream have no float error source.
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 from dataclasses import astuple, dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -135,13 +136,16 @@ def derived_constants(ctx: PrecisionContext | None = None) -> DerivedConstants:
 
 
 def number_type(ctx: PrecisionContext | None = None):
-    """(scope, one, lib): the precision scope, the unit 1 and the module of
-    elementary functions the saddle quantities are evaluated in.  With ctx,
-    mpfs at its working precision and mpmath; without it, Python floats and
-    math, in a 15-digit scope (the decimal digits a float holds), as
-    constants() and derived_constants() give floats without a context.
-    This is the one place that chooses between floats and mpmath."""
-    return (ctx.workdps(), mpmath.mpf(1), mp) if ctx else (mp.workdps(15), 1.0, math)
+    """(scope, one, lib, digits): the precision scope, the unit 1, the module
+    of elementary functions the saddle quantities are evaluated in, and the
+    decimal digits the type holds.  With ctx, mpfs at its working precision
+    and mpmath, in ctx's scope; without it, Python floats and math, which
+    need no scope and hold 15 digits, as constants() and derived_constants()
+    give floats without a context.  This is the one place that chooses
+    between floats and mpmath."""
+    if ctx:
+        return ctx.workdps(), mpmath.mpf(1), mp, ctx.decimal_digits
+    return nullcontext(), 1.0, math, 15
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,7 @@ def lambda_param(n: int, k: int, ctx: PrecisionContext | None = None):
     an mpf at its working precision or, without ctx, a Python float."""
     if n < 1 or k < 1:
         raise ValueError("lambda_param requires n, k >= 1")
-    scope, one, _ = number_type(ctx)
+    scope, one, *_ = number_type(ctx)
     with scope:
         return k * k / (24 * derived_constants(ctx).c2 * n ** (2 * one / 3))
 
@@ -218,7 +218,7 @@ def mstar_theory(n: int, k: int, ctx: PrecisionContext | None = None):
     mstar_numeric reads."""
     if n < 1 or k < 1:
         raise ValueError("mstar_theory requires n, k >= 1")
-    scope, one, _ = number_type(ctx)
+    scope, one, *_ = number_type(ctx)
     with scope:
         return _mstar_of_saddle(k, saddle_data(lambda_param(n, k, ctx), ctx),
                                 derived_constants(ctx).c2, n ** (one / 3))

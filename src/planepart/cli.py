@@ -19,6 +19,7 @@ import math
 import sys
 import time
 from collections.abc import Iterable
+from functools import cache
 
 import mpmath
 from mpmath import mp
@@ -176,7 +177,9 @@ def _positive_int(text: str) -> int:
     return value
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="planepart",
         description="plane-partition counts: exact and superasymptotic")

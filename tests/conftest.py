@@ -1,3 +1,5 @@
+import os
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -14,6 +16,16 @@ settings.register_profile("planepart", derandomize=True, deadline=None,
 settings.load_profile("planepart")
 
 import planepart as pp  # noqa: E402
+
+
+def run_in_fresh_process(script, *args):
+    """stdout of `python -c script args` in a fresh interpreter on this
+    checkout, in Python's development mode when this interpreter runs in it."""
+    env = dict(os.environ, PYTHONPATH=str(Path(pp.__file__).parents[1]))
+    dev = ["-X", "dev"] if sys.flags.dev_mode else []
+    return subprocess.run([sys.executable, *dev, "-c", script, *map(str, args)], env=env,
+                          capture_output=True, text=True, check=True).stdout
+
 
 # wall-clock seconds for the expensive session computations, keyed by name;
 # the acceptance tests check these against the published runtime budgets

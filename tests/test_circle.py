@@ -2,11 +2,7 @@ import collections
 import dataclasses
 import json
 import math
-import os
-import subprocess
-import sys
 import types
-from pathlib import Path
 
 import mpmath
 import pytest
@@ -16,6 +12,7 @@ from mpmath import mp
 
 import oracles
 import planepart as pp
+from conftest import run_in_fresh_process
 from planepart import circle, dedekind
 
 # the 30-digit floor, 50 and 400 digits, the working precision of
@@ -781,18 +778,12 @@ class TestEstimate:
             assert calls[k] <= doubling_blocks(m_max[k]), (k, calls[k], m_max[k])
 
 
-def run_in_fresh_process(script, *args):
-    """stdout of `python -c script args` in a fresh interpreter on this checkout."""
-    env = dict(os.environ, PYTHONPATH=str(Path(pp.__file__).parents[1]))
-    return subprocess.run([sys.executable, "-c", script, *map(str, args)], env=env,
-                          capture_output=True, text=True, check=True).stdout
-
-
 class TestOneProcess:
     # every table kept across calls is computed at the precision of the
     # context it serves (PrecisionContext.bits), so an estimate
     # depends on (n, digits) alone and the estimates of one process share
-    # the tables of their table precisions
+    # the tables of their table precisions; the exact values p2(0..n) are
+    # one more table kept across calls, a prefix of the one list they grow
 
     def test_outputs_do_not_depend_on_earlier_estimates(self, tmp_path):
         # `estimate 750 --with-exact` alone, and after 2000 and 992
