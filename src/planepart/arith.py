@@ -1,6 +1,6 @@
 """Precision contexts, fundamental constants, exact Bernoulli numbers and
 integer Bernoulli polynomial rows, the sigma2 divisor sieve of the exact
-recurrence, and the working precision of an estimate.
+recurrence, and the working precision of an estimate and of each of its arcs.
 
 All floating-point work runs through mpmath; a PrecisionContext fixes the
 decimal working precision and every operation evaluates inside that context.
@@ -67,15 +67,14 @@ class PrecisionContext:
         (the Almkvist seeds' 1/Gamma values, dedekind's trig and log-sine
         rows, Glaisher's constant).
 
-        The Almkvist seeds and dedekind's rows are built at, and keyed by,
-        bits, so the nearby precisions of many estimates share one table,
-        and which table a value comes from is set by the precision asked
-        for, not by what ran before.  constants, derived_constants and
-        circle.lambda_c are cached by the context itself: each holds values
-        at bits (lambda_c at the working precision), and a context is equal
-        to another of the same decimal_digits.  An arc's integer state
-        depends on the precision through bits alone; each of its terms is
-        rounded to prec once, at the end."""
+        The Almkvist seeds, dedekind's rows, constants, derived_constants
+        and the n-independent part of each circle.Arc are built at, and
+        keyed by, bits, so the nearby precisions of many estimates and arcs
+        share one table, and which table a value comes from is set by the
+        precision asked for, not by what ran before.  circle.lambda_c, a
+        value at the working precision, is cached by the context itself.
+        An arc's integer state depends on the precision through bits alone;
+        each of its terms is rounded to prec once, at the end."""
         return (self.prec + 8 + 63) // 64 * 64 + GUARD_BITS
 
     @cached_property
@@ -99,19 +98,24 @@ class DerivedConstants:
     c2: mpmath.mpf | float
 
 
-@lru_cache(maxsize=None)
 def constants(ctx: PrecisionContext | None = None) -> Constants:
     """pi, a = zeta(3) (Apery's constant), zeta'(-1) = 1/12 - log A (A is
     Glaisher's constant) and log 2 at the kernels' precision ctx.bits;
     without ctx, the same constants at 30 digits rounded to Python floats.
 
-    mpmath keeps a constant at the highest precision it has computed and
-    recomputes it for any higher one, which for A is costly; ctx.bits is a
-    multiple of 64 plus GUARD_BITS, so the estimates of nearby precisions
-    share one evaluation."""
-    if ctx is None:
+    The values depend on the context through ctx.bits alone, and are cached
+    by it.  mpmath keeps a constant at the highest precision it has computed
+    and recomputes it for any higher one, which for A is costly; ctx.bits is
+    a multiple of 64 plus GUARD_BITS, so the estimates and arcs of nearby
+    precisions share one evaluation."""
+    return _constants(ctx.bits if ctx else None)
+
+
+@lru_cache(maxsize=None)
+def _constants(bits: int | None) -> Constants:
+    if bits is None:
         return Constants(*map(float, astuple(constants(PrecisionContext(30)))))
-    with mp.workprec(ctx.bits):
+    with mp.workprec(bits):
         pi = +mp.pi
         a = +mp.apery
         zpm1 = mp.mpf(1) / 12 - mp.log(mp.glaisher)
@@ -119,14 +123,19 @@ def constants(ctx: PrecisionContext | None = None) -> Constants:
     return Constants(pi=pi, a=a, zeta_prime_m1=zpm1, log2=log2)
 
 
-@lru_cache(maxsize=None)
 def derived_constants(ctx: PrecisionContext | None = None) -> DerivedConstants:
-    """c1 = (2a)^(1/36) 2^(-1/4) e^{zeta'(-1)} and c2 = 3 * 2^(-2/3) * a^(1/3);
-    without ctx, as Python floats (see constants)."""
-    if ctx is None:
+    """c1 = (2a)^(1/36) 2^(-1/4) e^{zeta'(-1)} and c2 = 3 * 2^(-2/3) * a^(1/3)
+    at ctx.bits, cached by it; without ctx, as Python floats (see
+    constants)."""
+    return _derived_constants(ctx.bits if ctx else None)
+
+
+@lru_cache(maxsize=None)
+def _derived_constants(bits: int | None) -> DerivedConstants:
+    if bits is None:
         return DerivedConstants(*map(float, astuple(derived_constants(PrecisionContext(30)))))
-    cst = constants(ctx)
-    with mp.workprec(ctx.bits):
+    cst = _constants(bits)
+    with mp.workprec(bits):
         third = mp.mpf(1) / 3
         c1 = (2 * cst.a) ** (mp.mpf(1) / 36) * mp.mpf(2) ** (-mp.mpf(1) / 4) * mp.exp(
             cst.zeta_prime_m1
@@ -222,3 +231,17 @@ def precision_for(n: int, digits: int | None = None) -> PrecisionContext:
         lead = 3 * a ** (mp.mpf(1) / 3) * (mp.mpf(n) / 2) ** (mp.mpf(2) / 3)
         digits = int(mp.ceil(lead / mp.log(10))) + 1 + 60
     return PrecisionContext(decimal_digits=digits)
+
+
+def arc_precision(ctx: PrecisionContext, log_drop: float) -> PrecisionContext:
+    """The working precision of an arc of an estimate at ctx whose leading
+    term is bounded by e^-log_drop times arc 1's bound: ctx's digits less the
+    whole decimal orders the bound drops, clamped to [30, ctx's digits]
+    (ctx itself for arc 1, log_drop = 0).
+
+    The estimate's digits put its roundoff, which scales with arc 1's
+    largest term, below the units place; an arc whose terms are 10^j times
+    smaller reaches the same absolute roundoff with j digits fewer."""
+    digits = ctx.decimal_digits - math.floor(log_drop / math.log(10))
+    digits = min(ctx.decimal_digits, max(30, digits))
+    return ctx if digits == ctx.decimal_digits else PrecisionContext(digits)

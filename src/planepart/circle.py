@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -17,8 +18,8 @@ import mpmath
 from mpmath import mp
 from mpmath.libmp import from_man_exp
 
-from .arith import (PrecisionContext, PrecisionError, constants, derived_constants, number_type,
-                    precision_for)
+from .arith import (PrecisionContext, PrecisionError, arc_precision, constants,
+                    derived_constants, number_type, precision_for)
 from .almkvist import almkvist_series, saddle_data
 from .dedekind import CoeffGenerator, _dot, _from_mpf, _normalize, _trig_fixed_row, c_hk
 from .exact import p2_exact_table
@@ -30,6 +31,7 @@ M_FLOOR = "0.001"
 LAMBDA0 = "0.25"  # minor_arc_bound's Type II lam; above lambda_c = 0.1801...
 MAX_ARCS = 500  # no cutoff, numeric or theoretical, includes this arc
 LADDER_SEED = 32  # an Arc's first Almkvist series: most arcs stop below this m
+_ESTIMATE_LOCK = threading.Lock()  # held by each p2_estimate: mpmath's precision is global
 
 
 def lambda_param(n: int, k: int, ctx: PrecisionContext | None = None):
@@ -48,13 +50,14 @@ def d_of_lambda(lam, ctx: PrecisionContext):
         lv = mpmath.mpf(lam)
         if lv <= 0:
             raise ValueError("d_of_lambda requires lam > 0")
-        return _d_of_saddle(lv, saddle_data(lv, ctx), ctx)
+        return mp.exp(_log_d_of_saddle(lv, saddle_data(lv, ctx), ctx))
 
 
-def _d_of_saddle(lam, sd, ctx: PrecisionContext):
-    """d(lam) from lam > 0 and its SaddleData, at the current precision."""
-    cst = constants(ctx)
-    return 72 * cst.a * lam / 64 * mp.exp(24 * cst.zeta_prime_m1 + (1 + sd.f1) / lam)
+def _log_d_of_saddle(lam, sd, ctx: PrecisionContext | None = None):
+    """log d(lam) from lam > 0 and its SaddleData, in ctx's number type (the
+    caller's scope)."""
+    cst, lib = constants(ctx), number_type(ctx)[2]
+    return lib.log(72 * cst.a * lam / 64) + 24 * cst.zeta_prime_m1 + (1 + sd.f1) / lam
 
 
 @lru_cache(maxsize=None)
@@ -83,6 +86,7 @@ class PhiBreakdown:
     phi_value: mpmath.mpf
     trunc_error_est: mpmath.mpf
     stop_reason: str  # minimum-found | below-floor | exhausted
+    decimal_digits: int  # the working precision of the arc (arith.arc_precision)
 
 
 @dataclass
@@ -98,18 +102,74 @@ class EstimateReport:
     actual_error: mpmath.mpf | None = None
 
 
+class _ArcCore:
+    """The part of arc k that does not depend on n, at one ctx.bits: the
+    coprime h <= k/2, one CoeffGenerator per h, sqrt(a/k^3) and the powers
+    (a/k^3)^(m/2), the arc prefactor base = e^{k zeta'(-1)} (a/k)^(1/2 +
+    k/24) / k and each h's factor e^{C_{h,k}} (times 2 unless h pairs with
+    itself).  The generators and the powers grow with the largest m any arc
+    asks for, under the core's lock."""
+
+    def __init__(self, k: int, ctx: PrecisionContext):
+        self.ctx = ctx
+        self.lock = threading.Lock()
+        cst = constants(ctx)
+        with mp.workprec(ctx.bits):
+            kf = mpmath.mpf(k)
+            self.sqrt_ak3 = mp.sqrt(cst.a / kf**3)
+            self.sqrt_fixed = _from_mpf(self.sqrt_ak3._mpf_, ctx.bits)
+            self.powers = [(1 << (ctx.bits - 1), 1 - ctx.bits)]  # (a/k^3)^(m/2), m = 0, 1, ...
+            self.base = mp.exp(k * cst.zeta_prime_m1) * (cst.a / kf) ** (
+                mpmath.mpf(1) / 2 + kf / 24) / kf
+            # h <= k/2: [0] for k = 1, [1] for k = 2, h < k/2 for k >= 3
+            self.hs = [h for h in range(k // 2 + 1) if math.gcd(h, k) == 1]
+            self.gens = [CoeffGenerator(h, k, ctx) for h in self.hs]
+            self.scales = [mp.exp(c_hk(h, k, ctx)) * (1 if 2 * h % k == 0 else 2)
+                           for h in self.hs]
+
+    def extend_to(self, m: int) -> None:
+        """Every generator's b[m] and the powers up to m; the powers last,
+        so a power list longer than m shows that b[m] is there."""
+        with self.lock:
+            for gen in self.gens:
+                gen.extend_to(m)
+            powers, (s, se) = self.powers, self.sqrt_fixed
+            while len(powers) <= m:
+                man, exp = powers[-1]
+                powers.append(_normalize(man * s, exp + se, self.ctx.bits))
+
+
+# the core of each (k, ctx.bits) any arc has asked for; only added to, under _CORES_LOCK
+_CORES: dict[tuple[int, int], _ArcCore] = {}
+_CORES_LOCK = threading.Lock()
+
+
+def _arc_core(k: int, ctx: PrecisionContext) -> _ArcCore:
+    with _CORES_LOCK:
+        core = _CORES.get((k, ctx.bits))
+        if core is None:
+            core = _CORES[k, ctx.bits] = _ArcCore(k, ctx)
+        return core
+
+
 class Arc:
     """The k-th Farey arc of the estimate for p2(n): its terms phi^(m)_k(n).
 
-    Holds the h-weights (the arc prefactor times the C_{h,k} phases), one
-    CoeffGenerator per coprime h <= k/2, the Almkvist ladder and the powers
-    (a/k^3)^(m/2), all as floating integers: mantissas of exactly ctx.bits
-    bits, each with its exponent.  Every input of a term is carried at
-    ctx.bits: x, the weights (with C_{h,k} and the phases) and, behind
-    b[m], each v^(p).  So the arc's integer state depends on the precision
-    through ctx.bits alone.  A term is one _dot of cached weights with the
-    generators' b[m] and two integer products, rounded once to the working
-    precision; it is recomputed, not stored.
+    An arc is an n-independent core shared by every arc of its (k,
+    ctx.bits), built once per process, and the parts that depend on n.  The
+    core (_ArcCore) holds the coprime h <= k/2, one CoeffGenerator per h,
+    the powers (a/k^3)^(m/2), the arc prefactor and each h's factor
+    e^{C_{h,k}}; its generators and powers are extended under a lock, so
+    arcs in several threads can share it.  The arc itself adds x =
+    sqrt(a/k^3) n, the h-weights (the prefactor times each h's factor and
+    the phase e^{-2 pi i n h / k}) and its Almkvist ladder.  Every value is
+    a floating integer: a mantissa of exactly ctx.bits bits with its
+    exponent.  Every input of a term is carried at ctx.bits: x, the weights
+    (with C_{h,k} and the phases) and, behind b[m], each v^(p).  So the
+    arc's integer state depends on the precision through ctx.bits alone.  A
+    term is one _dot of the weights with the generators' b[m] and two
+    integer products, rounded once to the working precision; it is
+    recomputed, not stored.
 
     For k >= 3, h pairs with k - h: C_{k-h,k} = C_{h,k} and the phase
     e^{-2 pi i n h / k} is conjugated, so coef_{k-h} = conj(coef_h), and the
@@ -141,26 +201,16 @@ class Arc:
             raise ValueError("Arc requires n, k >= 1")
         self.n, self.k, self.ctx = n, k, ctx
         self._ladder: list[tuple[int, int]] = []  # A_0, A_1, ...
-        cst = constants(ctx)
+        self._core = core = _arc_core(k, ctx)
         with mp.workprec(ctx.bits):
-            kf = mpmath.mpf(k)
-            sqrt_ak3 = mp.sqrt(cst.a / kf**3)
-            self._sqrt_ak3 = _from_mpf(sqrt_ak3._mpf_, ctx.bits)
-            self.x = sqrt_ak3 * n
-            self._powers = [(1 << (ctx.bits - 1), 1 - ctx.bits)]  # (a/k^3)^(m/2), m = 0, 1, ...
-            base = mp.exp(k * cst.zeta_prime_m1) * (cst.a / kf) ** (
-                mpmath.mpf(1) / 2 + kf / 24) / kf
-            # h <= k/2: [0] for k = 1, [1] for k = 2, h < k/2 for k >= 3
-            hs = [h for h in range(k // 2 + 1) if math.gcd(h, k) == 1]
-            self.gens = [CoeffGenerator(h, k, ctx) for h in hs]
+            self.x = core.sqrt_ak3 * n
             cos, sin, _ = _trig_fixed_row(k, ctx.bits)
             e = -ctx.bits  # the rows are integers over 2^-e
             # per parity of m, the mantissas and the exponents of the weights, one per h
             self._weights = (([], []), ([], []))
-            for h in hs:
+            for h, scale in zip(core.hs, core.scales):
                 j = (-n * h) % k
-                scale = mp.exp(c_hk(h, k, ctx)) * (1 if 2 * h % k == 0 else 2)
-                re, im = (base * mpmath.mpf((row[j], e)) * scale for row in (cos, sin))
+                re, im = (core.base * mpmath.mpf((row[j], e)) * scale for row in (cos, sin))
                 for (mans, exps), v in zip(self._weights, (re, -im)):
                     man, exp = _from_mpf(v._mpf_, ctx.bits)
                     mans.append(man)
@@ -169,7 +219,7 @@ class Arc:
     def _almkvist_fixed(self, m: int) -> tuple[int, int]:
         """A_m as a floating integer, extending the ladder past its end."""
         if m < 0:
-            raise ValueError("Arc.almkvist requires m >= 0")
+            raise ValueError("the Almkvist ladder requires m >= 0")
         ladder = self._ladder
         if m >= len(ladder):
             top = max(m, 2 * len(ladder), LADDER_SEED)
@@ -187,28 +237,32 @@ class Arc:
             ladder += [_normalize(a, e, self.ctx.bits) for a in reversed(block)]
         return ladder[m]
 
-    def almkvist(self, m: int):
-        """A(x | -k/12 - m) at the working precision, from the ladder."""
-        return mp.make_mpf(from_man_exp(*self._almkvist_fixed(m), self.ctx.prec, "n"))
-
     def term(self, m: int):
         """phi^(m)_k(n) as a real mpf: (a/k^3)^(m/2) A_m times one dot product
         of the weights with the generators' b[m].  Terms may be requested in
         any order, but increasing m reuses all coefficient work."""
         if m < 0:
             raise ValueError("Arc.term requires m >= 0")
-        for gen in self.gens:
-            gen.extend_to(m)
-        powers, (s, se) = self._powers, self._sqrt_ak3
-        while len(powers) <= m:
-            man, exp = powers[-1]
-            powers.append(_normalize(man * s, exp + se, self.ctx.bits))
-        acc, e = _dot(*self._weights[m % 2], [g.b[m] for g in self.gens],
-                      [g.b_exp[m] for g in self.gens])
+        core = self._core
+        if len(core.powers) <= m:
+            core.extend_to(m)
+        acc, e = _dot(*self._weights[m % 2], [g.b[m] for g in core.gens],
+                      [g.b_exp[m] for g in core.gens])
         a, ae = self._almkvist_fixed(m)
-        p, pe = powers[m]
+        p, pe = core.powers[m]
         sign = -1 if m % 4 > 1 else 1
         return mp.make_mpf(from_man_exp(sign * acc * a * p, e + ae + pe, self.ctx.prec, "n"))
+
+
+def _saddle_plan(n: int, k: int, ctx: PrecisionContext | None = None):
+    """(lam, SaddleData, M*) of (n, k) from one solve of the saddle cubic,
+    in ctx's number type (see lambda_param)."""
+    scope, one, *_ = number_type(ctx)
+    with scope:
+        lam = lambda_param(n, k, ctx)
+        sd = saddle_data(lam, ctx)
+        c2 = derived_constants(ctx).c2
+        return lam, sd, (sd.c / k) * n ** (one / 3) - (sd.c * sd.c / (4 * c2 * k)) * sd.f1pp
 
 
 def mstar_theory(n: int, k: int, ctx: PrecisionContext | None = None):
@@ -218,18 +272,10 @@ def mstar_theory(n: int, k: int, ctx: PrecisionContext | None = None):
     mstar_numeric reads."""
     if n < 1 or k < 1:
         raise ValueError("mstar_theory requires n, k >= 1")
-    scope, one, *_ = number_type(ctx)
-    with scope:
-        return _mstar_of_saddle(k, saddle_data(lambda_param(n, k, ctx), ctx),
-                                derived_constants(ctx).c2, n ** (one / 3))
+    return _saddle_plan(n, k, ctx)[2]
 
 
-def _mstar_of_saddle(k: int, sd, c2, n13):
-    """M*(n,k) from the SaddleData of lam(n, k), c2 and n^(1/3)."""
-    return (sd.c / k) * n13 - (sd.c * sd.c / (4 * c2 * k)) * sd.f1pp
-
-
-def mstar_numeric(arc: Arc) -> PhiBreakdown:
+def mstar_numeric(arc: Arc, mstar=None) -> PhiBreakdown:
     """Sum the arc's phi^(m)_k in increasing m (even m for k <= 2) in one
     pass, ending the kept terms at m_star_used on one of three exits:
     below-floor (a nonzero term under M_FLOOR), minimum-found (two
@@ -240,16 +286,17 @@ def mstar_numeric(arc: Arc) -> PhiBreakdown:
     and the parities can run at sizes 40x apart.  For k <= 2 the odd terms
     are exact zeros, so each even term is its own pair.  A pair is armed
     from its even m >= min_gate on, unless its size is exactly 0.
-    min_gate = int(M*/2) and the cap read M* from mstar_theory in floats:
-    only their integer parts matter, and on a grid of n up to 7100 and k up
-    to 67 they equal a 30-digit solve's (tests/test_circle.py).
+    min_gate = int(M*/2) and the cap read M* in floats: mstar, the estimate's
+    one float solve for the arc, or else mstar_theory's.  Only their integer
+    parts matter, and on a grid of n up to 7100 and k up to 67 they equal a
+    30-digit solve's (tests/test_circle.py).
     trunc_error_est is the last kept term's size, or on minimum-found the
     next armed pair's size.  Exact zeros are summed but end nothing, so the
     exit depends on the terms alone, not on the working precision."""
     n, k, ctx = arc.n, arc.k, arc.ctx
     with ctx.workdps():
         floor_v = mpmath.mpf(M_FLOOR)
-        theory = mstar_theory(n, k)
+        theory = mstar_theory(n, k) if mstar is None else mstar
         # Near-cancellation dips in the head of the series (before the
         # asymptotic decay regime) can mimic the superasymptotic minimum;
         # the minimum rule stays disarmed until m reaches half the
@@ -290,7 +337,8 @@ def mstar_numeric(arc: Arc) -> PhiBreakdown:
             del terms[armed[low][0] + 1:]
         return PhiBreakdown(k=k, m_star_used=terms[-1].m, terms=terms, terms_computed=computed,
                             phi_value=mp.fsum(r.value for r in terms),
-                            trunc_error_est=trunc, stop_reason=stop_reason)
+                            trunc_error_est=trunc, stop_reason=stop_reason,
+                            decimal_digits=ctx.decimal_digits)
 
 
 def _finite_kappa2(kappa2):
@@ -333,13 +381,11 @@ def sa_error_bound(n: int, k: int, ctx: PrecisionContext):
     cst = constants(ctx)
     der = derived_constants(ctx)
     with ctx.workdps():
-        lam = lambda_param(n, k, ctx)
+        lam, sd, mstar = _saddle_plan(n, k, ctx)
         if lam > lambda_c(ctx):
             raise ValueError("sa_error_bound is only claimed for lam <= lam_c")
-        sd = saddle_data(lam, ctx)
         n13 = mpmath.mpf(n) ** (mpmath.mpf(1) / 3)
-        c, mstar = sd.c, _mstar_of_saddle(k, sd, der.c2, n13)
-        n23 = n13 * n13
+        c, n23 = sd.c, n13 * n13
         pref = (mpmath.mpf(k) ** (-mpmath.mpf(1) / 2) * der.c1**k
                 * (k * k / n23) ** (1 + mpmath.mpf(k) / 24)
                 / (cst.pi**2 * (2 * cst.a) ** (-mpmath.mpf(1) / 6)
@@ -371,26 +417,31 @@ def minor_arc_bound(n: int, kappa2, ctx: PrecisionContext) -> MinorArcBound:
         return MinorArcBound(type1=type1, type2=type2)
 
 
+def _log_phi0_bound(n: int, k: int, lam, sd, ctx: PrecisionContext | None = None):
+    """log of phi0_bound from lam(n, k) and its SaddleData: the smaller of
+    the two published forms, each one sum of logs in ctx's number type (the
+    caller's scope), so that without ctx it holds in floats at any n."""
+    cst, der = constants(ctx), derived_constants(ctx)
+    _, one, lib, _ = number_type(ctx)
+    kf = k * one
+    log_k23 = 2 * lib.log(kf) - 2 * lib.log(n * one) / 3  # log(k^2 / n^(2/3))
+    log1 = (k * lib.log(der.c1) + (1 + kf / 24) * log_k23 + lib.log(2 * cst.a) / 6
+            - lib.log(6 * cst.pi * kf**3) / 2 + der.c2 * n ** (2 * one / 3) / k * (1 + sd.f1)
+            + lib.log(1 + sd.f2))
+    if k == 1:
+        # c1 carries the (k 2^-alpha)^(k/12) estimate (alpha = 3) for
+        # e^{C_{h,k}} over 1 <= h < k; the k = 1 arc is the single h = 0
+        # term with C_{0,1} = 0, so the 2^{-1/4} factor must be undone.
+        log1 += cst.log2 / 4
+    log2 = lib.log(72 * cst.a / (cst.pi * kf**3)) / 2 + kf / 24 * _log_d_of_saddle(lam, sd, ctx)
+    return min(log1, log2)
+
+
 def phi0_bound(n: int, k: int, ctx: PrecisionContext):
     """Upper bound for |phi^(0)_k(n)|: the minimum of the two published forms."""
-    cst = constants(ctx)
-    der = derived_constants(ctx)
     with ctx.workdps():
-        lam = lambda_param(n, k, ctx)
-        sd = saddle_data(lam, ctx)
-        n23 = mpmath.mpf(n) ** (mpmath.mpf(2) / 3)
-        kf = mpmath.mpf(k)
-        bound1 = (der.c1**k * (kf * kf / n23) ** (1 + kf / 24)
-                  / ((2 * cst.a) ** (-mpmath.mpf(1) / 6) * mp.sqrt(6 * cst.pi * kf**3))
-                  * mp.exp((der.c2 * n23 / k) * (1 + sd.f1)) * (1 + sd.f2))
-        if k == 1:
-            # c1 carries the (k 2^-alpha)^(k/12) estimate (alpha = 3) for
-            # e^{C_{h,k}} over 1 <= h < k; the k = 1 arc is the single
-            # h = 0 term with C_{0,1} = 0, so the 2^{-1/4} factor must be
-            # undone.
-            bound1 *= 2 ** (mpmath.mpf(1) / 4)
-        bound2 = mp.sqrt(72 * cst.a / (cst.pi * kf**3)) * _d_of_saddle(lam, sd, ctx) ** (kf / 24)
-        return min(bound1, bound2)
+        lam, sd, _ = _saddle_plan(n, k, ctx)
+        return mp.exp(_log_phi0_bound(n, k, lam, sd, ctx))
 
 
 def p2_estimate(n: int, kappa2=None, digits: int | None = None,
@@ -401,6 +452,10 @@ def p2_estimate(n: int, kappa2=None, digits: int | None = None,
     included up to the numeric cutoff (the k before the first arc whose
     nonzero probe drops below K_THRESHOLD) by default, or up to [N(n)] when
     kappa2 is given; each included arc is truncated in m per mstar_numeric.
+    One float solve of the saddle cubic per arc gives its truncation gate
+    and cap and the log of phi0_bound, from which arith.arc_precision sets
+    the arc's working precision: the estimate's digits for arc 1, fewer by
+    the decimal orders its bound lies below arc 1's for the others.
     estimated_error aggregates the per-k truncation estimates plus the probe
     of the first excluded arc whose probe is nonzero, searched over at most
     seven arcs.  A kappa2 whose N(n) reaches MAX_ARCS is rejected.  digits
@@ -408,11 +463,16 @@ def p2_estimate(n: int, kappa2=None, digits: int | None = None,
     certified digits (ctx.eps) do not reach the units place of arc 1's m = 0
     term (checked before any arc is summed) or of the estimate, and when an
     included arc ends exhausted, whose trunc_error_est is only its last
-    term's size.
+    term's size.  mpmath's working precision is one setting per process, so
+    estimates in several threads take turns (_ESTIMATE_LOCK).
     """
     if n < 1:
         raise ValueError("p2_estimate requires n >= 1")
-    ctx = precision_for(n, digits)
+    with _ESTIMATE_LOCK:
+        return _estimate(n, kappa2, precision_for(n, digits), with_exact)
+
+
+def _estimate(n: int, kappa2, ctx: PrecisionContext, with_exact: bool) -> EstimateReport:
     uncertified = f"{ctx.decimal_digits} digits cannot certify the units place of p2({n})"
     per_k: list[PhiBreakdown] = []
     with ctx.workdps():
@@ -424,7 +484,11 @@ def p2_estimate(n: int, kappa2=None, digits: int | None = None,
         for k in itertools.count(1):
             if n_incl is None and k == MAX_ARCS:
                 raise PrecisionError("cutoff probe never dropped below threshold")
-            arc = Arc(n, k, ctx)
+            lam, sd, mstar = _saddle_plan(n, k)
+            log_bound = _log_phi0_bound(n, k, lam, sd)
+            if k == 1:
+                log_lead = log_bound
+            arc = Arc(n, k, arc_precision(ctx, log_lead - log_bound))
             probe = cutoff_probe(arc)
             # The sum's roundoff scales with its largest term, arc 1's m = 0.
             if k == 1 and probe * ctx.eps >= mpmath.mpf(1) / 2:
@@ -434,7 +498,7 @@ def p2_estimate(n: int, kappa2=None, digits: int | None = None,
             if n_incl is None and probe != 0 and probe < thr:
                 n_incl = max(1, k - 1)
             if n_incl is None or k <= n_incl:
-                per_k.append(mstar_numeric(arc))
+                per_k.append(mstar_numeric(arc, mstar))
             elif probe != 0 or k == n_incl + 7:
                 probe_next = probe
                 break
@@ -447,12 +511,9 @@ def p2_estimate(n: int, kappa2=None, digits: int | None = None,
                                  "their truncation errors are not estimated")
         est_err = mp.fsum(b.trunc_error_est for b in per_k) + probe_next
         rounded = int(mp.nint(estimate))
-    report = EstimateReport(n=n, N_used=n_incl, per_k=per_k, estimate=estimate,
-                            rounded=rounded, estimated_error=est_err,
-                            decimal_digits=ctx.decimal_digits)
-    if with_exact:
-        exact = p2_exact_table(n)[n]
-        with ctx.workdps():
-            report.exact = exact
-            report.actual_error = estimate - exact
-    return report
+        exact = p2_exact_table(n)[n] if with_exact else None
+        actual_error = estimate - exact if with_exact else None
+    return EstimateReport(n=n, N_used=n_incl, per_k=per_k, estimate=estimate,
+                          rounded=rounded, estimated_error=est_err,
+                          decimal_digits=ctx.decimal_digits, exact=exact,
+                          actual_error=actual_error)

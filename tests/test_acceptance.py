@@ -14,6 +14,7 @@ from mpmath import mp
 
 import oracles
 import planepart as pp
+from conftest import run_in_fresh_process
 from planepart import circle, dedekind
 
 P2_750 = ("25457430243586450395219207490248595729590105965123710346785869279"
@@ -64,9 +65,11 @@ def test_criterion_01_exact_oracle():
         checks.append((f"enumeration n={n}",
                        pp.p2_exact_table(8)[n] == oracles.plane_partitions_brute(n)))
     checks.append(("p2(750) string", str(pp.p2_exact_table(750)[750]) == P2_750))
-    start = time.monotonic()
-    pp.p2_exact_table(1000)
-    checks.append(("table to 1000 under 5 s", time.monotonic() - start < 5.0))
+    # a cold build: this process's shared table already reaches 750 or more
+    script = ("import time\nimport planepart as pp\n"
+              "start = time.monotonic()\npp.p2_exact_table(1000)\n"
+              "print(time.monotonic() - start)\n")
+    checks.append(("table to 1000 under 5 s", float(run_in_fresh_process(script)) < 5.0))
     _verdict(1, "exact oracle", checks)
 
 

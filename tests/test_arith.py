@@ -12,6 +12,7 @@ from mpmath import mp
 
 import oracles
 import planepart as pp
+from planepart import arith
 from planepart.arith import GUARD_BITS, bernoulli_int_row
 
 
@@ -28,7 +29,9 @@ class TestPrecisionContext:
     def test_derived_precision_is_not_state(self):
         # prec, bits and eps are derived once per context and are no
         # fields: a context that has read them equals a fresh one with its
-        # digits, hits constants' cache entry for it, and cannot have them set
+        # digits, hits constants' cache entry for it, and cannot have them
+        # set; constants are cached by bits, so a context of other digits
+        # and the same bits hits that entry too
         used = pp.PrecisionContext(decimal_digits=77)
         with used.workdps():
             assert used.prec == mp.prec
@@ -39,9 +42,11 @@ class TestPrecisionContext:
         pp.constants(used)
         fresh = pp.PrecisionContext(decimal_digits=77)
         assert fresh == used and hash(fresh) == hash(used)
-        hits = pp.constants.cache_info().hits
+        hits = arith._constants.cache_info().hits
         assert pp.constants(fresh) is pp.constants(used)
-        assert pp.constants.cache_info().hits == hits + 2
+        assert arith._constants.cache_info().hits == hits + 2
+        other = pp.PrecisionContext(decimal_digits=78)
+        assert other.bits == used.bits and pp.constants(other) is pp.constants(used)
 
     def test_workdps_scopes_precision(self):
         ctx = pp.PrecisionContext(decimal_digits=120)
@@ -172,3 +177,16 @@ class TestPrecisionFor:
         table = pp.p2_exact_table(400)
         for n in (50, 200, 400):
             assert pp.precision_for(n).decimal_digits >= len(str(table[n])) + 30
+
+    def test_arc_precision(self):
+        # the estimate's digits less the whole decimal orders an arc's bound
+        # drops below arc 1's, clamped to [30, the estimate's digits]
+        ctx = pp.PrecisionContext(100)
+        ln10 = math.log(10)
+        assert arith.arc_precision(ctx, 0.0) is ctx
+        assert arith.arc_precision(ctx, -5 * ln10) is ctx
+        assert arith.arc_precision(ctx, 0.99 * ln10) is ctx
+        assert arith.arc_precision(ctx, 1.01 * ln10).decimal_digits == 99
+        assert arith.arc_precision(ctx, 40.5 * ln10).decimal_digits == 60
+        assert arith.arc_precision(ctx, 1e6).decimal_digits == 30
+        assert arith.arc_precision(pp.PrecisionContext(30), 50.0).decimal_digits == 30

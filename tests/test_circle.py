@@ -13,7 +13,7 @@ from mpmath import mp
 import oracles
 import planepart as pp
 from conftest import run_in_fresh_process
-from planepart import circle, dedekind
+from planepart import circle, cli, dedekind
 
 # the 30-digit floor, 50 and 400 digits, the working precision of
 # `--digits 400 constants` (420) and the precisions of n = 750 and n = 6999
@@ -115,7 +115,7 @@ class TestPsiPhi:
         with ctx.workdps():
             for m in (0, 1, 2, 450, 899):
                 series = pp.almkvist_series(arc.x, -mpmath.mpf(1) / 12 - m, ctx).value
-                assert abs(arc.almkvist(m) / series - 1) <= ctx.eps, m
+                assert abs(mpmath.mpf(arc._almkvist_fixed(m)) / series - 1) <= ctx.eps, m
 
     @pytest.mark.parametrize("n", [107, 992])
     def test_almkvist_first_block_matches_series(self, n):
@@ -126,7 +126,7 @@ class TestPsiPhi:
             with ctx.workdps():
                 for m in range(circle.LADDER_SEED + 1):
                     series = pp.almkvist_series(arc.x, -mpmath.mpf(k) / 12 - m, ctx).value
-                    assert abs(arc.almkvist(m) / series - 1) <= ctx.eps, (k, m)
+                    assert abs(mpmath.mpf(arc._almkvist_fixed(m)) / series - 1) <= ctx.eps, (k, m)
 
     def test_almkvist_ladder_matches_series_past_first_block(self):
         # m <= 70 runs the first block (seeded at LADDER_SEED) and a second
@@ -137,7 +137,7 @@ class TestPsiPhi:
             with ctx.workdps():
                 for m in range(71):
                     series = pp.almkvist_series(arc.x, -mpmath.mpf(k) / 12 - m, ctx).value
-                    assert abs(arc.almkvist(m) / series - 1) <= ctx.eps, (k, m)
+                    assert abs(mpmath.mpf(arc._almkvist_fixed(m)) / series - 1) <= ctx.eps, (k, m)
 
     def test_phi_odd_m_zero_small_k(self, ctx50):
         ctx = pp.precision_for(50)
@@ -153,7 +153,7 @@ class TestPsiPhi:
         # on a warm arc a negative m would index the cached rows from the end
         arc = circle.Arc(750, 5, pp.precision_for(750))
         arc.term(3)
-        for method in (arc.term, arc.almkvist):
+        for method in (arc.term, arc._almkvist_fixed):
             for m in (-1, -2):
                 with pytest.raises(ValueError):
                     method(m)
@@ -224,9 +224,10 @@ class TestMstar:
                 assert b.trunc_error_est == abs(b.terms[-1].value), b.k
 
     def test_minimum_entry_is_the_next_armed_term_6999_k2(self, report_6999):
+        # arc 2 rebuilt at the arc's own working precision
         b = report_6999.per_k[1]
         assert (b.stop_reason, b.m_star_used) == ("minimum-found", 440)
-        ctx = pp.precision_for(6999)
+        ctx = pp.PrecisionContext(b.decimal_digits)
         with ctx.workdps():
             assert b.trunc_error_est == abs(circle.Arc(6999, 2, ctx).term(442))
 
@@ -588,6 +589,20 @@ class TestBounds:
         circle.lambda_c(pp.precision_for(6000))
         assert self.saddle_solves(monkeypatch, circle.sa_error_bound, 6000, 5) == 1
 
+    def test_float_log_bound_matches_30_digits(self):
+        # the estimate sizes each arc's digits from log phi0_bound in
+        # floats: one sum of logs, the same expression as the mpf bound's
+        ctx30 = pp.PrecisionContext(30)
+        for n in (1, 50, 750, 2000, 6999):
+            for k in range(1, 61):
+                lam, sd, _ = circle._saddle_plan(n, k)
+                got = circle._log_phi0_bound(n, k, lam, sd)
+                assert isinstance(got, float)
+                with ctx30.workdps():
+                    lam30, sd30, _ = circle._saddle_plan(n, k, ctx30)
+                    want = circle._log_phi0_bound(n, k, lam30, sd30, ctx30)
+                    assert abs(got - want) <= 1e-13 * max(1, abs(want)), (n, k)
+
     def test_phi0_bound_contains_probe_750(self):
         ctx = pp.precision_for(750)
         with ctx.workdps():
@@ -670,7 +685,7 @@ class TestEstimate:
         assert pp.p2_estimate(100, digits=45).rounded == pp.p2_exact_table(100)[100]
 
         # refused from arc 1's probe, before any arc is summed
-        def summed(arc):
+        def summed(arc, mstar):
             pytest.fail(f"arc {arc.k} summed at a refused precision")
 
         monkeypatch.setattr(circle, "mstar_numeric", summed)
@@ -687,11 +702,12 @@ class TestEstimate:
 
     def test_uncertified_estimate_raises(self, monkeypatch):
         # arc 1's probe passes, but the summed estimate outgrows the digits
-        def summed(arc):
+        def summed(arc, mstar):
             big = mpmath.mpf(10) ** arc.ctx.decimal_digits
             return circle.PhiBreakdown(k=arc.k, m_star_used=0, terms=[], terms_computed=0,
                                        phi_value=big, trunc_error_est=mpmath.mpf(0),
-                                       stop_reason="exhausted")
+                                       stop_reason="exhausted",
+                                       decimal_digits=arc.ctx.decimal_digits)
 
         monkeypatch.setattr(circle, "mstar_numeric", summed)
         with pytest.raises(pp.PrecisionError, match="cannot certify"):
@@ -702,8 +718,8 @@ class TestEstimate:
         # trunc_error_est is only its last term's size
         summed = circle.mstar_numeric
 
-        def exhausted(arc):
-            b = summed(arc)
+        def exhausted(arc, mstar):
+            b = summed(arc, mstar)
             return dataclasses.replace(b, stop_reason="exhausted") if arc.k == 2 else b
 
         monkeypatch.setattr(circle, "mstar_numeric", exhausted)
@@ -842,3 +858,85 @@ class TestOnePrecision:
         ref = pp.p2_estimate(n, digits=ctx.decimal_digits + 40).estimate
         with mp.workprec(ctx.prec + 64):
             assert abs(est - ref) <= mpmath.ldexp(abs(ref), 2 - ctx.prec)
+
+
+# runs its jobs, job(arg) for each argument after the first, in one thread
+# each (sys.argv[1] == "threads", started together and switching every
+# microsecond) or one after another, and prints what each returned
+THREADED = ("import json, sys, threading\n"
+            "def main(job, args):\n"
+            "    out = {}\n"
+            "    def run(a):\n        out[a] = job(a)\n"
+            "    if sys.argv[1] != 'threads':\n"
+            "        print(json.dumps([job(a) for a in args]))\n        return\n"
+            "    sys.setswitchinterval(1e-6)\n"
+            "    threads = [threading.Thread(target=run, args=(a,)) for a in args]\n"
+            "    for t in threads:\n        t.start()\n"
+            "    for t in threads:\n        t.join(timeout=120)\n"
+            "    assert not any(t.is_alive() for t in threads)\n"
+            "    print(json.dumps([out[a] for a in args]))\n")
+
+
+class TestArcPrecision:
+    # arc k >= 2 runs at fewer digits than the estimate, by the decimal
+    # orders its phi0_bound lies below arc 1's (arith.arc_precision); its
+    # roundoff stays at arc 1's absolute level, below the printed digits
+
+    @pytest.mark.parametrize("n", [107, 750, 2000])
+    def test_outputs_equal_those_at_the_estimates_precision(self, n, monkeypatch, tmp_path):
+        def outputs():
+            path = tmp_path / "doc.json"
+            assert cli.main(["--quiet", "--json", str(path), "estimate", str(n),
+                             "--with-exact"]) == 0
+            return json.dumps(json.loads(path.read_text())["outputs"], sort_keys=True)
+
+        per_arc = outputs()
+        monkeypatch.setattr(circle, "arc_precision", lambda ctx, log_drop: ctx)
+        assert outputs() == per_arc
+
+    def test_arc_digits_at_6999(self, report_6999):
+        digits = [b.decimal_digits for b in report_6999.per_k]
+        assert digits[0] == report_6999.decimal_digits == pp.precision_for(6999).decimal_digits
+        assert all(30 <= d < digits[0] for d in digits[1:]), digits
+
+
+class TestThreads:
+    # arcs of one (k, ctx.bits) share one core (the generators and powers)
+    # across n and threads; each result must equal the same work run alone,
+    # in a cold interpreter both times
+
+    def test_estimates_in_threads(self):
+        # six estimates whose arcs 1 all run at 544 kernel bits; each mpf
+        # of a report compared as its exact binary value
+        ns = (842, 857, 875, 904, 945, 974)
+        assert {pp.precision_for(n).bits for n in ns} == {544}
+        script = THREADED + (
+            "import planepart as pp\n"
+            "def bits(v):\n    return [int(part) for part in v._mpf_]\n"
+            "def estimate(n):\n    r = pp.p2_estimate(n)\n"
+            "    return [r.N_used, r.rounded, r.decimal_digits, bits(r.estimate),"
+            " bits(r.estimated_error), [[b.k, b.m_star_used, b.stop_reason, b.terms_computed,"
+            " b.decimal_digits, bits(b.phi_value), bits(b.trunc_error_est)] for b in r.per_k]]\n"
+            "main(estimate, [int(a) for a in sys.argv[2:]])\n")
+        threaded = json.loads(run_in_fresh_process(script, "threads", *ns))
+        assert threaded == json.loads(run_in_fresh_process(script, "alone", *ns))
+
+    def test_cores_extended_in_threads(self):
+        # twelve threads extend the cores of k = 1, 3, 7 at one context,
+        # four threads per core, one order at a time to m = 150.  One arc
+        # per k builds the cores and their trig rows, and the Bernoulli
+        # numbers are cached, before the threads start: those tables are
+        # filled at mpmath's process-wide precision, while a core's
+        # extension works at explicit precisions only
+        script = THREADED + (
+            "import planepart as pp\nfrom planepart import circle\n"
+            "ctx = pp.precision_for(842)\n"
+            "for k in (1, 3, 7):\n    pp.Arc(842, k, ctx)\n"
+            "for p in range(153):\n    pp.bernoulli_number(p)\n"
+            "def extend(job):\n    core = circle._arc_core(job % 10, ctx)\n"
+            "    for m in range(151):\n        core.extend_to(m)\n"
+            "    return [[g.b, g.b_exp] for g in core.gens] + [core.powers]\n"
+            "main(extend, [int(a) for a in sys.argv[2:]])\n")
+        jobs = [10 * i + k for i in range(4) for k in (1, 3, 7)]
+        threaded = json.loads(run_in_fresh_process(script, "threads", *jobs))
+        assert threaded == json.loads(run_in_fresh_process(script, "alone", *jobs))
