@@ -71,10 +71,9 @@ class PrecisionContext:
         and the n-independent part of each circle.Arc are built at, and
         keyed by, bits, so the nearby precisions of many estimates and arcs
         share one table, and which table a value comes from is set by the
-        precision asked for, not by what ran before.  circle.lambda_c, a
-        value at the working precision, is cached by the context itself.
-        An arc's integer state depends on the precision through bits alone;
-        each of its terms is rounded to prec once, at the end."""
+        precision asked for, not by what ran before.  An arc's integer
+        state depends on the precision through bits alone; each of its terms
+        is rounded to prec once, at the end."""
         return (self.prec + 8 + 63) // 64 * 64 + GUARD_BITS
 
     @cached_property
@@ -226,11 +225,8 @@ def precision_for(n: int, digits: int | None = None) -> PrecisionContext:
         raise ValueError("precision_for requires n >= 1")
     if digits is not None:
         return PrecisionContext(decimal_digits=digits)
-    with mp.workdps(30):
-        a = +mp.apery
-        lead = 3 * a ** (mp.mpf(1) / 3) * (mp.mpf(n) / 2) ** (mp.mpf(2) / 3)
-        digits = int(mp.ceil(lead / mp.log(10))) + 1 + 60
-    return PrecisionContext(decimal_digits=digits)
+    lead = derived_constants().c2 * n ** (2 / 3)
+    return PrecisionContext(decimal_digits=math.ceil(lead / math.log(10)) + 1 + 60)
 
 
 def arc_precision(ctx: PrecisionContext, log_drop: float) -> PrecisionContext:

@@ -12,7 +12,6 @@ import math
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import mpmath
 from mpmath import mp
@@ -28,7 +27,6 @@ from .exact import p2_exact_table
 # K_THRESHOLD; mstar_numeric stops an arc's series at a term below M_FLOOR.
 K_THRESHOLD = "0.01"
 M_FLOOR = "0.001"
-LAMBDA0 = "0.25"  # minor_arc_bound's Type II lam; above lambda_c = 0.1801...
 MAX_ARCS = 500  # no cutoff, numeric or theoretical, includes this arc
 LADDER_SEED = 32  # an Arc's first Almkvist series: most arcs stop below this m
 _ESTIMATE_LOCK = threading.Lock()  # held by each p2_estimate: mpmath's precision is global
@@ -44,27 +42,20 @@ def lambda_param(n: int, k: int, ctx: PrecisionContext | None = None):
         return k * k / (24 * derived_constants(ctx).c2 * n ** (2 * one / 3))
 
 
-def d_of_lambda(lam, ctx: PrecisionContext):
-    """d(lam) = 72 a lam 4^-3 exp(24 zeta'(-1) + (1 + f1(lam))/lam)."""
-    with ctx.workdps():
-        lv = mpmath.mpf(lam)
-        if lv <= 0:
-            raise ValueError("d_of_lambda requires lam > 0")
-        return mp.exp(_log_d_of_saddle(lv, saddle_data(lv, ctx), ctx))
-
-
 def _log_d_of_saddle(lam, sd, ctx: PrecisionContext | None = None):
     """log d(lam) from lam > 0 and its SaddleData, in ctx's number type (the
-    caller's scope)."""
+    caller's scope), with d(lam) = 72 a lam 4^-3 exp(24 zeta'(-1) + (1 +
+    f1(lam))/lam)."""
     cst, lib = constants(ctx), number_type(ctx)[2]
     return lib.log(72 * cst.a * lam / 64) + 24 * cst.zeta_prime_m1 + (1 + sd.f1) / lam
 
 
-@lru_cache(maxsize=None)
 def lambda_c(ctx: PrecisionContext):
-    """The lam where d(lam) = 1 (arc-classification threshold)."""
+    """The lam where d(lam) = 1 (arc-classification threshold): the root of
+    log d(lam)."""
     with ctx.workdps():
-        return mp.findroot(lambda lam: d_of_lambda(lam, ctx) - 1, mpmath.mpf("0.18"))
+        return mp.findroot(lambda lam: _log_d_of_saddle(lam, saddle_data(lam, ctx), ctx),
+                           mpmath.mpf("0.18"))
 
 
 # ---------------------------------------------------------------------------
@@ -341,25 +332,20 @@ def mstar_numeric(arc: Arc, mstar=None) -> PhiBreakdown:
                             decimal_digits=ctx.decimal_digits)
 
 
-def _finite_kappa2(kappa2):
-    """kappa2 as an mpf at the working precision; ValueError unless finite
-    (an infinite or nan kappa2 has no N(n) and no Type I bound)."""
-    if not mp.isfinite(mpmath.mpf(kappa2)):
-        raise ValueError(f"kappa2 must be finite, not {kappa2}")
-    return mpmath.mpf(kappa2)
-
-
 def n_cutoff_theory(n: int, kappa2, ctx: PrecisionContext):
     """Major-arc cutoff N(n) = 2.948 n^(1/3) + (2.936 k2 - 1.468) log n + beta3,
-    with beta3 = 1.587 + 2.936 k3 and k3 = 0.06."""
+    with beta3 = 1.587 + 2.936 k3 and k3 = 0.06; ValueError unless kappa2 is
+    finite (an infinite or nan kappa2 has no N(n))."""
     if n < 1:
         raise ValueError("n_cutoff_theory requires n >= 1")
     with ctx.workdps():
+        k2 = mpmath.mpf(kappa2)
+        if not mp.isfinite(k2):
+            raise ValueError(f"kappa2 must be finite, not {kappa2}")
         n13 = mpmath.mpf(n) ** (mpmath.mpf(1) / 3)
         beta3 = mpmath.mpf("1.587") + mpmath.mpf("2.936") * mpmath.mpf("0.06")
         return (mpmath.mpf("2.948") * n13
-                + (mpmath.mpf("2.936") * _finite_kappa2(kappa2) - mpmath.mpf("1.468"))
-                * mp.log(n) + beta3)
+                + (mpmath.mpf("2.936") * k2 - mpmath.mpf("1.468")) * mp.log(n) + beta3)
 
 
 def cutoff_probe(arc: Arc):
@@ -376,72 +362,22 @@ def cutoff_probe(arc: Arc):
         return abs(arc.term(0))
 
 
-def sa_error_bound(n: int, k: int, ctx: PrecisionContext):
-    """Superasymptotic truncation-error bound for arc k (valid for lam <= lam_c)."""
-    cst = constants(ctx)
-    der = derived_constants(ctx)
-    with ctx.workdps():
-        lam, sd, mstar = _saddle_plan(n, k, ctx)
-        if lam > lambda_c(ctx):
-            raise ValueError("sa_error_bound is only claimed for lam <= lam_c")
-        n13 = mpmath.mpf(n) ** (mpmath.mpf(1) / 3)
-        c, n23 = sd.c, n13 * n13
-        pref = (mpmath.mpf(k) ** (-mpmath.mpf(1) / 2) * der.c1**k
-                * (k * k / n23) ** (1 + mpmath.mpf(k) / 24)
-                / (cst.pi**2 * (2 * cst.a) ** (-mpmath.mpf(1) / 6)
-                   * mp.sqrt(3 * mstar)))
-        expo = (-c * c / (4 * der.c2) - c * n13 + der.c2 * n23) / k
-        return pref * mp.exp(expo)
-
-
-@dataclass(frozen=True)
-class MinorArcBound:
-    type1: mpmath.mpf
-    type2: mpmath.mpf
-
-
-def minor_arc_bound(n: int, kappa2, ctx: PrecisionContext) -> MinorArcBound:
-    """Type I and Type II minor-arc bounds, the latter at lam = LAMBDA0."""
-    if n < 1:
-        raise ValueError("minor_arc_bound requires n >= 1")
-    with ctx.workdps():
-        kappa3 = mp.log(mpmath.mpf("1.06"))
-        nf = mpmath.mpf(n)
-        type1 = mpmath.mpf("1.06") * nf ** (-_finite_kappa2(kappa2)) * mp.exp(-kappa3)
-        d0 = d_of_lambda(mpmath.mpf(LAMBDA0), ctx)
-        beta1 = mpmath.mpf("2.948")
-        c3 = -(beta1 / 24) * mp.log(d0)
-        type2 = (mpmath.mpf("2.07") / mp.sqrt(nf)
-                 / (1 - d0 ** (mpmath.mpf(1) / 24))
-                 * mp.exp(-c3 * nf ** (mpmath.mpf(1) / 3)))
-        return MinorArcBound(type1=type1, type2=type2)
-
-
-def _log_phi0_bound(n: int, k: int, lam, sd, ctx: PrecisionContext | None = None):
-    """log of phi0_bound from lam(n, k) and its SaddleData: the smaller of
-    the two published forms, each one sum of logs in ctx's number type (the
-    caller's scope), so that without ctx it holds in floats at any n."""
-    cst, der = constants(ctx), derived_constants(ctx)
-    _, one, lib, _ = number_type(ctx)
-    kf = k * one
-    log_k23 = 2 * lib.log(kf) - 2 * lib.log(n * one) / 3  # log(k^2 / n^(2/3))
-    log1 = (k * lib.log(der.c1) + (1 + kf / 24) * log_k23 + lib.log(2 * cst.a) / 6
-            - lib.log(6 * cst.pi * kf**3) / 2 + der.c2 * n ** (2 * one / 3) / k * (1 + sd.f1)
-            + lib.log(1 + sd.f2))
+def _log_phi0_bound(n: int, k: int, lam, sd) -> float:
+    """log of the published upper bound for |phi^(0)_k(n)| from the float
+    lam(n, k) and its SaddleData: the smaller of the paper's two forms, each
+    one sum of logs in floats, so that it holds at any n."""
+    cst, der = constants(), derived_constants()
+    log_k23 = 2 * math.log(k) - 2 * math.log(n) / 3  # log(k^2 / n^(2/3))
+    log1 = (k * math.log(der.c1) + (1 + k / 24) * log_k23 + math.log(2 * cst.a) / 6
+            - math.log(6 * cst.pi * k**3) / 2 + der.c2 * n ** (2 / 3) / k * (1 + sd.f1)
+            + math.log(1 + sd.f2))
     if k == 1:
         # c1 carries the (k 2^-alpha)^(k/12) estimate (alpha = 3) for
         # e^{C_{h,k}} over 1 <= h < k; the k = 1 arc is the single h = 0
         # term with C_{0,1} = 0, so the 2^{-1/4} factor must be undone.
         log1 += cst.log2 / 4
-    log2 = lib.log(72 * cst.a / (cst.pi * kf**3)) / 2 + kf / 24 * _log_d_of_saddle(lam, sd, ctx)
+    log2 = math.log(72 * cst.a / (cst.pi * k**3)) / 2 + k / 24 * _log_d_of_saddle(lam, sd)
     return min(log1, log2)
-
-
-def phi0_bound(n: int, k: int, ctx: PrecisionContext):
-    """Upper bound for |phi^(0)_k(n)|: the minimum of the two published forms."""
-    with ctx.workdps():
-        lam, sd, _ = _saddle_plan(n, k, ctx)
-        return mp.exp(_log_phi0_bound(n, k, lam, sd, ctx))
 
 
 def p2_estimate(n: int, kappa2=None, digits: int | None = None,
@@ -453,9 +389,10 @@ def p2_estimate(n: int, kappa2=None, digits: int | None = None,
     nonzero probe drops below K_THRESHOLD) by default, or up to [N(n)] when
     kappa2 is given; each included arc is truncated in m per mstar_numeric.
     One float solve of the saddle cubic per arc gives its truncation gate
-    and cap and the log of phi0_bound, from which arith.arc_precision sets
-    the arc's working precision: the estimate's digits for arc 1, fewer by
-    the decimal orders its bound lies below arc 1's for the others.
+    and cap and the log of the paper's bound on its m = 0 term
+    (_log_phi0_bound), from which arith.arc_precision sets the arc's working
+    precision: the estimate's digits for arc 1, fewer by the decimal orders
+    its bound lies below arc 1's for the others.
     estimated_error aggregates the per-k truncation estimates plus the probe
     of the first excluded arc whose probe is nonzero, searched over at most
     seven arcs.  A kappa2 whose N(n) reaches MAX_ARCS is rejected.  digits

@@ -124,15 +124,13 @@ def _parse_k_list(spec: str) -> list[int]:
     ks: list[int] = []
     for token in spec.split(","):
         token = token.strip()
-        primes_only = token.startswith("p:")
-        if primes_only:
-            token = token[2:]
-        if "-" in token:
-            lo, hi = token.split("-")
+        body = token.removeprefix("p:")
+        try:
+            lo, hi = body.split("-") if "-" in body else (body, body)
             rng = range(int(lo), int(hi) + 1)
-        else:
-            rng = [int(token)]
-        ks.extend(k for k in rng if not primes_only or isprime(k))
+        except ValueError:
+            raise ValueError(f"cannot read k list entry {token!r}") from None
+        ks.extend(k for k in rng if body == token or isprime(k))  # "p:": primes only
     ks = sorted(set(ks))
     if not ks or ks[0] < 2:
         raise ValueError("k list must contain integers >= 2")

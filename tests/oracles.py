@@ -36,19 +36,24 @@ uses, so agreement is evidence rather than tautology:
 - A(x|gamma) by summing its power series term by term in mpf, and
   A(x|gamma), A(x|gamma-1), A(x|gamma-2) as six 0F2 series that mpmath's
   hyper sums (the package sums one term sequence, in two chains of even and
-  odd terms, in Python integers).
+  odd terms, in Python integers);
+- the bound on |phi^(0)_k(n)| as the smaller of the paper's two forms, each
+  written as a product in mpf (the estimate takes the log of each form as
+  one sum of logs in floats).
 
 Only public names are imported from planepart (test_dedekind checks this), so
 no oracle shares a private helper with the code it checks.
 
-psi_m, b1k_estimate, lambda_of with almkvist_saddle, and wright_leading are
-not alternative routes: they are paper formulas that only the tests evaluate
-(psi_m takes its b^(m) from the mpf recurrence here, not from the package).
+psi_m, b1k_estimate, lambda_of with almkvist_saddle, wright_leading,
+d_of_lambda, sa_error_bound and minor_arc_bound are not alternative routes:
+they are paper formulas that only the tests evaluate (psi_m takes its b^(m)
+from the mpf recurrence here, not from the package).
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -57,7 +62,8 @@ from mpmath import mp
 from mpmath.libmp import from_int, mpf_div, mpf_shift
 
 from planepart.almkvist import almkvist_series, saddle_data
-from planepart.arith import bernoulli_number, constants
+from planepart.arith import bernoulli_number, constants, derived_constants
+from planepart.circle import lambda_c, lambda_param
 from planepart.dedekind import B1K_GAMMA, c_hk, vp_hk
 
 
@@ -424,3 +430,78 @@ def wright_leading(n: int, ctx):
         pref = a ** (mpmath.mpf(7) / 36) / mp.sqrt(12 * mp.pi)
         return (pref * half_n ** (-mpmath.mpf(25) / 36)
                 * mp.exp(3 * mp.cbrt(a) * half_n**two3 + cst.zeta_prime_m1))
+
+
+def d_of_lambda(lam, ctx):
+    """d(lam) = 72 a lam 4^-3 exp(24 zeta'(-1) + (1 + f1(lam))/lam)."""
+    cst = constants(ctx)
+    with ctx.workdps():
+        lv = mpmath.mpf(lam)
+        if lv <= 0:
+            raise ValueError("d_of_lambda requires lam > 0")
+        f1 = saddle_data(lv, ctx).f1
+        return 72 * cst.a * lv / 64 * mp.exp(24 * cst.zeta_prime_m1 + (1 + f1) / lv)
+
+
+def phi0_bound(n: int, k: int, ctx):
+    """Upper bound for |phi^(0)_k(n)|: the smaller of the paper's two forms,
+    c1^k (k^2/n^(2/3))^(1 + k/24) (2a)^(1/6) / sqrt(6 pi k^3)
+    e^{c2 n^(2/3) (1 + f1(lam)) / k} (1 + f2(lam)), times 2^(1/4) for k = 1
+    (its single term h = 0 has C_{0,1} = 0, where c1 assumes 2^(-k/4)), and
+    sqrt(72 a / (pi k^3)) d(lam)^(k/24)."""
+    cst, der = constants(ctx), derived_constants(ctx)
+    with ctx.workdps():
+        lam = lambda_param(n, k, ctx)
+        sd = saddle_data(lam, ctx)
+        kf, n23 = mpmath.mpf(k), mpmath.mpf(n) ** (mpmath.mpf(2) / 3)
+        form1 = (der.c1**k * (kf * kf / n23) ** (1 + kf / 24)
+                 * (2 * cst.a) ** (mpmath.mpf(1) / 6) / mp.sqrt(6 * cst.pi * kf**3)
+                 * mp.exp(der.c2 * n23 * (1 + sd.f1) / kf) * (1 + sd.f2)
+                 * (mp.root(2, 4) if k == 1 else 1))
+        form2 = mp.sqrt(72 * cst.a / (cst.pi * kf**3)) * d_of_lambda(lam, ctx) ** (kf / 24)
+        return min(form1, form2)
+
+
+def sa_error_bound(n: int, k: int, ctx):
+    """Superasymptotic truncation-error bound for arc k (valid for
+    lam <= lam_c), at the saddle's truncation point
+    M* = (c/k) n^(1/3) - c^2 f1''(lam) / (4 c2 k)."""
+    cst, der = constants(ctx), derived_constants(ctx)
+    with ctx.workdps():
+        lam = lambda_param(n, k, ctx)
+        if lam > lambda_c(ctx):
+            raise ValueError("sa_error_bound is only claimed for lam <= lam_c")
+        sd = saddle_data(lam, ctx)
+        n13 = mpmath.mpf(n) ** (mpmath.mpf(1) / 3)
+        c, n23 = sd.c, n13 * n13
+        mstar = (c / k) * n13 - (c * c / (4 * der.c2 * k)) * sd.f1pp
+        pref = (mpmath.mpf(k) ** (-mpmath.mpf(1) / 2) * der.c1**k
+                * (k * k / n23) ** (1 + mpmath.mpf(k) / 24)
+                / (cst.pi**2 * (2 * cst.a) ** (-mpmath.mpf(1) / 6)
+                   * mp.sqrt(3 * mstar)))
+        expo = (-c * c / (4 * der.c2) - c * n13 + der.c2 * n23) / k
+        return pref * mp.exp(expo)
+
+
+LAMBDA0 = "0.25"  # minor_arc_bound's Type II lam; above lambda_c = 0.1801...
+
+
+@dataclass(frozen=True)
+class MinorArcBound:
+    type1: mpmath.mpf
+    type2: mpmath.mpf
+
+
+def minor_arc_bound(n: int, kappa2, ctx) -> MinorArcBound:
+    """Type I and Type II minor-arc bounds, the latter at lam = LAMBDA0."""
+    with ctx.workdps():
+        kappa3 = mp.log(mpmath.mpf("1.06"))
+        nf = mpmath.mpf(n)
+        type1 = mpmath.mpf("1.06") * nf ** (-mpmath.mpf(kappa2)) * mp.exp(-kappa3)
+        d0 = d_of_lambda(mpmath.mpf(LAMBDA0), ctx)
+        beta1 = mpmath.mpf("2.948")
+        c3 = -(beta1 / 24) * mp.log(d0)
+        type2 = (mpmath.mpf("2.07") / mp.sqrt(nf)
+                 / (1 - d0 ** (mpmath.mpf(1) / 24))
+                 * mp.exp(-c3 * nf ** (mpmath.mpf(1) / 3)))
+        return MinorArcBound(type1=type1, type2=type2)

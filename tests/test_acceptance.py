@@ -156,7 +156,7 @@ def test_criterion_07_constants(ctx50):
     with ctx50.workdps():
         c0 = pp.saddle_data(0, ctx50).c
         lam_c = circle.lambda_c(ctx50)
-        d_at = circle.d_of_lambda(lam_c, ctx50)
+        d_at = oracles.d_of_lambda(lam_c, ctx50)
         sd18 = pp.saddle_data(mpmath.mpf("0.180"), ctx50)
         sd0 = pp.saddle_data(0, ctx50)
 

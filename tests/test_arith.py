@@ -168,6 +168,15 @@ class TestPrecisionFor:
         assert 370 <= d6999 <= 390
         assert d6999 >= 316 + 60
 
+    def test_float_growth_gives_the_30_digit_ceiling(self):
+        # the digits come from c2 n^(2/3) in floats; the same growth,
+        # 3 a^(1/3) (n/2)^(2/3), evaluated at 30 digits has the same ceiling
+        for n in range(1, 200001, 37):
+            with mp.workdps(30):
+                lead = 3 * mp.apery ** (mp.mpf(1) / 3) * (mp.mpf(n) / 2) ** (mp.mpf(2) / 3)
+                want = int(mp.ceil(lead / mp.log(10))) + 1 + 60
+            assert pp.precision_for(n).decimal_digits == want, n
+
     def test_given_digits(self):
         assert pp.precision_for(100, 45).decimal_digits == 45
         assert pp.precision_for(100) == pp.precision_for(100, None)

@@ -179,6 +179,14 @@ class TestScanBmin:
         code, _, _ = run(capsys, "scan-bmin", "--k-list", "1")
         assert code == 2
 
+    @pytest.mark.parametrize("spec, token", [
+        ("2--3", "2--3"), ("3-", "3-"), ("", ""), ("2,x,5", "x"), ("p:a-7", "p:a-7"),
+    ])
+    def test_unreadable_entry_is_named(self, capsys, spec, token):
+        code, _, err = run(capsys, "scan-bmin", "--k-list", spec)
+        assert code == 2
+        assert f"cannot read k list entry {token!r}" in err
+
 
 class TestDedekind:
     def test_1_2(self, capsys):

@@ -31,6 +31,8 @@ CASES = [
     ["--digits", "30", "dedekind", "13", "97"],
     ["--digits", "30", "constants"],
     ["--digits", "400", "constants"],
+    ["constants"],
+    ["--digits", "97", "constants"],
     ["scan-bmin", "--k-list", "p:2-60"],
 ]
 

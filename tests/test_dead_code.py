@@ -1,5 +1,6 @@
-"""No module of the package keeps an unused import, an unused private helper
-or a record field that nothing reads.
+"""No module of the package keeps an unused import, an unused private helper,
+a public function or class that only the tests call, or a record field that
+nothing reads.
 
 No linter runs on the package, so these checks stand in for the rules that
 catch what deletions leave behind.
@@ -69,6 +70,23 @@ def test_every_private_helper_is_used(path):
         unused += [name for name in names
                    if is_private(name) and READ[name] <= own[name]]
     assert unused == []
+
+
+# public names that no module of the package reads, and what reads them
+UNREAD_PUBLIC = {
+    "vp_rational": "perfbench/tracer.py's SPANS looks it up in planepart.dedekind",
+}
+
+
+def test_every_public_name_is_read():
+    # a public function or class that only the tests call is a cross-check,
+    # and belongs in tests/oracles.py; re-exporting it is no reader, and an
+    # exception that the package reads again is stale
+    read = sum((references(TREES[p]) for p in MODULES), Counter())
+    unread = [node.name for p in MODULES for node in TREES[p].body
+              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+              and not is_private(node.name) and read[node.name] <= references(node)[node.name]]
+    assert sorted(unread) == sorted(UNREAD_PUBLIC)
 
 
 def is_dataclass(node) -> bool:

@@ -13,11 +13,9 @@ REJECTED = {
     "bernoulli_number(-1)": lambda: pp.bernoulli_number(-1),
     "lambda_param(0, 1)": lambda: pp.lambda_param(0, 1, CTX),
     "lambda_param(0, 1) in floats": lambda: pp.lambda_param(0, 1),
-    "d_of_lambda(0)": lambda: pp.d_of_lambda(0, CTX),
     "mstar_theory(1, 0)": lambda: pp.mstar_theory(1, 0, CTX),
     "mstar_theory(1, 0) in floats": lambda: pp.mstar_theory(1, 0),
     "n_cutoff_theory(0)": lambda: pp.n_cutoff_theory(0, "0.5", CTX),
-    "minor_arc_bound(0)": lambda: pp.minor_arc_bound(0, "0.5", CTX),
     "vp_rational(1, 1, 3)": lambda: dedekind.vp_rational(1, 1, 3),
     "vp_rational(0, 0, 1)": lambda: dedekind.vp_rational(0, 0, 1),
     "vp_hk(0, 1, 3)": lambda: pp.vp_hk(0, 1, 3, CTX),
@@ -35,10 +33,9 @@ def test_rejects_out_of_domain_input(call):
 
 
 @pytest.mark.parametrize("kappa2", ["inf", "-inf", "nan"])
-@pytest.mark.parametrize("bound", [pp.n_cutoff_theory, pp.minor_arc_bound],
-                         ids=lambda f: f.__name__)
+@pytest.mark.parametrize("bound", [pp.n_cutoff_theory], ids=lambda f: f.__name__)
 def test_non_finite_kappa2_is_named(bound, kappa2):
-    # an infinite or nan kappa2 has no N(n) and no Type I bound
+    # an infinite or nan kappa2 has no N(n)
     with pytest.raises(ValueError, match="kappa2"):
         bound(100, kappa2, CTX)
 
